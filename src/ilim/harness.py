@@ -182,7 +182,10 @@ def parse_config(path) -> SweepConfig:
                     try:
                         val = int(text)
                     except ValueError:
-                        val = float(text)
+                        try:
+                            val = float(text)
+                        except ValueError:
+                            val = text.strip()  # e.g. profile = exp
                     cfg.preset_options[key] = val
                 continue
             if key not in schema:

@@ -12,7 +12,10 @@ discretization on the channel [0, Lx) x [0, Ly]:
   Adams-Bashforth transport of vorticity.
 
 Velocity is reconstructed from vorticity through banded streamfunction
-solves mode by mode, so the discrete divergence vanishes by construction.
+solves, so the discrete divergence vanishes by construction.  Each banded
+operator (streamfunction, and Crank-Nicolson per (nu, dt)) is stacked over
+the Fourier modes as one block-diagonal band and LU-factored once; every
+mode is then solved in a single LAPACK call.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.fft import dst
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs, zgbtrf, zgbtrs
 
 from .grid import (
     Grid,
@@ -113,6 +117,40 @@ def kinetic_energy(vel: VectorField) -> float:
     return 0.5 * float(np.sum(w * (vel.comp1**2 + vel.comp2**2)))
 
 
+def _finite(a):
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return a
+
+
+def _check_info(info, routine):
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of {routine}")
+
+
+def _factor_band(band):
+    """LU-factor a (1, 2) band of shape (4, modes, ny) with ?gbtrf, as one
+    block-diagonal matrix; its dtype picks the routine family the
+    right-hand sides will be solved with."""
+    ab = np.zeros((5, band.shape[1] * band.shape[2]), dtype=band.dtype)
+    ab[1:] = _finite(band).reshape(4, -1)  # ?gbtrf needs kl fill-in rows on top
+    trf = zgbtrf if np.iscomplexobj(ab) else dgbtrf
+    lu, piv, info = trf(ab, 1, 2, overwrite_ab=1)
+    _check_info(info, trf.__name__)
+    return lu, piv
+
+
+def _solve_band(lu, piv, rhs):
+    """Solve every block of a `_factor_band` factorization in one ?gbtrs
+    call; `rhs` is (modes, ny) in the factorization's dtype."""
+    trs = zgbtrs if np.iscomplexobj(lu) else dgbtrs
+    x, info = trs(lu, 1, 2, _finite(rhs).reshape(-1, 1), piv)
+    _check_info(info, trs.__name__)
+    return x.reshape(rhs.shape)
+
+
 class _ChannelOperators:
     """Grid-bound spectral/banded machinery shared by both schemes."""
 
@@ -131,23 +169,28 @@ class _ChannelOperators:
         self.d1_top = top
         self.d2 = _d2_interior(grid.y)
         self.dy = np.diff(grid.y)
-        # Banded (1,1) streamfunction operators (d2/dy2 - k^2), Dirichlet rows.
+        # Banded (1,1) streamfunction operators (d2/dy2 - k^2) with Dirichlet
+        # rows for the modes >= 1, factored once as one ?gttrf stack.  Bands
+        # are laid out (row, mode, ny): flattened, the unused corners of
+        # each mode's band are the couplings between blocks, which are zero,
+        # so partial pivoting never crosses a block boundary.
         d2lo, d2di, d2up = self.d2
-        self.poisson = np.zeros((self.nk, 3, ny))
-        for m in range(self.nk):
-            ab = self.poisson[m]
-            ab[1, 0] = 1.0
-            ab[1, -1] = 1.0
-            ab[2, 0:-2] = d2lo
-            ab[1, 1:-1] = d2di - k[m] ** 2
-            ab[0, 2:] = d2up
+        ab = np.zeros((3, self.nk - 1, ny))
+        ab[1, :, 0] = 1.0
+        ab[1, :, -1] = 1.0
+        ab[2, :, 0:-2] = d2lo
+        ab[1, :, 1:-1] = d2di - k[1:, None] ** 2
+        ab[0, :, 2:] = d2up
+        up, di, lo = _finite(ab).reshape(3, -1)
+        *self.poisson_lu, info = dgttrf(lo[:-1], di, up[1:])
+        _check_info(info, "dgttrf")
 
     def apply_d1(self, vals):
         lo, di, up = self.d1
         out = np.empty_like(vals)
         out[:, 1:-1] = lo * vals[:, :-2] + di * vals[:, 1:-1] + up * vals[:, 2:]
-        b, t = self.d1_bottom, self.d1_top
-        out[:, 0] = b[0] * vals[:, 0] + b[1] * vals[:, 1] + b[2] * vals[:, 2]
+        t = self.d1_top
+        out[:, 0] = self.wall_d1(vals)
         out[:, -1] = t[0] * vals[:, -1] + t[1] * vals[:, -2] + t[2] * vals[:, -3]
         return out
 
@@ -157,18 +200,31 @@ class _ChannelOperators:
         out[:, 1:-1] = lo * vals[:, :-2] + di * vals[:, 1:-1] + up * vals[:, 2:]
         return out
 
-    def wall_d1(self, vals_row3):
+    def wall_d1(self, vals):
+        """One-sided d/dy at the wall row of each mode of `vals`."""
         b = self.d1_bottom
-        return b[0] * vals_row3[0] + b[1] * vals_row3[1] + b[2] * vals_row3[2]
+        return b[0] * vals[:, 0] + b[1] * vals[:, 1] + b[2] * vals[:, 2]
+
+    def poisson_modes(self, rhs):
+        """(d2/dy2 - k^2) x = rhs for the modes >= 1, x = 0 at wall and top.
+
+        `rhs` is a complex (nk - 1, ny) array; its wall and top rows are
+        overwritten.  Real and imaginary parts go to one ?gttrs call as two
+        right-hand-side columns.
+        """
+        rhs[:, 0] = 0.0
+        rhs[:, -1] = 0.0
+        cols = _finite(np.array([rhs.real.ravel(), rhs.imag.ravel()]))
+        x, info = dgttrs(*self.poisson_lu, cols.T)
+        _check_info(info, "dgttrs")
+        out = np.empty_like(rhs)
+        out.real, out.imag = x.T.reshape(2, *rhs.shape)
+        return out
 
     def solve_poisson(self, omega_hat):
         """(d2/dy2 - k^2) psi_hat = -omega_hat, psi_hat = 0 at wall and top."""
         psi = np.zeros_like(omega_hat)
-        for m in range(1, self.nk):
-            rhs = -omega_hat[m].copy()
-            rhs[0] = 0.0
-            rhs[-1] = 0.0
-            psi[m] = solve_banded((1, 1), self.poisson[m], rhs)
+        psi[1:] = self.poisson_modes(-omega_hat[1:])
         return psi
 
     def cumtrapz_y(self, row):
@@ -232,38 +288,27 @@ class _ImplicitDiffusion:
         ny = ops.grid.ny
         c = 0.5 * nu * dt
         d2lo, d2di, d2up = ops.d2
-        k = ops.k
-        self.mats = np.zeros((ops.nk, 4, ny))
-        for m in range(ops.nk):
-            ab = self.mats[m]
-            # interior rows: I - c (d2/dy2 - k^2)
-            ab[3, 0:-2] = -c * d2lo
-            ab[2, 1:-1] = 1.0 - c * d2di + c * k[m] ** 2
-            ab[1, 2:] = -c * d2up
-            ab[2, -1] = 1.0  # top: omega = 0
-            if m == 0:
-                b = ops.d1_bottom  # wall: d(omega)/dy = 0 for the mean mode
-                ab[2, 0] = b[0]
-                ab[1, 1] = b[1]
-                ab[0, 2] = b[2]
-            else:
-                ab[2, 0] = 1.0  # wall: Dirichlet placeholder for the closure
-        # Influence responses: wall-unit vorticity per mode and its
-        # streamfunction wall-flux.
-        self.omega_h = np.zeros((ops.nk, ny))
-        self.psi_h = np.zeros((ops.nk, ny))
-        self.slope_h = np.zeros(ops.nk)
-        e0 = np.zeros(ny)
-        e0[0] = 1.0
-        for m in range(1, ops.nk):
-            w = solve_banded((1, 2), self.mats[m], e0)
-            rhs = -w.copy()
-            rhs[0] = 0.0
-            rhs[-1] = 0.0
-            p = solve_banded((1, 1), ops.poisson[m], rhs)
-            self.omega_h[m] = w
-            self.psi_h[m] = p
-            self.slope_h[m] = ops.wall_d1(p[:3])
+        ab = np.zeros((4, ops.nk, ny))  # (row, mode, ny), as the Poisson stack
+        # interior rows: I - c (d2/dy2 - k^2)
+        ab[3, :, 0:-2] = -c * d2lo
+        ab[2, :, 1:-1] = 1.0 - c * d2di + c * ops.k[:, None] ** 2
+        ab[1, :, 2:] = -c * d2up
+        ab[2, :, -1] = 1.0  # top: omega = 0
+        ab[2, 1:, 0] = 1.0  # wall: Dirichlet placeholder for the closure
+        # wall: d(omega)/dy = 0 for the mean mode
+        ab[2, 0, 0], ab[1, 0, 1], ab[0, 0, 2] = ops.d1_bottom
+        # Complex right-hand sides are solved with the complex routines on
+        # the complex-cast band (what ?gbsv did mode by mode): splitting
+        # them into real columns changes the rounding.
+        self.lu, self.piv = _factor_band(ab.astype(complex))
+        # Influence responses: wall-unit vorticity per mode >= 1 from real
+        # right-hand sides, and its streamfunction wall-flux (the zero
+        # imaginary column does not touch the real one).
+        e0 = np.zeros((ops.nk - 1, ny))
+        e0[:, 0] = 1.0
+        self.omega_h = _solve_band(*_factor_band(ab[:, 1:]), e0)
+        self.psi_h = ops.poisson_modes(-self.omega_h.astype(complex)).real
+        self.slope_h = ops.wall_d1(self.psi_h)
 
     def advance(self, omega_hat, adv_hat):
         """One CN step: returns (omega_hat_new, psi_hat_new)."""
@@ -277,18 +322,13 @@ class _ImplicitDiffusion:
         )
         rhs[:, 0] = 0.0
         rhs[:, -1] = 0.0
-        out = np.empty_like(omega_hat)
+        out = _solve_band(self.lu, self.piv, rhs)
         psi = np.zeros_like(omega_hat)
-        out[0] = solve_banded((1, 2), self.mats[0], rhs[0])
-        for m in range(1, ops.nk):
-            wp = solve_banded((1, 2), self.mats[m], rhs[m])
-            prhs = -wp.copy()
-            prhs[0] = 0.0
-            prhs[-1] = 0.0
-            pp = solve_banded((1, 1), ops.poisson[m], prhs)
-            coef = -ops.wall_d1(pp[:3]) / self.slope_h[m]
-            out[m] = wp + coef * self.omega_h[m]
-            psi[m] = pp + coef * self.psi_h[m]
+        wp = out[1:]
+        pp = ops.poisson_modes(-wp)
+        coef = (-ops.wall_d1(pp) / self.slope_h)[:, None]
+        psi[1:] = pp + coef * self.psi_h
+        out[1:] = wp + coef * self.omega_h
         return out, psi
 
 

@@ -83,12 +83,16 @@ def test_parse_config_free_form_preset_options(tmp_path):
     path = tmp_path / "sweep.ini"
     path.write_text(
         "[data]\npreset = vortex\namplitude = 2.0\nsigma = 0.5\nmodes = 3\n"
+        "profile = exp\n"
         "[sweep]\nnu = 1e-3\n"
     )
     cfg = parse_config(path)
     assert cfg.preset == "vortex"
-    assert cfg.preset_options == {"sigma": 0.5, "modes": 3}
+    assert cfg.preset_options == {"sigma": 0.5, "modes": 3, "profile": "exp"}
     assert isinstance(cfg.preset_options["modes"], int)
+    # the manifest round trip keeps a string option a string
+    back = sweep_config_from_dict(json.loads(json.dumps(cfg.to_dict())))
+    assert back.preset_options == cfg.preset_options
 
 
 @pytest.mark.parametrize(

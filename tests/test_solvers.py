@@ -1,12 +1,18 @@
 """Channel schemes, exact shear series, and paired runs."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError, solve_banded
 
+import ilim.solvers as solvers
 from ilim.grid import ScalarField, VectorField, curl2d, make_channel_grid
 from ilim.initial_data import build_initial_data, shear_profile_exp
 from ilim.solvers import (
     CFLError,
+    _ChannelOperators,
+    _factor_band,
     EulerIntegrator,
     FlowState,
     NavierStokesIntegrator,
@@ -130,6 +136,165 @@ def test_cfl_guard_trips(channel):
     u0 = build_initial_data("shear", channel, amplitude=1.0)
     with pytest.raises(CFLError):
         NavierStokesIntegrator(channel, 1e-3, 0.5).run(u0, 2.0, 1)
+
+
+# ---------------------------------------------------------------------------
+# stacked banded solves against the per-mode reference
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _poisson_band(ops, m):
+    ab = np.zeros((3, ops.grid.ny))
+    d2lo, d2di, d2up = ops.d2
+    ab[1, 0] = 1.0
+    ab[1, -1] = 1.0
+    ab[2, 0:-2] = d2lo
+    ab[1, 1:-1] = d2di - ops.k[m] ** 2
+    ab[0, 2:] = d2up
+    return ab
+
+
+def _cn_band(ops, nu, dt, m):
+    ab = np.zeros((4, ops.grid.ny))
+    c = 0.5 * nu * dt
+    d2lo, d2di, d2up = ops.d2
+    ab[3, 0:-2] = -c * d2lo
+    ab[2, 1:-1] = 1.0 - c * d2di + c * ops.k[m] ** 2
+    ab[1, 2:] = -c * d2up
+    ab[2, -1] = 1.0
+    if m == 0:
+        ab[2, 0], ab[1, 1], ab[0, 2] = ops.d1_bottom
+    else:
+        ab[2, 0] = 1.0
+    return ab
+
+
+def _dirichlet(rhs):
+    rhs = rhs.copy()
+    rhs[0] = 0.0
+    rhs[-1] = 0.0
+    return rhs
+
+
+def _wall_slope(ops, p):
+    b = ops.d1_bottom
+    return b[0] * p[0] + b[1] * p[1] + b[2] * p[2]
+
+
+def _reference_poisson(ops, omega_hat):
+    psi = np.zeros_like(omega_hat)
+    for m in range(1, ops.nk):
+        psi[m] = solve_banded((1, 1), _poisson_band(ops, m), _dirichlet(-omega_hat[m]))
+    return psi
+
+
+def _reference_influence(ops, nu, dt):
+    omega_h = np.zeros((ops.nk, ops.grid.ny))
+    psi_h = np.zeros((ops.nk, ops.grid.ny))
+    slope_h = np.zeros(ops.nk)
+    e0 = np.zeros(ops.grid.ny)
+    e0[0] = 1.0
+    for m in range(1, ops.nk):
+        omega_h[m] = solve_banded((1, 2), _cn_band(ops, nu, dt, m), e0)
+        psi_h[m] = solve_banded((1, 1), _poisson_band(ops, m), _dirichlet(-omega_h[m]))
+        slope_h[m] = _wall_slope(ops, psi_h[m])
+    return omega_h, psi_h, slope_h
+
+
+def _reference_advance(ops, nu, dt, omega_hat, adv_hat):
+    omega_h, psi_h, slope_h = _reference_influence(ops, nu, dt)
+    c = 0.5 * nu * dt
+    rhs = (
+        omega_hat
+        - dt * adv_hat
+        + c * (ops.apply_d2_interior(omega_hat) - (ops.k**2)[:, None] * omega_hat)
+    )
+    out = np.empty_like(omega_hat)
+    psi = np.zeros_like(omega_hat)
+    out[0] = solve_banded((1, 2), _cn_band(ops, nu, dt, 0), _dirichlet(rhs[0]))
+    for m in range(1, ops.nk):
+        band = _cn_band(ops, nu, dt, m)
+        wp = solve_banded((1, 2), band, _dirichlet(rhs[m]))
+        pp = solve_banded((1, 1), _poisson_band(ops, m), _dirichlet(-wp))
+        coef = -_wall_slope(ops, pp) / slope_h[m]
+        out[m] = wp + coef * omega_h[m]
+        psi[m] = pp + coef * psi_h[m]
+    return out, psi
+
+
+@pytest.mark.parametrize("nx, ny", [(16, 33), (64, 129)])
+@pytest.mark.parametrize("nu, dt", [(1e-3, 2e-3), (1.0, 0.1)])
+def test_stacked_solves_match_per_mode_reference(nx, ny, nu, dt):
+    g = make_channel_grid(nx, ny, 2.0 * np.pi, 6.0, clustering="tanh", strength=2.0)
+    integ = NavierStokesIntegrator(g, nu, dt)
+    ops = integ.ops
+    rng = np.random.default_rng(nx)
+
+    def random_hat():
+        return rng.normal(size=(ops.nk, ny)) + 1j * rng.normal(size=(ops.nk, ny))
+
+    omega_hat = random_hat()
+    assert _same_bits(ops.solve_poisson(omega_hat), _reference_poisson(ops, omega_hat))
+    for diff in (integ.full, integ.half):
+        omega_h, psi_h, slope_h = _reference_influence(ops, nu, diff.dt)
+        assert _same_bits(diff.omega_h, omega_h[1:])
+        assert _same_bits(diff.psi_h, psi_h[1:])
+        assert _same_bits(diff.slope_h, slope_h[1:])
+        adv_hat = random_hat()
+        got = diff.advance(omega_hat, adv_hat)
+        want = _reference_advance(ops, nu, diff.dt, omega_hat, adv_hat)
+        assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+
+
+def test_stacked_solves_keep_input_checks(channel):
+    integ = NavierStokesIntegrator(channel, 1e-3, 1e-2)
+    for mode in (0, 1):
+        omega_hat = np.zeros((integ.ops.nk, channel.ny), dtype=complex)
+        omega_hat[mode, 5] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            integ.full.advance(omega_hat, np.zeros_like(omega_hat))
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        integ.ops.solve_poisson(omega_hat)
+    with pytest.raises(ValueError, match="infs or NaNs"), np.errstate(invalid="ignore"):
+        NavierStokesIntegrator(channel, np.inf, 1e-2)
+    with pytest.raises(LinAlgError, match="singular"):
+        _factor_band(np.zeros((4, 2, 3)))
+
+
+LAPACK_NAMES = ("dgttrf", "dgttrs", "dgbtrf", "dgbtrs", "zgbtrf", "zgbtrs")
+
+
+def _lapack_calls_per_run(monkeypatch, nx):
+    """LAPACK calls made by one run of each scheme, by routine."""
+    g = make_channel_grid(nx, 33, 2.0 * np.pi, 6.0, clustering="tanh", strength=2.0)
+    u0 = build_initial_data("perturbed-shear", g, amplitude=1.0)
+    calls = Counter()
+
+    def counting(scheme, name, routine):
+        def wrapper(*args, **kwargs):
+            calls[scheme, name] += 1
+            return routine(*args, **kwargs)
+        wrapper.__name__ = name
+        return wrapper
+
+    for scheme, integ in (("ns", NavierStokesIntegrator(g, 1e-3, 1e-2)),
+                          ("euler", EulerIntegrator(g, 1e-2))):
+        with monkeypatch.context() as mp:
+            for name in LAPACK_NAMES:
+                mp.setattr(solvers, name, counting(scheme, name, getattr(solvers, name)))
+            integ.run(u0, 0.05, 1)
+    return calls
+
+
+def test_lapack_calls_do_not_grow_with_modes(monkeypatch):
+    coarse = _lapack_calls_per_run(monkeypatch, 16)
+    assert coarse == _lapack_calls_per_run(monkeypatch, 64)
+    # the initial projection, then 5 steps, the first a two-stage bootstrap
+    assert coarse == Counter({("ns", "zgbtrs"): 6, ("ns", "dgttrs"): 7,
+                              ("euler", "dgttrs"): 7})
 
 
 # ---------------------------------------------------------------------------
