@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .grid import VectorField, gradient, grids_compatible
+from .grid import VectorField, _apply_d1, _d1_stencils, gradient, grids_compatible
 
 __all__ = [
     "ErrorSeries",
@@ -146,17 +146,11 @@ def _budget_row(w, nu, u, ubar, phi, dphi_dt, grid):
 
 
 def _series_rate(times, vals):
-    """Second-order d/dt of a sampled series (one-sided at the ends)."""
-    from .grid import _d1_stencils
-
+    """Second-order d/dt of sampled series along the last axis of `vals`
+    (one-sided at the ends)."""
     if len(times) < 3:
         raise ValueError("budget rate needs at least 3 output times")
-    lo, di, up, bottom, top = _d1_stencils(np.asarray(times, dtype=float))
-    out = np.empty_like(vals)
-    out[1:-1] = lo * vals[:-2] + di * vals[1:-1] + up * vals[2:]
-    out[0] = bottom[0] * vals[0] + bottom[1] * vals[1] + bottom[2] * vals[2]
-    out[-1] = top[0] * vals[-1] + top[1] * vals[-2] + top[2] * vals[-3]
-    return out
+    return _apply_d1(_d1_stencils(np.asarray(times, dtype=float)), vals)
 
 
 def _zero_corrector(grid):
@@ -224,9 +218,7 @@ def trace_corrector_provider(euler_traj, alpha: float):
     grid = euler_traj.grid
     times = euler_traj.times
     traces = np.stack([s.velocity.comp1[:, 0] for s in euler_traj.states])
-    rates = np.column_stack(
-        [_series_rate(times, traces[:, j]) for j in range(grid.nx)]
-    )
+    rates = _series_rate(times, traces.T).T
 
     def provider(i, t, euler_state):
         u = traces[i]

@@ -20,6 +20,7 @@ from .correctors import verify_corrector_scalings
 from .criteria import LayerSpec, MSchedule, evaluate_criteria
 from .harness import (
     SweepConfig,
+    _parse_r,
     emit_report,
     emit_shear_report,
     parse_config,
@@ -115,15 +116,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_r(text: str) -> float:
-    if str(text).strip().lower() in ("inf", "infinity"):
-        return np.inf
-    r = float(text)
-    if r < 1.0:
-        raise ValueError("r must be >= 1 or 'inf'")
-    return r
-
-
 def _parse_nu_list(text: str) -> tuple:
     vals = tuple(float(v) for v in text.replace(",", " ").split())
     if not vals:
@@ -154,6 +146,7 @@ def _load_config(args, require: bool) -> SweepConfig:
             setattr(cfg, name, val)
     if getattr(args, "r", None) is not None:
         cfg.r = _parse_r(args.r)
+    cfg.layer_spec()  # a bad --C fails here, before any run
     return cfg
 
 

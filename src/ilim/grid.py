@@ -307,6 +307,22 @@ def _d1_stencils(y: np.ndarray):
     return lo, di, up, bottom, top
 
 
+def _apply_d1(stencils, vals):
+    """Apply `_d1_stencils` coefficients along the last axis of `vals`."""
+    lo, di, up, _, top = stencils
+    out = np.empty_like(vals)
+    out[..., 1:-1] = lo * vals[..., :-2] + di * vals[..., 1:-1] + up * vals[..., 2:]
+    out[..., 0] = _wall_d1(stencils, vals)
+    out[..., -1] = top[0] * vals[..., -1] + top[1] * vals[..., -2] + top[2] * vals[..., -3]
+    return out
+
+
+def _wall_d1(stencils, vals):
+    """The one-sided first entry of `_apply_d1` alone."""
+    b = stencils[3]
+    return b[0] * vals[..., 0] + b[1] * vals[..., 1] + b[2] * vals[..., 2]
+
+
 def _d2_interior(y: np.ndarray):
     """Interior three-point coefficients for d2/dy2 on a nonuniform grid."""
     h1 = y[1:-1] - y[:-2]
@@ -319,12 +335,7 @@ def _d2_interior(y: np.ndarray):
 
 def y_derivative(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Finite-difference d/dx2 along axis 1 (works on real or complex data)."""
-    lo, di, up, bottom, top = _d1_stencils(grid.y)
-    out = np.empty_like(values)
-    out[:, 1:-1] = lo * values[:, :-2] + di * values[:, 1:-1] + up * values[:, 2:]
-    out[:, 0] = bottom[0] * values[:, 0] + bottom[1] * values[:, 1] + bottom[2] * values[:, 2]
-    out[:, -1] = top[0] * values[:, -1] + top[1] * values[:, -2] + top[2] * values[:, -3]
-    return out
+    return _apply_d1(_d1_stencils(grid.y), values)
 
 
 def gradient(grid: Grid, values: np.ndarray):

@@ -124,10 +124,30 @@ def sweep_config_from_dict(d: dict) -> SweepConfig:
     cfg.nu_values = tuple(float(v) for v in s["nu"])
     cfg.jobs = int(s["jobs"])
     cfg.m_form, cfg.m_c, cfg.m_a = sch["form"], float(sch["c"]), float(sch["a"])
-    cfg.layer_c = float(lay["C"])
-    cfg.r = _parse_r(str(lay["r"]))
+    cfg.layer_c = _parse_layer_c(lay["C"])
+    cfg.r = _parse_r(lay["r"])
     cfg.use_du1dy = bool(lay["use_du1dy"])
     return cfg
+
+
+def _parse_floats(text) -> tuple:
+    return tuple(float(v) for v in text.replace(",", " ").split())
+
+
+def _parse_r(text) -> float:
+    if str(text).strip().lower() in ("inf", "infinity"):
+        return np.inf
+    r = float(text)
+    if not r >= 1.0:
+        raise ValueError("r must be >= 1 or 'inf'")
+    return r
+
+
+def _parse_layer_c(text) -> float:
+    c = float(text)
+    if not c > 1.0:
+        raise ValueError("layer constant C must exceed 1")
+    return c
 
 
 _CONFIG_SCHEMA = {
@@ -135,9 +155,9 @@ _CONFIG_SCHEMA = {
              "clustering": str, "strength": float},
     "time": {"dt": float, "t_final": float, "n_outputs": int},
     "data": None,  # preset/amplitude/seed plus free-form preset options
-    "sweep": {"nu": "floats", "jobs": int},
+    "sweep": {"nu": _parse_floats, "jobs": int},
     "schedule": {"form": str, "c": float, "a": float},
-    "layer": {"C": float, "r": "r", "use_du1dy": bool},
+    "layer": {"C": _parse_layer_c, "r": _parse_r, "use_du1dy": bool},
 }
 
 _FIELD_BY_KEY = {
@@ -152,10 +172,6 @@ _FIELD_BY_KEY = {
     ("layer", "C"): "layer_c", ("layer", "r"): "r",
     ("layer", "use_du1dy"): "use_du1dy",
 }
-
-
-def _parse_r(text: str) -> float:
-    return np.inf if text.strip().lower() in ("inf", "infinity") else float(text)
 
 
 def parse_config(path) -> SweepConfig:
@@ -191,14 +207,10 @@ def parse_config(path) -> SweepConfig:
             if key not in schema:
                 raise ValueError(f"unknown config key {key!r} in [{section}]")
             kind = schema[key]
-            if kind == "floats":
-                val = tuple(float(v) for v in text.replace(",", " ").split())
-            elif kind == "r":
-                val = _parse_r(text)
-            elif kind is bool:
-                val = cp.getboolean(section, key)
-            else:
-                val = kind(text)
+            try:
+                val = cp.getboolean(section, key) if kind is bool else kind(text)
+            except ValueError as exc:
+                raise ValueError(f"[{section}] {key} = {text}: {exc}") from None
             setattr(cfg, _FIELD_BY_KEY[(section, key)], val)
     if not cfg.nu_values:
         raise ValueError("sweep needs at least one nu")
@@ -505,12 +517,14 @@ class ShearStudyResult:
 
 def _shear_series_trajectory(flow: ShearFlow, grid, nu: float, times,
                              viscous: bool) -> Trajectory:
+    # The viscous profile is evaluated at every output time in one call
+    # per basis; the inviscid one is the frozen t = 0 profile.
+    t_eff = np.asarray(times, dtype=float) if viscous else 0.0
+    w = np.broadcast_to(flow.profile(grid.y, nu, t_eff).T, (times.size, grid.ny))
+    om = np.broadcast_to(-flow.dprofile(grid.y, nu, t_eff).T, w.shape)
     states = []
-    for t in times:
-        t_eff = float(t) if viscous else 0.0
-        w = flow.profile(grid.y, nu, t_eff)
-        om = -flow.dprofile(grid.y, nu, t_eff)
-        u1 = np.broadcast_to(w, grid.shape).copy()
+    for t, w_t, om_t in zip(times, w, om):
+        u1 = np.broadcast_to(w_t, grid.shape).copy()
         u1[:, 0] = 0.0
         states.append(
             FlowState(
@@ -518,7 +532,7 @@ def _shear_series_trajectory(flow: ShearFlow, grid, nu: float, times,
                 t=float(t),
                 nu=nu if viscous else 0.0,
                 velocity=VectorField(grid, u1, np.zeros(grid.shape)),
-                vorticity=ScalarField(grid, np.broadcast_to(om, grid.shape).copy()),
+                vorticity=ScalarField(grid, np.broadcast_to(om_t, grid.shape).copy()),
             )
         )
     return Trajectory(

@@ -31,8 +31,10 @@ from .grid import (
     Grid,
     ScalarField,
     VectorField,
+    _apply_d1,
     _d1_stencils,
     _d2_interior,
+    _wall_d1,
     curl2d,
     make_channel_grid,
 )
@@ -163,10 +165,8 @@ class _ChannelOperators:
         self.ik = 1j * k.copy()
         self.ik[-1] = 0.0  # drop the Nyquist mode in derivatives
         self.dealias = np.arange(self.nk) <= nx // 3
-        lo, di, up, bottom, top = _d1_stencils(grid.y)
-        self.d1 = (lo, di, up)
-        self.d1_bottom = bottom
-        self.d1_top = top
+        self.d1 = _d1_stencils(grid.y)
+        self.d1_bottom = self.d1[3]
         self.d2 = _d2_interior(grid.y)
         self.dy = np.diff(grid.y)
         # Banded (1,1) streamfunction operators (d2/dy2 - k^2) with Dirichlet
@@ -185,25 +185,11 @@ class _ChannelOperators:
         *self.poisson_lu, info = dgttrf(lo[:-1], di, up[1:])
         _check_info(info, "dgttrf")
 
-    def apply_d1(self, vals):
-        lo, di, up = self.d1
-        out = np.empty_like(vals)
-        out[:, 1:-1] = lo * vals[:, :-2] + di * vals[:, 1:-1] + up * vals[:, 2:]
-        t = self.d1_top
-        out[:, 0] = self.wall_d1(vals)
-        out[:, -1] = t[0] * vals[:, -1] + t[1] * vals[:, -2] + t[2] * vals[:, -3]
-        return out
-
     def apply_d2_interior(self, vals):
         lo, di, up = self.d2
         out = np.zeros_like(vals)
         out[:, 1:-1] = lo * vals[:, :-2] + di * vals[:, 1:-1] + up * vals[:, 2:]
         return out
-
-    def wall_d1(self, vals):
-        """One-sided d/dy at the wall row of each mode of `vals`."""
-        b = self.d1_bottom
-        return b[0] * vals[:, 0] + b[1] * vals[:, 1] + b[2] * vals[:, 2]
 
     def poisson_modes(self, rhs):
         """(d2/dy2 - k^2) x = rhs for the modes >= 1, x = 0 at wall and top.
@@ -242,7 +228,7 @@ class _ChannelOperators:
         nx = self.grid.nx
         if psi_hat is None:
             psi_hat = self.solve_poisson(omega_hat)
-        u1_hat = self.apply_d1(psi_hat)
+        u1_hat = _apply_d1(self.d1, psi_hat)
         u2_hat = -self.ik[:, None] * psi_hat
         u1_hat[0, :] = nx * self.mean_mode_u1(omega_hat[0], wall_mean)
         u2_hat[0, :] = 0.0
@@ -254,11 +240,11 @@ class _ChannelOperators:
         u2[:, -1] = 0.0
         return u1, u2
 
-    def advection(self, u1, u2, omega):
-        """Dealiased transport term u . grad(omega), in physical space."""
-        omega_hat = np.fft.rfft(omega, axis=0)
+    def advection(self, u1, u2, omega, omega_hat):
+        """Dealiased transport term u . grad(omega), in physical space;
+        `omega_hat` is the caller's rfft of `omega` along x1."""
         om_x = np.fft.irfft(self.ik[:, None] * omega_hat, n=self.grid.nx, axis=0)
-        om_y = self.apply_d1(omega)
+        om_y = _apply_d1(self.d1, omega)
         n_hat = np.fft.rfft(u1 * om_x + u2 * om_y, axis=0)
         n_hat[~self.dealias] = 0.0
         return np.fft.irfft(n_hat, n=self.grid.nx, axis=0)
@@ -308,7 +294,7 @@ class _ImplicitDiffusion:
         e0[:, 0] = 1.0
         self.omega_h = _solve_band(*_factor_band(ab[:, 1:]), e0)
         self.psi_h = ops.poisson_modes(-self.omega_h.astype(complex)).real
-        self.slope_h = ops.wall_d1(self.psi_h)
+        self.slope_h = _wall_d1(ops.d1, self.psi_h)
 
     def advance(self, omega_hat, adv_hat):
         """One CN step: returns (omega_hat_new, psi_hat_new)."""
@@ -326,7 +312,7 @@ class _ImplicitDiffusion:
         psi = np.zeros_like(omega_hat)
         wp = out[1:]
         pp = ops.poisson_modes(-wp)
-        coef = (-ops.wall_d1(pp) / self.slope_h)[:, None]
+        coef = (-_wall_d1(ops.d1, pp) / self.slope_h)[:, None]
         psi[1:] = pp + coef * self.psi_h
         out[1:] = wp + coef * self.omega_h
         return out, psi
@@ -388,8 +374,8 @@ class NavierStokesIntegrator:
         n_prev = None
         for n in range(1, n_steps + 1):
             ops.check_cfl(u1, u2, dt)
-            n_cur = ops.advection(u1, u2, omega)
             omega_hat = np.fft.rfft(omega, axis=0)
+            n_cur = ops.advection(u1, u2, omega, omega_hat)
             if n_prev is None:
                 # bootstrap: CN midpoint (half step, re-evaluate, full step)
                 oh_half, psi_half = self.half.advance(
@@ -399,9 +385,11 @@ class NavierStokesIntegrator:
                 u1h, u2h = ops.velocity_from_omega_hat(
                     oh_half, 0.0, slip=False, psi_hat=psi_half
                 )
-                n_mid = ops.advection(u1h, u2h, om_half)
+                n_mid = ops.advection(
+                    u1h, u2h, om_half, np.fft.rfft(om_half, axis=0)
+                )
                 omega_hat, psi_hat = self.full.advance(
-                    np.fft.rfft(omega, axis=0), np.fft.rfft(n_mid, axis=0)
+                    omega_hat, np.fft.rfft(n_mid, axis=0)
                 )
             else:
                 adv = 1.5 * n_cur - 0.5 * n_prev
@@ -441,8 +429,10 @@ class EulerIntegrator:
         self.ops = _ChannelOperators(grid)
 
     def _reconstruct(self, omega, wall_mean):
+        """(u1, u2, omega_hat); the transform is reused by `advection`."""
         omega_hat = np.fft.rfft(omega, axis=0)
-        return self.ops.velocity_from_omega_hat(omega_hat, wall_mean, slip=True)
+        u1, u2 = self.ops.velocity_from_omega_hat(omega_hat, wall_mean, slip=True)
+        return u1, u2, omega_hat
 
     def run(self, u0: VectorField, t_final: float, n_outputs: int,
             track_energy: bool = False) -> Trajectory:
@@ -458,7 +448,7 @@ class EulerIntegrator:
         # inviscid dynamics; it anchors the mean-mode reconstruction.
         wall_mean = float(np.mean(u0.comp1[:, 0]))
         omega = curl2d(u0).values.copy()
-        u1, u2 = self._reconstruct(omega, wall_mean)
+        u1, u2, omega_hat = self._reconstruct(omega, wall_mean)
         states = [_state(grid, 0.0, 0.0, u1, u2, omega)]
         energies = (
             [0.5 * float(np.sum(grid.quad_weights * (u1**2 + u2**2)))]
@@ -468,17 +458,17 @@ class EulerIntegrator:
         n_prev = None
         for n in range(1, n_steps + 1):
             ops.check_cfl(u1, u2, dt)
-            n_cur = ops.advection(u1, u2, omega)
+            n_cur = ops.advection(u1, u2, omega, omega_hat)
             if n_prev is None:
                 om_half = omega - 0.5 * dt * n_cur
-                u1h, u2h = self._reconstruct(om_half, wall_mean)
-                n_mid = ops.advection(u1h, u2h, om_half)
+                u1h, u2h, oh_half = self._reconstruct(om_half, wall_mean)
+                n_mid = ops.advection(u1h, u2h, om_half, oh_half)
                 omega = omega - dt * n_mid
             else:
                 omega = omega - dt * (1.5 * n_cur - 0.5 * n_prev)
             n_prev = n_cur
             _check_finite(omega, n * dt)
-            u1, u2 = self._reconstruct(omega, wall_mean)
+            u1, u2, omega_hat = self._reconstruct(omega, wall_mean)
             if track_energy:
                 energies.append(
                     0.5 * float(np.sum(grid.quad_weights * (u1**2 + u2**2)))
@@ -524,6 +514,12 @@ class ShearFlow:
     Coefficients of an arbitrary profile come from a type-4 discrete sine
     transform of midpoint samples (exact for band-limited profiles,
     aliasing-level error otherwise).
+
+    `profile` and `dprofile` take a scalar time, which gives the 1-D
+    profile on `y`, or a 1-D array of times, which gives one column per
+    time.  Each call builds its (y, modes) sin or cos basis once and keeps
+    none of it afterwards; every column is the same basis-vector product
+    a scalar call makes, so both forms agree bit for bit.
     """
 
     def __init__(self, v0=None, height=1.0, n_modes=4096, coeffs=None):
@@ -551,12 +547,20 @@ class ShearFlow:
     def _decay(self, nu, t):
         return self.coeffs * np.exp(-nu * self.lam**2 * t)
 
+    def _series(self, basis_fn, y, t, weights):
+        """sum_m basis_fn(lam_m y) weights(t)_m at each time of `t`."""
+        basis = np.outer(np.asarray(y, dtype=float), self.lam)
+        basis_fn(basis, out=basis)
+        ts = np.asarray(t, dtype=float)
+        cols = [basis @ weights(float(ti)) for ti in ts.ravel()]
+        return cols[0] if ts.ndim == 0 else np.stack(cols, axis=-1)
+
     def profile(self, y, nu, t):
-        return np.sin(np.outer(np.asarray(y, dtype=float), self.lam)) @ self._decay(nu, t)
+        return self._series(np.sin, y, t, lambda ti: self._decay(nu, ti))
 
     def dprofile(self, y, nu, t):
-        return np.cos(np.outer(np.asarray(y, dtype=float), self.lam)) @ (
-            self.lam * self._decay(nu, t)
+        return self._series(
+            np.cos, y, t, lambda ti: self.lam * self._decay(nu, ti)
         )
 
     def wall_vorticity(self, nu, t) -> float:

@@ -18,6 +18,7 @@ from ilim.harness import (
     sweep_config_from_dict,
 )
 from ilim.snapshots import load_trajectory
+from ilim.solvers import ShearFlow
 
 SMALL = dict(
     nx=16, ny=33, dt=5e-3, t_final=0.05, n_outputs=5, preset="shear",
@@ -102,6 +103,8 @@ def test_parse_config_free_form_preset_options(tmp_path):
         ("[grid]\nnz = 4\n", "unknown config key"),
         ("[sweep]\nnu = -1e-3\n", "positive"),
         ("[sweep]\nnu =\n", "at least one nu"),
+        ("[layer]\nr = 0.5\n", r"^\[layer\] r = 0.5: r must be >= 1"),
+        ("[layer]\nC = 0.5\n", r"^\[layer\] C = 0.5: layer constant C must exceed 1"),
     ],
 )
 def test_parse_config_rejects_bad_input(tmp_path, body, match):
@@ -109,6 +112,22 @@ def test_parse_config_rejects_bad_input(tmp_path, body, match):
     path.write_text(body)
     with pytest.raises(ValueError, match=match):
         parse_config(path)
+
+
+@pytest.mark.parametrize("edit, flags, cause", [
+    (("r = inf", "r = 0.5"), [], "[layer] r = 0.5: r must be >= 1"),
+    (("C = 12.0", "C = 0.5"), [], "[layer] C = 0.5: layer constant C must exceed 1"),
+    (None, ["--C", "0.5"], "layer constant C must exceed 1"),
+])
+def test_cli_rejects_bad_layer_value_before_running(tmp_path, capsys, edit,
+                                                    flags, cause):
+    ini = tmp_path / "sweep.ini"
+    ini.write_text(FULL_INI.replace(*edit) if edit else FULL_INI)
+    out = tmp_path / "report"
+    assert cli_dispatch(["sweep", "--config", str(ini), *flags,
+                         "--out", str(out)]) == 1
+    assert cause in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_parse_config_missing_file(tmp_path):
@@ -231,6 +250,21 @@ def test_shear_study_light():
         assert len(reports) == 2
         assert all(rep.all_pass for rep in reports)
         assert not any(rep.under_resolved.any() for rep in reports)
+
+
+def test_shear_study_evaluates_each_basis_once_per_scheme(monkeypatch):
+    calls = []
+    for name in ("profile", "dprofile"):
+        method = getattr(ShearFlow, name)
+
+        def counting(self, *args, _method=method, **kwargs):
+            calls.append(_method.__name__)
+            return _method(self, *args, **kwargs)
+
+        monkeypatch.setattr(ShearFlow, name, counting)
+    shear_limit_study(nu_values=(1e-2, 1e-3), n_times=10, ny=97)
+    # one profile and one dprofile call per nu and scheme
+    assert 0 < len(calls) <= 4 * 2
 
 
 def test_shear_study_holdout_and_fit():

@@ -297,6 +297,42 @@ def test_lapack_calls_do_not_grow_with_modes(monkeypatch):
                               ("euler", "dgttrs"): 7})
 
 
+def _ffts_per_run(monkeypatch, n_steps):
+    """numpy rfft/irfft calls made by one run of each scheme, by name."""
+    g = make_channel_grid(16, 33, 2.0 * np.pi, 6.0, clustering="tanh", strength=2.0)
+    u0 = build_initial_data("perturbed-shear", g, amplitude=1.0)
+    calls = Counter()
+
+    def counting(scheme, name, fft):
+        def wrapper(*args, **kwargs):
+            calls[scheme, name] += 1
+            return fft(*args, **kwargs)
+        return wrapper
+
+    for scheme, integ in (("ns", NavierStokesIntegrator(g, 1e-3, 1e-2)),
+                          ("euler", EulerIntegrator(g, 1e-2))):
+        with monkeypatch.context() as mp:
+            for name in ("rfft", "irfft"):
+                mp.setattr(np.fft, name, counting(scheme, name, getattr(np.fft, name)))
+            integ.run(u0, 1e-2 * n_steps, 1)
+    return calls
+
+
+def test_fft_calls_per_step(monkeypatch):
+    five = _ffts_per_run(monkeypatch, 5)
+    nine = _ffts_per_run(monkeypatch, 9)
+    # each steady step transforms omega once: 8 FFTs (ns) and 6 (euler)
+    per_step = {k: (nine[k] - five[k]) / 4 for k in five}
+    assert per_step == {("ns", "rfft"): 3, ("ns", "irfft"): 5,
+                        ("euler", "rfft"): 2, ("euler", "irfft"): 4}
+    # curl of the initial data, the initial projection, the two-stage
+    # bootstrap, then 4 steady steps
+    assert five == Counter({("ns", "rfft"): 1 + 1 + 6 + 4 * 3,
+                            ("ns", "irfft"): 1 + 2 + 10 + 4 * 5,
+                            ("euler", "rfft"): 1 + 1 + 4 + 4 * 2,
+                            ("euler", "irfft"): 1 + 2 + 8 + 4 * 4})
+
+
 # ---------------------------------------------------------------------------
 # physics checks
 
@@ -374,6 +410,23 @@ def test_l2_error_matches_quadrature():
     gap = flow.profile(y, nu, t) - flow.profile(y, nu, 0.0)
     direct = np.trapezoid(gap**2, y)
     assert flow.l2_error_sq(nu, t) == pytest.approx(direct, rel=1e-8)
+
+
+@pytest.mark.parametrize("flow", [
+    ShearFlow.from_modes(3.0, {0: 1.0, 2: -0.4, 5: 0.1}),
+    ShearFlow(v0=shear_profile_exp, height=6.0),
+], ids=["from_modes", "shear_profile_exp"])
+def test_profiles_at_many_times_match_scalar_calls(flow):
+    y = make_channel_grid(8, 97, 2.0 * np.pi, flow.height,
+                          clustering="tanh", strength=2.0).y
+    times = np.linspace(0.0, 1.0, 11)
+    for method in (flow.profile, flow.dprofile):
+        batch = method(y, 1e-3, times)
+        assert batch.shape == (y.size, times.size)
+        for j, t in enumerate(times):
+            single = method(y, 1e-3, float(t))
+            assert single.shape == (y.size,)
+            assert batch[:, j].tobytes() == single.tobytes()
 
 
 def test_shear_exact_on_eigenmode():
