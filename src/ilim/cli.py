@@ -17,9 +17,11 @@ import numpy as np
 
 from ._version import __version__
 from .correctors import verify_corrector_scalings
-from .criteria import LayerSpec, MSchedule, evaluate_criteria
+from .criteria import evaluate_criteria
 from .harness import (
     SweepConfig,
+    _parse_layer_c,
+    _parse_nu_list,
     _parse_r,
     emit_report,
     emit_shear_report,
@@ -116,15 +118,22 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_nu_list(text: str) -> tuple:
-    vals = tuple(float(v) for v in text.replace(",", " ").split())
-    if not vals:
-        raise ValueError("empty nu list")
-    return vals
+# Flags that override a SweepConfig field: (argparse dest, field, parser
+# of the flag's text, or None for a value argparse has already typed).
+_OVERRIDES = (
+    ("nx", "nx", None), ("ny", "ny", None), ("t_final", "t_final", None),
+    ("dt", "dt", None), ("preset", "preset", None),
+    ("nu", "nu_values", _parse_nu_list),
+    ("m_form", "m_form", None), ("m_c", "m_c", None), ("m_a", "m_a", None),
+    ("C", "layer_c", _parse_layer_c), ("r", "r", _parse_r),
+    ("use_du1dy", "use_du1dy", None),
+)
 
 
-def _load_config(args, require: bool) -> SweepConfig:
-    if args.config is not None:
+def _load_config(args, require: bool = False) -> SweepConfig:
+    """The --config file, else the SweepConfig defaults, with every given
+    flag applied; a bad value fails here, before any run."""
+    if getattr(args, "config", None) is not None:
         cfg = parse_config(args.config)
     elif require:
         raise _UsageError(
@@ -133,25 +142,21 @@ def _load_config(args, require: bool) -> SweepConfig:
         )
     else:
         cfg = SweepConfig()
-    for attr in ("nx", "ny", "t_final", "dt", "preset"):
-        val = getattr(args, attr, None)
-        if val is not None:
-            setattr(cfg, attr, val)
-    if getattr(args, "nu", None) is not None:
-        cfg.nu_values = _parse_nu_list(args.nu)
-    for attr, name in (("m_form", "m_form"), ("m_c", "m_c"), ("m_a", "m_a"),
-                       ("C", "layer_c"), ("use_du1dy", "use_du1dy")):
-        val = getattr(args, attr, None)
-        if val is not None:
-            setattr(cfg, name, val)
-    if getattr(args, "r", None) is not None:
-        cfg.r = _parse_r(args.r)
-    cfg.layer_spec()  # a bad --C fails here, before any run
+    for dest, name, parse in _OVERRIDES:
+        val = getattr(args, dest, None)
+        if val is None:
+            continue
+        if parse is not None:
+            try:
+                val = parse(val)
+            except ValueError as exc:
+                raise ValueError(f"--{dest} {val}: {exc}") from None
+        setattr(cfg, name, val)
     return cfg
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _load_config(args, require=False)
+    cfg = _load_config(args)
     sim = cfg.simulation_config(cfg.nu_values[0])
     pair = run_simulation(sim)
     from .analysis import error_series
@@ -185,20 +190,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_criteria(args) -> int:
+    cfg = _load_config(args)
     root = Path(args.snapshots)
     ns = load_trajectory(root / "ns")
     euler = load_trajectory(root / "euler")
-    schedule = MSchedule(
-        form=args.m_form or "power",
-        c=args.m_c if args.m_c is not None else 1.0,
-        a=args.m_a if args.m_a is not None else 0.5,
-    )
-    spec = LayerSpec(
-        C=args.C if args.C is not None else 10.0,
-        r=_parse_r(args.r) if args.r is not None else 2.0,
-        use_du1dy=bool(args.use_du1dy),
-    )
-    report = evaluate_criteria(ns, euler, schedule, spec)
+    report = evaluate_criteria(ns, euler, cfg.schedule(), cfg.layer_spec())
     out = Path(args.out) if args.out is not None else root / "criteria.csv"
     report.write_csv(out)
     print(f"criteria: {'pass' if report.all_pass else 'FAIL'} "
@@ -235,19 +231,15 @@ def _cmd_corrector_check(args) -> int:
 
 
 def _cmd_shear_verify(args) -> int:
+    cfg = _load_config(args)
     result = shear_limit_study(
-        nu_values=_parse_nu_list(args.nu),
-        t_final=args.t_final,
-        ny=args.ny,
-        schedule=MSchedule(
-            form=args.m_form or "power",
-            c=args.m_c if args.m_c is not None else 1.0,
-            a=args.m_a if args.m_a is not None else 0.5,
-        ),
-        layer_c=args.C if args.C is not None else 10.0,
-        r_values=(
-            (_parse_r(args.r),) if args.r is not None else (1.0, 2.0, np.inf)
-        ),
+        nu_values=cfg.nu_values,
+        t_final=cfg.t_final,
+        ny=cfg.ny,
+        schedule=cfg.schedule(),
+        layer_c=cfg.layer_c,
+        # one r when --r is given, else all of 1, 2 and inf
+        r_values=(cfg.r,) if args.r is not None else (1.0, 2.0, np.inf),
     )
     names = emit_shear_report(result, args.out)
     for i, nu in enumerate(result.nu_values):

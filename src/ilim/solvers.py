@@ -11,6 +11,9 @@ discretization on the channel [0, Lx) x [0, Ly]:
 * inviscid ("euler"): impermeable wall and top, tangential slip;
   Adams-Bashforth transport of vorticity.
 
+One time loop (`_march`) serves both; each scheme supplies only its wall
+closure.
+
 Velocity is reconstructed from vorticity through banded streamfunction
 solves, so the discrete divergence vanishes by construction.  Each banded
 operator (streamfunction, and Crank-Nicolson per (nu, dt)) is stacked over
@@ -20,7 +23,7 @@ mode is then solved in a single LAPACK call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.fft import dst
@@ -47,8 +50,6 @@ __all__ = [
     "SimulationConfig",
     "NavierStokesIntegrator",
     "EulerIntegrator",
-    "ns_step",
-    "euler_step",
     "kinetic_energy",
     "ShearFlow",
     "shear_exact",
@@ -114,9 +115,12 @@ class PairedRun:
     euler: Trajectory
 
 
+def _energy(grid: Grid, u1, u2) -> float:
+    return 0.5 * float(np.sum(grid.quad_weights * (u1**2 + u2**2)))
+
+
 def kinetic_energy(vel: VectorField) -> float:
-    w = vel.grid.quad_weights
-    return 0.5 * float(np.sum(w * (vel.comp1**2 + vel.comp2**2)))
+    return _energy(vel.grid, vel.comp1, vel.comp2)
 
 
 def _finite(a):
@@ -333,8 +337,68 @@ def _check_finite(omega, t):
         raise RuntimeError(f"solution lost finiteness near t = {t!r}")
 
 
+def _march(integ, u0: VectorField, t_final: float, n_outputs: int,
+           track_energy: bool, project) -> Trajectory:
+    """The AB2 time loop both schemes share; `integ` brings the wall closure.
+
+    `integ._advance(omega, omega_hat, adv, h)` steps omega over h under the
+    transport term `adv` and returns (omega_new, solved).  `project(omega,
+    solved)` returns (u1, u2, omega_hat), where omega_hat is the transform
+    of omega along x1 that the next `advection` reuses, or None to have the
+    loop take it; `solved` is None for the initial data.
+    """
+    grid, ops, dt, nu = integ.grid, integ.ops, integ.dt, integ.nu
+    n_steps = int(round(t_final / dt))
+    if abs(n_steps * dt - t_final) > 1e-9 * max(1.0, t_final):
+        raise ValueError("t_final must be an integer number of steps")
+    if n_outputs < 1 or n_steps % n_outputs != 0:
+        raise ValueError("n_outputs must divide the step count")
+    every = n_steps // n_outputs
+
+    def transform(omega, omega_hat):
+        return np.fft.rfft(omega, axis=0) if omega_hat is None else omega_hat
+
+    # Project the initial data through the same omega -> psi -> velocity
+    # reconstruction used for every later output, so all states (and the
+    # per-step energies) live in one discrete representation.
+    omega = curl2d(u0).values.copy()
+    u1, u2, omega_hat = project(omega, None)
+    states = [_state(grid, 0.0, nu, u1, u2, omega)]
+    energies = [_energy(grid, u1, u2)] if track_energy else None
+    n_prev = None
+    for n in range(1, n_steps + 1):
+        ops.check_cfl(u1, u2, dt)
+        omega_hat = transform(omega, omega_hat)
+        n_cur = ops.advection(u1, u2, omega, omega_hat)
+        if n_prev is None:
+            # bootstrap: midpoint rule (half step, re-evaluate, full step)
+            om_half, solved = integ._advance(omega, omega_hat, n_cur, 0.5 * dt)
+            u1h, u2h, oh_half = project(om_half, solved)
+            adv = ops.advection(u1h, u2h, om_half, transform(om_half, oh_half))
+        else:
+            adv = 1.5 * n_cur - 0.5 * n_prev
+        n_prev = n_cur
+        omega, solved = integ._advance(omega, omega_hat, adv, dt)
+        _check_finite(omega, n * dt)
+        u1, u2, omega_hat = project(omega, solved)
+        if track_energy:
+            energies.append(_energy(grid, u1, u2))
+        if n % every == 0:
+            states.append(_state(grid, n * dt, nu, u1, u2, omega))
+    return Trajectory(
+        grid=grid,
+        scheme=integ.scheme,
+        nu=nu,
+        dt=dt,
+        states=tuple(states),
+        step_energies=None if energies is None else tuple(energies),
+    )
+
+
 class NavierStokesIntegrator:
     """No-slip channel scheme at fixed (grid, nu, dt)."""
+
+    scheme = "ns"
 
     def __init__(self, grid: Grid, nu: float, dt: float):
         if nu <= 0.0:
@@ -350,76 +414,30 @@ class NavierStokesIntegrator:
 
     def run(self, u0: VectorField, t_final: float, n_outputs: int,
             track_energy: bool = False) -> Trajectory:
-        grid, ops, dt = self.grid, self.ops, self.dt
-        n_steps = int(round(t_final / dt))
-        if abs(n_steps * dt - t_final) > 1e-9 * max(1.0, t_final):
-            raise ValueError("t_final must be an integer number of steps")
-        if n_outputs < 1 or n_steps % n_outputs != 0:
-            raise ValueError("n_outputs must divide the step count")
-        every = n_steps // n_outputs
+        return _march(self, u0, t_final, n_outputs, track_energy, self._project)
 
-        # Project the initial data through the same omega -> psi -> velocity
-        # reconstruction used for every later output, so all states (and the
-        # per-step energies) live in one discrete representation.
-        omega = curl2d(u0).values.copy()
-        u1, u2 = ops.velocity_from_omega_hat(
-            np.fft.rfft(omega, axis=0), 0.0, slip=False
+    def _advance(self, omega, omega_hat, adv, h):
+        """Crank-Nicolson over h with the influence-matrix wall closure."""
+        cn = self.full if h == self.dt else self.half
+        solved = cn.advance(omega_hat, np.fft.rfft(adv, axis=0))
+        return np.fft.irfft(solved[0], n=self.grid.nx, axis=0), solved
+
+    def _project(self, omega, solved):
+        """Initial data is transformed and solved for psi here; after a
+        step, velocity comes from its (omega_hat, psi_hat), and the loop
+        transforms the rounded omega for `advection`."""
+        omega_hat, psi_hat = solved or (np.fft.rfft(omega, axis=0), None)
+        u1, u2 = self.ops.velocity_from_omega_hat(
+            omega_hat, 0.0, slip=False, psi_hat=psi_hat
         )
-        states = [_state(grid, 0.0, self.nu, u1, u2, omega)]
-        energies = (
-            [0.5 * float(np.sum(grid.quad_weights * (u1**2 + u2**2)))]
-            if track_energy
-            else None
-        )
-        n_prev = None
-        for n in range(1, n_steps + 1):
-            ops.check_cfl(u1, u2, dt)
-            omega_hat = np.fft.rfft(omega, axis=0)
-            n_cur = ops.advection(u1, u2, omega, omega_hat)
-            if n_prev is None:
-                # bootstrap: CN midpoint (half step, re-evaluate, full step)
-                oh_half, psi_half = self.half.advance(
-                    omega_hat, np.fft.rfft(n_cur, axis=0)
-                )
-                om_half = np.fft.irfft(oh_half, n=grid.nx, axis=0)
-                u1h, u2h = ops.velocity_from_omega_hat(
-                    oh_half, 0.0, slip=False, psi_hat=psi_half
-                )
-                n_mid = ops.advection(
-                    u1h, u2h, om_half, np.fft.rfft(om_half, axis=0)
-                )
-                omega_hat, psi_hat = self.full.advance(
-                    omega_hat, np.fft.rfft(n_mid, axis=0)
-                )
-            else:
-                adv = 1.5 * n_cur - 0.5 * n_prev
-                omega_hat, psi_hat = self.full.advance(
-                    omega_hat, np.fft.rfft(adv, axis=0)
-                )
-            n_prev = n_cur
-            omega = np.fft.irfft(omega_hat, n=grid.nx, axis=0)
-            _check_finite(omega, n * dt)
-            u1, u2 = ops.velocity_from_omega_hat(
-                omega_hat, 0.0, slip=False, psi_hat=psi_hat
-            )
-            if track_energy:
-                energies.append(
-                    0.5 * float(np.sum(grid.quad_weights * (u1**2 + u2**2)))
-                )
-            if n % every == 0:
-                states.append(_state(grid, n * dt, self.nu, u1, u2, omega))
-        return Trajectory(
-            grid=grid,
-            scheme="ns",
-            nu=self.nu,
-            dt=dt,
-            states=tuple(states),
-            step_energies=tuple(energies) if track_energy else None,
-        )
+        return u1, u2, None if solved else omega_hat
 
 
 class EulerIntegrator:
     """Slip-wall transport scheme at fixed (grid, dt)."""
+
+    scheme = "euler"
+    nu = 0.0
 
     def __init__(self, grid: Grid, dt: float):
         if dt <= 0.0:
@@ -428,77 +446,23 @@ class EulerIntegrator:
         self.dt = dt
         self.ops = _ChannelOperators(grid)
 
+    def run(self, u0: VectorField, t_final: float, n_outputs: int,
+            track_energy: bool = False) -> Trajectory:
+        # The x1-averaged tangential wall velocity is conserved by the
+        # inviscid dynamics; it anchors the mean-mode reconstruction.
+        wall_mean = float(np.mean(u0.comp1[:, 0]))
+        return _march(self, u0, t_final, n_outputs, track_energy,
+                      lambda omega, _: self._reconstruct(omega, wall_mean))
+
+    def _advance(self, omega, omega_hat, adv, h):
+        """Explicit transport over h."""
+        return omega - h * adv, None
+
     def _reconstruct(self, omega, wall_mean):
         """(u1, u2, omega_hat); the transform is reused by `advection`."""
         omega_hat = np.fft.rfft(omega, axis=0)
         u1, u2 = self.ops.velocity_from_omega_hat(omega_hat, wall_mean, slip=True)
         return u1, u2, omega_hat
-
-    def run(self, u0: VectorField, t_final: float, n_outputs: int,
-            track_energy: bool = False) -> Trajectory:
-        grid, ops, dt = self.grid, self.ops, self.dt
-        n_steps = int(round(t_final / dt))
-        if abs(n_steps * dt - t_final) > 1e-9 * max(1.0, t_final):
-            raise ValueError("t_final must be an integer number of steps")
-        if n_outputs < 1 or n_steps % n_outputs != 0:
-            raise ValueError("n_outputs must divide the step count")
-        every = n_steps // n_outputs
-
-        # The x1-averaged tangential wall velocity is conserved by the
-        # inviscid dynamics; it anchors the mean-mode reconstruction.
-        wall_mean = float(np.mean(u0.comp1[:, 0]))
-        omega = curl2d(u0).values.copy()
-        u1, u2, omega_hat = self._reconstruct(omega, wall_mean)
-        states = [_state(grid, 0.0, 0.0, u1, u2, omega)]
-        energies = (
-            [0.5 * float(np.sum(grid.quad_weights * (u1**2 + u2**2)))]
-            if track_energy
-            else None
-        )
-        n_prev = None
-        for n in range(1, n_steps + 1):
-            ops.check_cfl(u1, u2, dt)
-            n_cur = ops.advection(u1, u2, omega, omega_hat)
-            if n_prev is None:
-                om_half = omega - 0.5 * dt * n_cur
-                u1h, u2h, oh_half = self._reconstruct(om_half, wall_mean)
-                n_mid = ops.advection(u1h, u2h, om_half, oh_half)
-                omega = omega - dt * n_mid
-            else:
-                omega = omega - dt * (1.5 * n_cur - 0.5 * n_prev)
-            n_prev = n_cur
-            _check_finite(omega, n * dt)
-            u1, u2, omega_hat = self._reconstruct(omega, wall_mean)
-            if track_energy:
-                energies.append(
-                    0.5 * float(np.sum(grid.quad_weights * (u1**2 + u2**2)))
-                )
-            if n % every == 0:
-                states.append(_state(grid, n * dt, 0.0, u1, u2, omega))
-        return Trajectory(
-            grid=grid,
-            scheme="euler",
-            nu=0.0,
-            dt=dt,
-            states=tuple(states),
-            step_energies=tuple(energies) if track_energy else None,
-        )
-
-
-def ns_step(state: FlowState, dt: float) -> FlowState:
-    """Advance one viscous step (single-step bootstrap scheme)."""
-    integ = NavierStokesIntegrator(state.grid, state.nu, dt)
-    traj = integ.run(state.velocity, dt, 1)
-    out = traj.states[-1]
-    return replace(out, t=state.t + dt)
-
-
-def euler_step(state: FlowState, dt: float) -> FlowState:
-    """Advance one inviscid step (single-step bootstrap scheme)."""
-    integ = EulerIntegrator(state.grid, dt)
-    traj = integ.run(state.velocity, dt, 1)
-    out = traj.states[-1]
-    return replace(out, t=state.t + dt)
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,7 @@ def test_parse_config_rejects_bad_input(tmp_path, body, match):
     (("r = inf", "r = 0.5"), [], "[layer] r = 0.5: r must be >= 1"),
     (("C = 12.0", "C = 0.5"), [], "[layer] C = 0.5: layer constant C must exceed 1"),
     (None, ["--C", "0.5"], "layer constant C must exceed 1"),
+    (None, ["--nu=-1e-3"], "--nu -1e-3: nu values must be positive"),
 ])
 def test_cli_rejects_bad_layer_value_before_running(tmp_path, capsys, edit,
                                                     flags, cause):
@@ -263,8 +264,8 @@ def test_shear_study_evaluates_each_basis_once_per_scheme(monkeypatch):
 
         monkeypatch.setattr(ShearFlow, name, counting)
     shear_limit_study(nu_values=(1e-2, 1e-3), n_times=10, ny=97)
-    # one profile and one dprofile call per nu and scheme
-    assert 0 < len(calls) <= 4 * 2
+    # one profile and one dprofile call per nu, shared by both schemes
+    assert calls == ["profile", "dprofile"] * 2
 
 
 def test_shear_study_holdout_and_fit():

@@ -19,9 +19,7 @@ from ilim.solvers import (
     ShearFlow,
     SimulationConfig,
     Trajectory,
-    euler_step,
     kinetic_energy,
-    ns_step,
     run_simulation,
     shear_exact,
 )
@@ -326,8 +324,9 @@ def test_fft_calls_per_step(monkeypatch):
     assert per_step == {("ns", "rfft"): 3, ("ns", "irfft"): 5,
                         ("euler", "rfft"): 2, ("euler", "irfft"): 4}
     # curl of the initial data, the initial projection, the two-stage
-    # bootstrap, then 4 steady steps
-    assert five == Counter({("ns", "rfft"): 1 + 1 + 6 + 4 * 3,
+    # bootstrap (ns reuses the projection's transform of omega), then 4
+    # steady steps
+    assert five == Counter({("ns", "rfft"): 1 + 1 + 5 + 4 * 3,
                             ("ns", "irfft"): 1 + 2 + 10 + 4 * 5,
                             ("euler", "rfft"): 1 + 1 + 4 + 4 * 2,
                             ("euler", "irfft"): 1 + 2 + 8 + 4 * 4})
@@ -362,21 +361,6 @@ def test_viscous_energy_decays_every_step():
     energies = np.array(traj.step_energies)
     assert energies.size == 51
     assert np.all(np.diff(energies) <= 0.0)
-
-
-def test_single_step_helpers(channel):
-    state = _shear_state(channel, 1e-3)
-    out = ns_step(state, 1e-3)
-    assert out.t == pytest.approx(1e-3) and out.nu == 1e-3
-    assert np.all(np.isfinite(out.velocity.comp1))
-    estate = _shear_state(channel, 0.0)
-    first = euler_step(estate, 1e-3)
-    assert first.t == pytest.approx(1e-3) and first.nu == 0.0
-    # shear is inviscid-steady; separate steps re-enter through the
-    # omega -> velocity reconstruction, so agreement is at truncation level
-    second = euler_step(first, 1e-3)
-    assert second.t == pytest.approx(2e-3)
-    assert np.abs(second.velocity.comp1 - first.velocity.comp1).max() <= 1e-3
 
 
 # ---------------------------------------------------------------------------
