@@ -19,10 +19,8 @@ from ._version import __version__
 from .correctors import verify_corrector_scalings
 from .criteria import evaluate_criteria
 from .harness import (
+    _CONFIG_SCHEMA,
     SweepConfig,
-    _parse_layer_c,
-    _parse_nu_list,
-    _parse_r,
     emit_report,
     emit_shear_report,
     parse_config,
@@ -46,31 +44,49 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.format_usage()}error: {message}")
 
 
+def _config_flag(p, flag, name, **kwargs):
+    """Add `flag` to override SweepConfig field `name`.  Its text is parsed
+    by the config schema's parser, so a bad value is a usage error with the
+    same cause as in the config."""
+    parse = next(fn for _, _, field, fn in _CONFIG_SCHEMA if field == name)
+
+    def convert(text):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentError(None, f"{flag} {text}: {exc}") from None
+
+    p.add_argument(flag, dest=name, type=convert, **kwargs)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ilim", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
     def add_schedule_flags(p):
-        p.add_argument("--M-form", dest="m_form", choices=("constant", "power"),
-                       help="viscosity schedule M_nu(t): constant or c*nu^a")
-        p.add_argument("--M-c", dest="m_c", type=float, help="schedule constant c")
-        p.add_argument("--M-a", dest="m_a", type=float, help="schedule power a")
+        _config_flag(p, "--M-form", "m_form", choices=("constant", "power"),
+                     help="viscosity schedule M_nu(t): constant or c*nu^a")
+        _config_flag(p, "--M-c", "m_c", help="schedule constant c")
+        _config_flag(p, "--M-a", "m_a", help="schedule power a")
 
     def add_layer_flags(p):
-        p.add_argument("--C", type=float, help="layer constant C > 1")
-        p.add_argument("--r", help="condition norm index (>=1 or 'inf')")
+        _config_flag(p, "--C", "layer_c", metavar="C", help="layer constant C > 1")
+        _config_flag(p, "--r", "r", help="condition norm index (>=1 or 'inf')")
+
+    def add_du1dy_flag(p):
         p.add_argument("--use-du1dy", action="store_true", default=None,
                        help="use -d(u1)/dy instead of full vorticity")
 
     def add_run_flags(p):
         p.add_argument("--config", metavar="FILE", help="INI config file")
-        p.add_argument("--nu", help="viscosity (comma list for sweeps)")
-        p.add_argument("--nx", type=int, help="streamwise points")
-        p.add_argument("--ny", type=int, help="wall-normal points")
-        p.add_argument("--T", dest="t_final", type=float, help="final time")
-        p.add_argument("--dt", type=float, help="time step")
-        p.add_argument("--preset", help="initial data preset name")
+        _config_flag(p, "--nu", "nu_values", metavar="NU",
+                     help="viscosity (comma list for sweeps)")
+        _config_flag(p, "--nx", "nx", help="streamwise points")
+        _config_flag(p, "--ny", "ny", help="wall-normal points")
+        _config_flag(p, "--T", "t_final", help="final time")
+        _config_flag(p, "--dt", "dt", help="time step")
+        _config_flag(p, "--preset", "preset", help="initial data preset name")
 
     p_sim = sub.add_parser("simulate", help="one paired NS/Euler run")
     add_run_flags(p_sim)
@@ -81,7 +97,10 @@ def _build_parser() -> _Parser:
     add_run_flags(p_sweep)
     add_schedule_flags(p_sweep)
     add_layer_flags(p_sweep)
-    p_sweep.add_argument("--jobs", type=int, help="worker processes")
+    add_du1dy_flag(p_sweep)
+    # not a config override: the worker count never reaches the report
+    p_sweep.add_argument("--jobs", dest="workers", metavar="JOBS", type=int,
+                         help="worker processes")
     p_sweep.add_argument("--out", metavar="DIR", default="report",
                          help="report directory (default: report)")
 
@@ -91,6 +110,7 @@ def _build_parser() -> _Parser:
                         help="directory containing ns/ and euler/ trajectories")
     add_schedule_flags(p_crit)
     add_layer_flags(p_crit)
+    add_du1dy_flag(p_crit)
     p_crit.add_argument("--out", metavar="FILE",
                         help="criteria CSV path (default: DIR/criteria.csv)")
 
@@ -105,12 +125,13 @@ def _build_parser() -> _Parser:
     p_corr.add_argument("--out", metavar="DIR", default="corrector-report",
                         help="report directory")
 
+    # No --use-du1dy: in the exact shear pair omega is -d(u1)/dy already.
     p_shear = sub.add_parser("shear-verify",
                              help="exact shear-series inviscid-limit study")
-    p_shear.add_argument("--nu", default="1e-2,1e-3,1e-4,1e-5",
-                         help="comma list of viscosities")
-    p_shear.add_argument("--T", dest="t_final", type=float, default=1.0)
-    p_shear.add_argument("--ny", type=int, default=193)
+    _config_flag(p_shear, "--nu", "nu_values", metavar="NU",
+                 default="1e-2,1e-3,1e-4,1e-5", help="comma list of viscosities")
+    _config_flag(p_shear, "--T", "t_final", default=1.0)
+    _config_flag(p_shear, "--ny", "ny", default=193)
     add_schedule_flags(p_shear)
     add_layer_flags(p_shear)
     p_shear.add_argument("--out", metavar="DIR", default="shear-report",
@@ -118,44 +139,33 @@ def _build_parser() -> _Parser:
     return parser
 
 
-# Flags that override a SweepConfig field: (argparse dest, field, parser
-# of the flag's text, or None for a value argparse has already typed).
-_OVERRIDES = (
-    ("nx", "nx", None), ("ny", "ny", None), ("t_final", "t_final", None),
-    ("dt", "dt", None), ("preset", "preset", None),
-    ("nu", "nu_values", _parse_nu_list),
-    ("m_form", "m_form", None), ("m_c", "m_c", None), ("m_a", "m_a", None),
-    ("C", "layer_c", _parse_layer_c), ("r", "r", _parse_r),
-    ("use_du1dy", "use_du1dy", None),
-)
-
-
-def _load_config(args, require: bool = False) -> SweepConfig:
+def _load_config(args) -> SweepConfig:
     """The --config file, else the SweepConfig defaults, with every given
-    flag applied; a bad value fails here, before any run."""
+    flag applied.  A value that is bad for every nu fails here, before any
+    run: the schedule, the layer spec and, for the commands that run the
+    solvers, the simulation config and its grid."""
     if getattr(args, "config", None) is not None:
         cfg = parse_config(args.config)
-    elif require:
+    elif args.command == "sweep":
         raise _UsageError(
             "usage: ilim sweep --config FILE [overrides]\n"
             "error: sweep requires --config"
         )
     else:
         cfg = SweepConfig()
-    for dest, name, parse in _OVERRIDES:
-        val = getattr(args, dest, None)
-        if val is None:
-            continue
-        if parse is not None:
-            try:
-                val = parse(val)
-            except ValueError as exc:
-                raise ValueError(f"--{dest} {val}: {exc}") from None
-        setattr(cfg, name, val)
+    for _, _, name, _ in _CONFIG_SCHEMA:
+        if getattr(args, name, None) is not None:
+            setattr(cfg, name, getattr(args, name))
+    cfg.schedule()
+    cfg.layer_spec()
+    if args.command in ("simulate", "sweep"):
+        cfg.simulation_config(cfg.nu_values[0]).make_grid()
     return cfg
 
 
 def _cmd_simulate(args) -> int:
+    if args.nu_values is not None and len(args.nu_values) > 1:
+        raise ValueError(f"--nu: simulate runs one nu, got {len(args.nu_values)}")
     cfg = _load_config(args)
     sim = cfg.simulation_config(cfg.nu_values[0])
     pair = run_simulation(sim)
@@ -175,8 +185,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _load_config(args, require=True)
-    result = run_sweep(cfg, jobs=args.jobs)
+    cfg = _load_config(args)
+    result = run_sweep(cfg, jobs=args.workers)
     names = emit_report(result, args.out)
     for rec in result.records:
         if rec.ok:

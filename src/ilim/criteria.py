@@ -28,6 +28,7 @@ __all__ = [
     "boundary_vorticity_condition",
     "evaluate_criteria",
     "CRITERIA_CSV_HEADER",
+    "write_criteria_csv",
 ]
 
 
@@ -204,14 +205,21 @@ class CriterionReport:
             )
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(CRITERIA_CSV_HEADER + "\n")
-            for row in self.rows():
-                fh.write(",".join(repr(v) for v in row) + "\n")
+        write_criteria_csv(path, (self,))
 
     @property
     def all_pass(self) -> bool:
         return bool(np.all(self.cond_pass))
+
+
+def write_criteria_csv(path, reports) -> None:
+    """Write the criteria CSV: the header, then every row of each report
+    in order, floats written with repr."""
+    with open(path, "w", newline="") as fh:
+        fh.write(CRITERIA_CSV_HEADER + "\n")
+        for rep in reports:
+            for row in rep.rows():
+                fh.write(",".join(repr(v) for v in row) + "\n")
 
 
 def evaluate_criteria(ns_traj, euler_traj, schedule: MSchedule,

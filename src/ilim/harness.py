@@ -12,7 +12,7 @@ from __future__ import annotations
 import configparser
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -20,12 +20,12 @@ import numpy as np
 from ._version import __version__
 from .analysis import ErrorSeries, calibrate_bound_constant, error_series, fit_rate
 from .criteria import (
-    CRITERIA_CSV_HEADER,
     CriterionReport,
     LayerSpec,
     MSchedule,
     evaluate_criteria,
     layer_height,
+    write_criteria_csv,
 )
 from .grid import ScalarField, VectorField, make_channel_grid, strength_for_min_spacing
 from .initial_data import shear_profile_exp
@@ -79,60 +79,45 @@ class SweepConfig:
         return LayerSpec(C=self.layer_c, r=self.r, use_du1dy=self.use_du1dy)
 
     def simulation_config(self, nu: float) -> SimulationConfig:
-        return SimulationConfig(
-            nx=self.nx, ny=self.ny, period=self.period, height=self.height,
-            clustering=self.clustering, strength=self.strength, nu=nu,
-            dt=self.dt, t_final=self.t_final, n_outputs=self.n_outputs,
-            preset=self.preset, amplitude=self.amplitude, seed=self.seed,
-            preset_options=dict(self.preset_options),
-        ).validate()
+        shared = {f.name: getattr(self, f.name) for f in fields(SimulationConfig)
+                  if f.name != "nu"}
+        shared["preset_options"] = dict(self.preset_options)
+        return SimulationConfig(nu=nu, **shared).validate()
 
     def to_dict(self) -> dict:
-        return {
-            "grid": {
-                "nx": self.nx, "ny": self.ny, "period": self.period,
-                "height": self.height, "clustering": self.clustering,
-                "strength": self.strength,
-            },
-            "time": {"dt": self.dt, "t_final": self.t_final,
-                     "n_outputs": self.n_outputs},
-            "data": {"preset": self.preset, "amplitude": self.amplitude,
-                     "seed": self.seed, **self.preset_options},
-            "sweep": {"nu": list(self.nu_values), "jobs": self.jobs},
-            "schedule": {"form": self.m_form, "c": self.m_c, "a": self.m_a},
-            "layer": {"C": self.layer_c,
-                      "r": "inf" if np.isinf(self.r) else float(self.r),
-                      "use_du1dy": self.use_du1dy},
-        }
+        d = {section: {} for section, _, _, _ in _CONFIG_SCHEMA}
+        for section, key, name, _ in _CONFIG_SCHEMA:
+            d[section][key] = _json_value(getattr(self, name))
+        d["data"].update(self.preset_options)
+        return d
 
 
 def sweep_config_from_dict(d: dict) -> SweepConfig:
     """Inverse of SweepConfig.to_dict (manifest round-trip)."""
     cfg = SweepConfig()
-    g, t, s, sch, lay = (d["grid"], d["time"], d["sweep"], d["schedule"],
-                         d["layer"])
-    cfg.nx, cfg.ny = int(g["nx"]), int(g["ny"])
-    cfg.period, cfg.height = float(g["period"]), float(g["height"])
-    cfg.clustering, cfg.strength = g["clustering"], float(g["strength"])
-    cfg.dt, cfg.t_final = float(t["dt"]), float(t["t_final"])
-    cfg.n_outputs = int(t["n_outputs"])
-    data = dict(d["data"])
-    cfg.preset = data.pop("preset")
-    cfg.amplitude = float(data.pop("amplitude"))
-    cfg.seed = int(data.pop("seed"))
-    cfg.preset_options = data
-    cfg.nu_values = tuple(float(v) for v in s["nu"])
-    cfg.jobs = int(s["jobs"])
-    cfg.m_form, cfg.m_c, cfg.m_a = sch["form"], float(sch["c"]), float(sch["a"])
-    cfg.layer_c = _parse_layer_c(lay["C"])
-    cfg.r = _parse_r(lay["r"])
-    cfg.use_du1dy = bool(lay["use_du1dy"])
+    for section, key, name, parse in _CONFIG_SCHEMA:
+        setattr(cfg, name, parse(d[section][key]))
+    cfg.preset_options = {k: v for k, v in d["data"].items()
+                          if ("data", k) not in _ROW_BY_KEY}
     return cfg
 
 
-def _parse_nu_list(text) -> tuple:
-    """Viscosities separated by commas or spaces; at least one, all > 0."""
-    nus = tuple(float(v) for v in str(text).replace(",", " ").split())
+def _json_value(value):
+    """A config value as to_dict writes it: a tuple as a list, infinity as
+    'inf' (JSON has no infinity)."""
+    if isinstance(value, tuple):
+        return list(value)
+    if isinstance(value, float) and np.isinf(value):
+        return "inf"
+    return value
+
+
+def _parse_nu_list(value) -> tuple:
+    """Viscosities separated by commas or spaces, or a sequence of them;
+    at least one, all > 0."""
+    if isinstance(value, str):
+        value = value.replace(",", " ").split()
+    nus = tuple(float(v) for v in value)
     if not nus:
         raise ValueError("at least one nu value is required")
     if not all(nu > 0.0 for nu in nus):
@@ -156,28 +141,54 @@ def _parse_layer_c(text) -> float:
     return c
 
 
-_CONFIG_SCHEMA = {
-    "grid": {"nx": int, "ny": int, "period": float, "height": float,
-             "clustering": str, "strength": float},
-    "time": {"dt": float, "t_final": float, "n_outputs": int},
-    "data": None,  # preset/amplitude/seed plus free-form preset options
-    "sweep": {"nu": _parse_nu_list, "jobs": int},
-    "schedule": {"form": str, "c": float, "a": float},
-    "layer": {"C": _parse_layer_c, "r": _parse_r, "use_du1dy": bool},
-}
+def _parse_bool(value) -> bool:
+    if isinstance(value, bool):
+        return value
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[str(value).lower()]
+    except KeyError:
+        raise ValueError("not a boolean (true/false, yes/no, on/off, 1/0)") from None
 
-_FIELD_BY_KEY = {
-    ("grid", "nx"): "nx", ("grid", "ny"): "ny", ("grid", "period"): "period",
-    ("grid", "height"): "height", ("grid", "clustering"): "clustering",
-    ("grid", "strength"): "strength",
-    ("time", "dt"): "dt", ("time", "t_final"): "t_final",
-    ("time", "n_outputs"): "n_outputs",
-    ("sweep", "nu"): "nu_values", ("sweep", "jobs"): "jobs",
-    ("schedule", "form"): "m_form", ("schedule", "c"): "m_c",
-    ("schedule", "a"): "m_a",
-    ("layer", "C"): "layer_c", ("layer", "r"): "r",
-    ("layer", "use_du1dy"): "use_du1dy",
-}
+
+# One row per config key: INI section, key, SweepConfig field, and the
+# parser of the value.  Each parser takes the INI text as well as the value
+# to_dict wrote, so parse_config, to_dict, sweep_config_from_dict and the
+# CLI flags all read these rows.  [data] also takes free-form preset options.
+_CONFIG_SCHEMA = (
+    ("grid", "nx", "nx", int),
+    ("grid", "ny", "ny", int),
+    ("grid", "period", "period", float),
+    ("grid", "height", "height", float),
+    ("grid", "clustering", "clustering", str),
+    ("grid", "strength", "strength", float),
+    ("time", "dt", "dt", float),
+    ("time", "t_final", "t_final", float),
+    ("time", "n_outputs", "n_outputs", int),
+    ("data", "preset", "preset", str),
+    ("data", "amplitude", "amplitude", float),
+    ("data", "seed", "seed", int),
+    ("sweep", "nu", "nu_values", _parse_nu_list),
+    ("sweep", "jobs", "jobs", int),
+    ("schedule", "form", "m_form", str),
+    ("schedule", "c", "m_c", float),
+    ("schedule", "a", "m_a", float),
+    ("layer", "C", "layer_c", _parse_layer_c),
+    ("layer", "r", "r", _parse_r),
+    ("layer", "use_du1dy", "use_du1dy", _parse_bool),
+)
+
+_ROW_BY_KEY = {(section, key): (name, parse)
+               for section, key, name, parse in _CONFIG_SCHEMA}
+
+
+def _preset_option(text):
+    """A free-form [data] value: an int, else a float, else the text."""
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text  # e.g. profile = exp
 
 
 def parse_config(path) -> SweepConfig:
@@ -188,36 +199,21 @@ def parse_config(path) -> SweepConfig:
     if not read:
         raise ValueError(f"config file {path!r} not found or unreadable")
     cfg = SweepConfig()
+    sections = {section for section, _, _, _ in _CONFIG_SCHEMA}
     for section in cp.sections():
-        if section not in _CONFIG_SCHEMA:
+        if section not in sections:
             raise ValueError(f"unknown config section [{section}]")
-        schema = _CONFIG_SCHEMA[section]
         for key, text in cp.items(section):
-            if section == "data":
-                if key == "preset":
-                    cfg.preset = text.strip()
-                elif key == "amplitude":
-                    cfg.amplitude = float(text)
-                elif key == "seed":
-                    cfg.seed = int(text)
-                else:
-                    try:
-                        val = int(text)
-                    except ValueError:
-                        try:
-                            val = float(text)
-                        except ValueError:
-                            val = text.strip()  # e.g. profile = exp
-                    cfg.preset_options[key] = val
-                continue
-            if key not in schema:
+            if (section, key) in _ROW_BY_KEY:
+                name, parse = _ROW_BY_KEY[(section, key)]
+                try:
+                    setattr(cfg, name, parse(text))
+                except ValueError as exc:
+                    raise ValueError(f"[{section}] {key} = {text}: {exc}") from None
+            elif section == "data":
+                cfg.preset_options[key] = _preset_option(text)
+            else:
                 raise ValueError(f"unknown config key {key!r} in [{section}]")
-            kind = schema[key]
-            try:
-                val = cp.getboolean(section, key) if kind is bool else kind(text)
-            except ValueError as exc:
-                raise ValueError(f"[{section}] {key} = {text}: {exc}") from None
-            setattr(cfg, _FIELD_BY_KEY[(section, key)], val)
     return cfg
 
 
@@ -251,66 +247,19 @@ class SweepResult:
     fit: object
 
 
-def _criteria_to_lists(rep: CriterionReport) -> dict:
-    return {
-        "times": rep.times.tolist(),
-        "layer_heights": rep.layer_heights.tolist(),
-        "layer_clamped": rep.layer_clamped.tolist(),
-        "backflow_margin": rep.backflow_margin.tolist(),
-        "cond_lhs": rep.cond_lhs.tolist(),
-        "cond_rhs": rep.cond_rhs.tolist(),
-        "cond_pass": rep.cond_pass.tolist(),
-        "wall_vort_margin": rep.wall_vort_margin.tolist(),
-        "under_resolved": rep.under_resolved.tolist(),
-    }
-
-
-def _criteria_from_lists(nu: float, d: dict) -> CriterionReport:
-    return CriterionReport(
-        nu=nu,
-        times=np.array(d["times"]),
-        layer_heights=np.array(d["layer_heights"]),
-        layer_clamped=np.array(d["layer_clamped"], dtype=bool),
-        backflow_margin=np.array(d["backflow_margin"]),
-        cond_lhs=np.array(d["cond_lhs"]),
-        cond_rhs=np.array(d["cond_rhs"]),
-        cond_pass=np.array(d["cond_pass"], dtype=bool),
-        wall_vort_margin=np.array(d["wall_vort_margin"]),
-        under_resolved=np.array(d["under_resolved"], dtype=bool),
-    )
-
-
-def _sweep_worker(task):
+def _sweep_worker(task) -> NuRecord:
     """Run one nu end to end; never raises (per-nu isolation)."""
-    cfg_fields, nu = task
+    cfg, nu = task
     try:
-        cfg = SweepConfig(**cfg_fields)
         pair = run_simulation(cfg.simulation_config(nu))
         series = error_series(pair.ns, pair.euler)
         report = evaluate_criteria(
             pair.ns, pair.euler, cfg.schedule(), cfg.layer_spec()
         )
-        return {
-            "nu": nu,
-            "status": "ok",
-            "message": "",
-            "times": series.times.tolist(),
-            "err_sq": series.values.tolist(),
-            "criteria": _criteria_to_lists(report),
-        }
+        return NuRecord(nu=nu, status="ok", times=series.times,
+                        err_sq=series.values, criteria=report)
     except Exception as exc:  # noqa: BLE001 - isolate per-nu failures
-        return {"nu": nu, "status": "failed", "message": str(exc)}
-
-
-def _config_fields(cfg: SweepConfig) -> dict:
-    d = {f: getattr(cfg, f) for f in (
-        "nx", "ny", "period", "height", "clustering", "strength", "dt",
-        "t_final", "n_outputs", "preset", "amplitude", "seed", "jobs",
-        "m_form", "m_c", "m_a", "layer_c", "r", "use_du1dy",
-    )}
-    d["preset_options"] = dict(cfg.preset_options)
-    d["nu_values"] = tuple(cfg.nu_values)
-    return d
+        return NuRecord(nu=nu, status="failed", message=str(exc))
 
 
 def run_sweep(config: SweepConfig, jobs: int | None = None) -> SweepResult:
@@ -332,29 +281,14 @@ def run_sweep(config: SweepConfig, jobs: int | None = None) -> SweepResult:
             env = os.environ.get("ILIM_JOBS")
             jobs = int(env) if env is not None else (os.cpu_count() or 1)
     jobs = max(1, min(jobs, len(config.nu_values)))
-    tasks = [(_config_fields(config), nu) for nu in config.nu_values]
+    tasks = [(config, nu) for nu in config.nu_values]
     if jobs > 1:
         import multiprocessing
 
         with multiprocessing.Pool(jobs) as pool:
-            raw = pool.map(_sweep_worker, tasks)
+            records = pool.map(_sweep_worker, tasks)
     else:
-        raw = [_sweep_worker(t) for t in tasks]
-
-    records = []
-    for r in raw:
-        if r["status"] == "ok":
-            records.append(
-                NuRecord(
-                    nu=r["nu"],
-                    status="ok",
-                    times=np.array(r["times"]),
-                    err_sq=np.array(r["err_sq"]),
-                    criteria=_criteria_from_lists(r["nu"], r["criteria"]),
-                )
-            )
-        else:
-            records.append(NuRecord(nu=r["nu"], status="failed", message=r["message"]))
+        records = [_sweep_worker(t) for t in tasks]
     ok = [r for r in records if r.ok]
     if not ok:
         detail = "; ".join(f"nu={r.nu!r}: {r.message}" for r in records)
@@ -399,6 +333,42 @@ def _write_dat(path, cols):
             fh.write(" ".join(repr(float(v)) for v in row) + "\n")
 
 
+def _write_report(directory, result, names, series, criteria, rates,
+                  manifest) -> list:
+    """Write the files every report has after the caller's own `names`:
+    criteria.csv, rates.json, rate_points.dat, error_series_NN.dat and
+    manifest.json.  `series` holds one ErrorSeries per nu (None for a
+    failed nu), `criteria` the reports whose rows go to criteria.csv, and
+    `rates`/`manifest` the caller's own keys.  Returns every name written.
+    """
+    write_criteria_csv(directory / "criteria.csv", criteria)
+    ok = [s for s in series if s is not None]
+    sups = [s.sup_value for s in ok]
+    _write_json(directory / "rates.json", {
+        "nu": [s.nu for s in ok],
+        "sup_error_sq": sups,
+        "sup_error": [float(np.sqrt(v)) for v in sups],
+        "fit_error_sq": _fit_dict(result.fit_sq),
+        "fit_error": _fit_dict(result.fit),
+        "c_fit": result.c_fit,
+        **rates,
+    })
+    names = names + ["criteria.csv", "rates.json"]
+    if ok:
+        _write_dat(directory / "rate_points.dat",
+                   ([s.nu for s in ok], [float(np.sqrt(v)) for v in sups]))
+        names.append("rate_points.dat")
+    for i, s in enumerate(series):
+        if s is not None:
+            name = f"error_series_{i:02d}.dat"
+            _write_dat(directory / name, (s.times, s.values))
+            names.append(name)
+    names.append("manifest.json")
+    _write_json(directory / "manifest.json",
+                {**manifest, "version": __version__, "files": sorted(names)})
+    return names
+
+
 def emit_report(result: SweepResult, directory) -> list:
     """Write the sweep report files; returns the file names written.
 
@@ -410,7 +380,12 @@ def emit_report(result: SweepResult, directory) -> list:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     schedule = result.config.schedule()
-    names = []
+    names = ["sweep.csv"]
+
+    def bound(nu, t):
+        if result.c_fit is None:
+            return float("nan")
+        return result.c_fit * (nu * t + schedule.integral(nu, t))
 
     with open(directory / "sweep.csv", "w", newline="") as fh:
         fh.write(
@@ -421,17 +396,11 @@ def emit_report(result: SweepResult, directory) -> list:
         for rec in result.records:
             if rec.ok:
                 sup_sq = rec.sup_err_sq
-                t_end = float(rec.times[-1])
-                bound = (
-                    result.c_fit
-                    * (rec.nu * t_end + schedule.integral(rec.nu, t_end))
-                    if result.c_fit is not None
-                    else float("nan")
-                )
                 c = rec.criteria
                 fh.write(
                     f"{rec.nu!r},ok,{sup_sq!r},{float(np.sqrt(sup_sq))!r},"
-                    f"{bound!r},{float(c.backflow_margin.min())!r},"
+                    f"{bound(rec.nu, float(rec.times[-1]))!r},"
+                    f"{float(c.backflow_margin.min())!r},"
                     f"{bool(np.all(c.cond_pass))!r},"
                     f"{float(c.wall_vort_margin.min())!r},"
                     f"{bool(np.any(c.under_resolved))!r},\n"
@@ -439,58 +408,21 @@ def emit_report(result: SweepResult, directory) -> list:
             else:
                 msg = rec.message.replace(",", ";").replace("\n", " ")
                 fh.write(f"{rec.nu!r},failed,,,,,,,,{msg}\n")
-    names.append("sweep.csv")
 
-    with open(directory / "criteria.csv", "w", newline="") as fh:
-        fh.write(CRITERIA_CSV_HEADER + "\n")
-        for rec in result.records:
-            if rec.ok:
-                for row in rec.criteria.rows():
-                    fh.write(",".join(repr(v) for v in row) + "\n")
-    names.append("criteria.csv")
-
-    ok = [r for r in result.records if r.ok]
-    rates = {
-        "nu": [r.nu for r in ok],
-        "sup_error_sq": [r.sup_err_sq for r in ok],
-        "sup_error": [float(np.sqrt(r.sup_err_sq)) for r in ok],
-        "fit_error_sq": _fit_dict(result.fit_sq),
-        "fit_error": _fit_dict(result.fit),
-        "c_fit": result.c_fit,
-        "failed_nu": [r.nu for r in result.records if not r.ok],
-    }
-    _write_json(directory / "rates.json", rates)
-    names.append("rates.json")
-
-    if ok:
-        _write_dat(
-            directory / "rate_points.dat",
-            ([r.nu for r in ok], [float(np.sqrt(r.sup_err_sq)) for r in ok]),
-        )
-        names.append("rate_points.dat")
     for i, rec in enumerate(result.records):
-        if not rec.ok:
-            continue
-        name = f"error_series_{i:02d}.dat"
-        _write_dat(directory / name, (rec.times, rec.err_sq))
-        names.append(name)
-        if result.c_fit is not None:
-            bname = f"bound_series_{i:02d}.dat"
-            bounds = [
-                result.c_fit * (rec.nu * t + schedule.integral(rec.nu, t))
-                for t in rec.times
-            ]
-            _write_dat(directory / bname, (rec.times, bounds))
-            names.append(bname)
+        if rec.ok and result.c_fit is not None:
+            name = f"bound_series_{i:02d}.dat"
+            _write_dat(directory / name,
+                       (rec.times, [bound(rec.nu, t) for t in rec.times]))
+            names.append(name)
 
-    manifest = {
-        "config": result.config.to_dict(),
-        "version": __version__,
-        "files": sorted(names + ["manifest.json"]),
-    }
-    _write_json(directory / "manifest.json", manifest)
-    names.append("manifest.json")
-    return names
+    return _write_report(
+        directory, result, names,
+        series=[rec.error_series() if rec.ok else None for rec in result.records],
+        criteria=[rec.criteria for rec in result.records if rec.ok],
+        rates={"failed_nu": [r.nu for r in result.records if not r.ok]},
+        manifest={"config": result.config.to_dict()},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -648,52 +580,23 @@ def emit_shear_report(result: ShearStudyResult, directory) -> list:
     """Write the shear-study report files (same family as emit_report)."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    names = []
-
     primary_r = 2.0 if 2.0 in result.reports_by_r else next(iter(result.reports_by_r))
-    with open(directory / "criteria.csv", "w", newline="") as fh:
-        fh.write(CRITERIA_CSV_HEADER + "\n")
-        for rep in result.reports_by_r[primary_r]:
-            for row in rep.rows():
-                fh.write(",".join(repr(v) for v in row) + "\n")
-    names.append("criteria.csv")
-
     all_pass = {
         ("inf" if np.isinf(r) else repr(float(r))): bool(
             all(rep.all_pass for rep in reps)
         )
         for r, reps in result.reports_by_r.items()
     }
-    rates = {
-        "nu": list(result.nu_values),
-        "sup_error_sq": [float(v) for v in result.sup_err_sq],
-        "sup_error": [float(np.sqrt(v)) for v in result.sup_err_sq],
-        "fit_error_sq": _fit_dict(result.fit_sq),
-        "fit_error": _fit_dict(result.fit),
-        "c_fit": result.c_fit,
-        "calibration_nu": list(result.calibration_nu),
-        "holdout_bound_ok": {repr(k): v for k, v in result.holdout_bound_ok.items()},
-        "criteria_all_pass": all_pass,
-    }
-    _write_json(directory / "rates.json", rates)
-    names.append("rates.json")
-
-    _write_dat(
-        directory / "rate_points.dat",
-        (list(result.nu_values), [float(np.sqrt(v)) for v in result.sup_err_sq]),
+    return _write_report(
+        directory, result, [],
+        series=[ErrorSeries(nu=nu, times=result.times, values=result.err_sq[i])
+                for i, nu in enumerate(result.nu_values)],
+        criteria=result.reports_by_r[primary_r],
+        rates={
+            "calibration_nu": list(result.calibration_nu),
+            "holdout_bound_ok": {repr(k): v
+                                 for k, v in result.holdout_bound_ok.items()},
+            "criteria_all_pass": all_pass,
+        },
+        manifest={"pipeline": "shear-verify", "params": result.params},
     )
-    names.append("rate_points.dat")
-    for i, nu in enumerate(result.nu_values):
-        name = f"error_series_{i:02d}.dat"
-        _write_dat(directory / name, (result.times, result.err_sq[i]))
-        names.append(name)
-
-    manifest = {
-        "pipeline": "shear-verify",
-        "params": result.params,
-        "version": __version__,
-        "files": sorted(names + ["manifest.json"]),
-    }
-    _write_json(directory / "manifest.json", manifest)
-    names.append("manifest.json")
-    return names

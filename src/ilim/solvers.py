@@ -571,6 +571,8 @@ class SimulationConfig:
     preset_options: dict = field(default_factory=dict)
 
     def validate(self):
+        if self.clustering not in ("uniform", "tanh"):
+            raise ValueError(f"unknown clustering {self.clustering!r}")
         if self.nu <= 0.0:
             raise ValueError("nu must be positive")
         if self.dt <= 0.0 or self.t_final <= 0.0:

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ilim.cli import cli_dispatch
 from ilim.criteria import CRITERIA_CSV_HEADER
@@ -105,6 +107,8 @@ def test_parse_config_free_form_preset_options(tmp_path):
         ("[sweep]\nnu =\n", "at least one nu"),
         ("[layer]\nr = 0.5\n", r"^\[layer\] r = 0.5: r must be >= 1"),
         ("[layer]\nC = 0.5\n", r"^\[layer\] C = 0.5: layer constant C must exceed 1"),
+        ("[data]\namplitude = abc\n", r"^\[data\] amplitude = abc: could not convert"),
+        ("[data]\nseed = x\n", r"^\[data\] seed = x: invalid literal"),
     ],
 )
 def test_parse_config_rejects_bad_input(tmp_path, body, match):
@@ -119,6 +123,11 @@ def test_parse_config_rejects_bad_input(tmp_path, body, match):
     (("C = 12.0", "C = 0.5"), [], "[layer] C = 0.5: layer constant C must exceed 1"),
     (None, ["--C", "0.5"], "layer constant C must exceed 1"),
     (None, ["--nu=-1e-3"], "--nu -1e-3: nu values must be positive"),
+    # errors that hold for every nu, found before the first run
+    (("n_outputs = 5", "n_outputs = 3"), [], "n_outputs must divide t_final/dt"),
+    (("form = power", "form = foo"), [], "unknown schedule form 'foo'"),
+    (("clustering = tanh", "clustering = foo"), [], "unknown clustering 'foo'"),
+    (("strength = 2.0", "strength = -1.0"), [], "tanh clustering requires strength > 0"),
 ])
 def test_cli_rejects_bad_layer_value_before_running(tmp_path, capsys, edit,
                                                     flags, cause):
@@ -142,6 +151,50 @@ def test_sweep_config_round_trip():
     cfg.preset_options = {"scale": 0.5}
     back = sweep_config_from_dict(cfg.to_dict())
     assert back.to_dict() == cfg.to_dict()
+
+
+_positive = st.floats(min_value=1e-8, max_value=1e8)
+# no word from these letters reads as a number or names a [data] row key
+_word = st.text("abcxyz_", min_size=1, max_size=8)
+_sweep_configs = st.builds(
+    SweepConfig,
+    nx=st.integers(4, 1024), ny=st.integers(3, 1024),
+    period=_positive, height=_positive,
+    clustering=st.sampled_from(("uniform", "tanh")), strength=_positive,
+    dt=_positive, t_final=_positive, n_outputs=st.integers(1, 1000),
+    preset=st.sampled_from(("shear", "adverse-shear", "perturbed-shear", "vortex")),
+    amplitude=st.floats(-1e3, 1e3), seed=st.integers(0, 2**31),
+    preset_options=st.dictionaries(
+        _word, st.one_of(st.integers(-10**6, 10**6), _positive, _word), max_size=3
+    ),
+    nu_values=st.lists(_positive, min_size=1, max_size=4).map(tuple),
+    jobs=st.integers(0, 64),
+    m_form=st.sampled_from(("constant", "power")),
+    m_c=_positive, m_a=st.floats(-4.0, 4.0),
+    layer_c=st.floats(min_value=1.0, max_value=1e6, exclude_min=True),
+    r=st.one_of(st.just(np.inf), st.floats(1.0, 1e3)),
+    use_du1dy=st.booleans(),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(cfg=_sweep_configs)
+def test_sweep_config_json_round_trip(cfg):
+    assert sweep_config_from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+
+@settings(max_examples=25, deadline=None)
+@given(cfg=_sweep_configs)
+def test_sweep_config_ini_round_trip(cfg, tmp_path_factory):
+    lines = []
+    for section, values in cfg.to_dict().items():
+        lines.append(f"[{section}]")
+        for key, value in values.items():
+            text = ", ".join(map(repr, value)) if isinstance(value, list) else value
+            lines.append(f"{key} = {text}")
+    path = tmp_path_factory.mktemp("ini") / "sweep.ini"
+    path.write_text("\n".join(lines) + "\n")
+    assert parse_config(path) == cfg
 
 
 def test_sweep_config_builders():
@@ -335,6 +388,15 @@ def test_cli_simulate_and_criteria(tmp_path, capsys):
     assert len(lines) == 12
 
 
+def test_cli_simulate_rejects_a_nu_list(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert cli_dispatch(["simulate", "--nu", "1e-2,1e-3", "--nx", "16",
+                         "--ny", "33", "--T", "0.05", "--dt", "0.005",
+                         "--out", str(out)]) == 1
+    assert "--nu: simulate runs one nu, got 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_simulate_rejects_unknown_preset():
     assert cli_dispatch(["simulate", "--preset", "plume", "--nx", "16",
                          "--ny", "33", "--T", "0.01", "--dt", "0.005"]) == 1
@@ -397,3 +459,11 @@ def test_cli_shear_verify(tmp_path, capsys):
     rates = json.loads((out / "rates.json").read_text())
     assert rates["nu"] == [0.01, 0.001]
     assert all(rates["criteria_all_pass"].values())
+
+
+def test_cli_shear_verify_has_no_du1dy_flag(tmp_path, capsys):
+    # in the exact shear pair omega is -d(u1)/dy by construction
+    out = tmp_path / "shear"
+    assert cli_dispatch(["shear-verify", "--use-du1dy", "--out", str(out)]) == 1
+    assert "--use-du1dy" in capsys.readouterr().err
+    assert not out.exists()

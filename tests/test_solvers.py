@@ -444,6 +444,8 @@ def test_simulation_config_validation():
         SimulationConfig(dt=2e-3, t_final=0.5001).validate()
     with pytest.raises(ValueError):
         SimulationConfig(dt=2e-3, t_final=0.5, n_outputs=7).validate()
+    with pytest.raises(ValueError, match="unknown clustering 'foo'"):
+        SimulationConfig(clustering="foo").validate()
     assert SimulationConfig().validate() is not None
 
 
