@@ -143,7 +143,7 @@ def _load_config(args) -> SweepConfig:
     """The --config file, else the SweepConfig defaults, with every given
     flag applied.  A value that is bad for every nu fails here, before any
     run: the schedule, the layer spec and, for the commands that run the
-    solvers, the simulation config and its grid."""
+    solvers, the simulation config, its grid and its initial data."""
     if getattr(args, "config", None) is not None:
         cfg = parse_config(args.config)
     elif args.command == "sweep":
@@ -159,7 +159,12 @@ def _load_config(args) -> SweepConfig:
     cfg.schedule()
     cfg.layer_spec()
     if args.command in ("simulate", "sweep"):
-        cfg.simulation_config(cfg.nu_values[0]).make_grid()
+        sim = cfg.simulation_config(cfg.nu_values[0])
+        grid = sim.make_grid()
+        try:
+            sim.initial_data(grid)
+        except (ValueError, TypeError) as exc:
+            raise ValueError(f"[data] preset = {cfg.preset}: {exc}") from None
     return cfg
 
 
@@ -167,6 +172,8 @@ def _cmd_simulate(args) -> int:
     if args.nu_values is not None and len(args.nu_values) > 1:
         raise ValueError(f"--nu: simulate runs one nu, got {len(args.nu_values)}")
     cfg = _load_config(args)
+    if args.config is not None and len(cfg.nu_values) > 1:
+        raise ValueError(f"[sweep] nu: simulate runs one nu, got {len(cfg.nu_values)}")
     sim = cfg.simulation_config(cfg.nu_values[0])
     pair = run_simulation(sim)
     from .analysis import error_series

@@ -12,7 +12,8 @@ discretization on the channel [0, Lx) x [0, Ly]:
   Adams-Bashforth transport of vorticity.
 
 One time loop (`_march`) serves both; each scheme supplies only its wall
-closure.
+closure.  The loop carries the vorticity as its rfft along x1, so a step
+makes five FFTs.
 
 Velocity is reconstructed from vorticity through banded streamfunction
 solves, so the discrete divergence vanishes by construction.  Each banded
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.fft import dst
 from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs, zgbtrf, zgbtrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, zgbtrf, zgbtrs, zgttrs
 
 from .grid import (
     Grid,
@@ -186,8 +187,9 @@ class _ChannelOperators:
         ab[1, :, 1:-1] = d2di - k[1:, None] ** 2
         ab[0, :, 2:] = d2up
         up, di, lo = _finite(ab).reshape(3, -1)
-        *self.poisson_lu, info = dgttrf(lo[:-1], di, up[1:])
+        *factors, ipiv, info = dgttrf(lo[:-1], di, up[1:])
         _check_info(info, "dgttrf")
+        self.poisson_lu = (*(f.astype(complex) for f in factors), ipiv)
 
     def apply_d2_interior(self, vals):
         lo, di, up = self.d2
@@ -199,17 +201,14 @@ class _ChannelOperators:
         """(d2/dy2 - k^2) x = rhs for the modes >= 1, x = 0 at wall and top.
 
         `rhs` is a complex (nk - 1, ny) array; its wall and top rows are
-        overwritten.  Real and imaginary parts go to one ?gttrs call as two
-        right-hand-side columns.
+        overwritten.  Every mode goes to one zgttrs call on the complex-cast
+        dgttrf factors, which rounds as the real solve of each part would.
         """
         rhs[:, 0] = 0.0
         rhs[:, -1] = 0.0
-        cols = _finite(np.array([rhs.real.ravel(), rhs.imag.ravel()]))
-        x, info = dgttrs(*self.poisson_lu, cols.T)
-        _check_info(info, "dgttrs")
-        out = np.empty_like(rhs)
-        out.real, out.imag = x.T.reshape(2, *rhs.shape)
-        return out
+        x, info = zgttrs(*self.poisson_lu, _finite(rhs).reshape(-1, 1))
+        _check_info(info, "zgttrs")
+        return x.reshape(rhs.shape)
 
     def solve_poisson(self, omega_hat):
         """(d2/dy2 - k^2) psi_hat = -omega_hat, psi_hat = 0 at wall and top."""
@@ -244,14 +243,17 @@ class _ChannelOperators:
         u2[:, -1] = 0.0
         return u1, u2
 
-    def advection(self, u1, u2, omega, omega_hat):
-        """Dealiased transport term u . grad(omega), in physical space;
-        `omega_hat` is the caller's rfft of `omega` along x1."""
-        om_x = np.fft.irfft(self.ik[:, None] * omega_hat, n=self.grid.nx, axis=0)
-        om_y = _apply_d1(self.d1, omega)
+    def advection(self, u1, u2, omega_hat):
+        """rfft along x1 of the transport term u . grad(omega), 2/3-rule
+        dealiased.  Both derivatives are taken on `omega_hat` and brought to
+        physical space (two irffts); their product with u is transformed
+        once."""
+        nx = self.grid.nx
+        om_x = np.fft.irfft(self.ik[:, None] * omega_hat, n=nx, axis=0)
+        om_y = np.fft.irfft(_apply_d1(self.d1, omega_hat), n=nx, axis=0)
         n_hat = np.fft.rfft(u1 * om_x + u2 * om_y, axis=0)
         n_hat[~self.dealias] = 0.0
-        return np.fft.irfft(n_hat, n=self.grid.nx, axis=0)
+        return n_hat
 
     def check_cfl(self, u1, u2, dt):
         vmax1 = float(np.max(np.abs(u1)))
@@ -332,20 +334,25 @@ def _state(grid, t, nu, u1, u2, omega) -> FlowState:
     )
 
 
-def _check_finite(omega, t):
-    if not np.all(np.isfinite(omega)):
+def _check_finite(omega_hat, t):
+    if not np.all(np.isfinite(omega_hat)):
         raise RuntimeError(f"solution lost finiteness near t = {t!r}")
 
 
 def _march(integ, u0: VectorField, t_final: float, n_outputs: int,
-           track_energy: bool, project) -> Trajectory:
+           track_energy: bool, wall_mean: float = 0.0) -> Trajectory:
     """The AB2 time loop both schemes share; `integ` brings the wall closure.
 
-    `integ._advance(omega, omega_hat, adv, h)` steps omega over h under the
-    transport term `adv` and returns (omega_new, solved).  `project(omega,
-    solved)` returns (u1, u2, omega_hat), where omega_hat is the transform
-    of omega along x1 that the next `advection` reuses, or None to have the
-    loop take it; `solved` is None for the initial data.
+    The state is omega_hat, the rfft of omega along x1, and the transport
+    term is combined in that space too; omega is transformed back only for
+    the output states.  A steady step thus makes five FFTs: one rfft and two
+    irffts in `advection`, and two irffts for the velocity.
+
+    `integ._advance(omega_hat, adv_hat, h)` steps omega_hat over h under the
+    transport term `adv_hat` and returns (omega_hat_new, psi_hat), where
+    psi_hat is the streamfunction the step solved for, or None to have
+    `project` solve for it; `integ.slip` and `wall_mean` pick the wall
+    condition of the velocity.
     """
     grid, ops, dt, nu = integ.grid, integ.ops, integ.dt, integ.nu
     n_steps = int(round(t_final / dt))
@@ -355,35 +362,35 @@ def _march(integ, u0: VectorField, t_final: float, n_outputs: int,
         raise ValueError("n_outputs must divide the step count")
     every = n_steps // n_outputs
 
-    def transform(omega, omega_hat):
-        return np.fft.rfft(omega, axis=0) if omega_hat is None else omega_hat
+    def project(omega_hat, psi_hat):
+        return ops.velocity_from_omega_hat(omega_hat, wall_mean, integ.slip, psi_hat)
 
     # Project the initial data through the same omega -> psi -> velocity
     # reconstruction used for every later output, so all states (and the
     # per-step energies) live in one discrete representation.
-    omega = curl2d(u0).values.copy()
-    u1, u2, omega_hat = project(omega, None)
+    omega = curl2d(u0).values
+    omega_hat = np.fft.rfft(omega, axis=0)
+    u1, u2 = project(omega_hat, None)
     states = [_state(grid, 0.0, nu, u1, u2, omega)]
     energies = [_energy(grid, u1, u2)] if track_energy else None
     n_prev = None
     for n in range(1, n_steps + 1):
         ops.check_cfl(u1, u2, dt)
-        omega_hat = transform(omega, omega_hat)
-        n_cur = ops.advection(u1, u2, omega, omega_hat)
+        n_cur = ops.advection(u1, u2, omega_hat)
         if n_prev is None:
             # bootstrap: midpoint rule (half step, re-evaluate, full step)
-            om_half, solved = integ._advance(omega, omega_hat, n_cur, 0.5 * dt)
-            u1h, u2h, oh_half = project(om_half, solved)
-            adv = ops.advection(u1h, u2h, om_half, transform(om_half, oh_half))
+            oh_half, psi_half = integ._advance(omega_hat, n_cur, 0.5 * dt)
+            adv = ops.advection(*project(oh_half, psi_half), oh_half)
         else:
             adv = 1.5 * n_cur - 0.5 * n_prev
         n_prev = n_cur
-        omega, solved = integ._advance(omega, omega_hat, adv, dt)
-        _check_finite(omega, n * dt)
-        u1, u2, omega_hat = project(omega, solved)
+        omega_hat, psi_hat = integ._advance(omega_hat, adv, dt)
+        _check_finite(omega_hat, n * dt)
+        u1, u2 = project(omega_hat, psi_hat)
         if track_energy:
             energies.append(_energy(grid, u1, u2))
         if n % every == 0:
+            omega = np.fft.irfft(omega_hat, n=grid.nx, axis=0)
             states.append(_state(grid, n * dt, nu, u1, u2, omega))
     return Trajectory(
         grid=grid,
@@ -399,6 +406,7 @@ class NavierStokesIntegrator:
     """No-slip channel scheme at fixed (grid, nu, dt)."""
 
     scheme = "ns"
+    slip = False
 
     def __init__(self, grid: Grid, nu: float, dt: float):
         if nu <= 0.0:
@@ -414,29 +422,18 @@ class NavierStokesIntegrator:
 
     def run(self, u0: VectorField, t_final: float, n_outputs: int,
             track_energy: bool = False) -> Trajectory:
-        return _march(self, u0, t_final, n_outputs, track_energy, self._project)
+        return _march(self, u0, t_final, n_outputs, track_energy)
 
-    def _advance(self, omega, omega_hat, adv, h):
+    def _advance(self, omega_hat, adv_hat, h):
         """Crank-Nicolson over h with the influence-matrix wall closure."""
-        cn = self.full if h == self.dt else self.half
-        solved = cn.advance(omega_hat, np.fft.rfft(adv, axis=0))
-        return np.fft.irfft(solved[0], n=self.grid.nx, axis=0), solved
-
-    def _project(self, omega, solved):
-        """Initial data is transformed and solved for psi here; after a
-        step, velocity comes from its (omega_hat, psi_hat), and the loop
-        transforms the rounded omega for `advection`."""
-        omega_hat, psi_hat = solved or (np.fft.rfft(omega, axis=0), None)
-        u1, u2 = self.ops.velocity_from_omega_hat(
-            omega_hat, 0.0, slip=False, psi_hat=psi_hat
-        )
-        return u1, u2, None if solved else omega_hat
+        return (self.full if h == self.dt else self.half).advance(omega_hat, adv_hat)
 
 
 class EulerIntegrator:
     """Slip-wall transport scheme at fixed (grid, dt)."""
 
     scheme = "euler"
+    slip = True
     nu = 0.0
 
     def __init__(self, grid: Grid, dt: float):
@@ -451,18 +448,11 @@ class EulerIntegrator:
         # The x1-averaged tangential wall velocity is conserved by the
         # inviscid dynamics; it anchors the mean-mode reconstruction.
         wall_mean = float(np.mean(u0.comp1[:, 0]))
-        return _march(self, u0, t_final, n_outputs, track_energy,
-                      lambda omega, _: self._reconstruct(omega, wall_mean))
+        return _march(self, u0, t_final, n_outputs, track_energy, wall_mean)
 
-    def _advance(self, omega, omega_hat, adv, h):
+    def _advance(self, omega_hat, adv_hat, h):
         """Explicit transport over h."""
-        return omega - h * adv, None
-
-    def _reconstruct(self, omega, wall_mean):
-        """(u1, u2, omega_hat); the transform is reused by `advection`."""
-        omega_hat = np.fft.rfft(omega, axis=0)
-        u1, u2 = self.ops.velocity_from_omega_hat(omega_hat, wall_mean, slip=True)
-        return u1, u2, omega_hat
+        return omega_hat - h * adv_hat, None
 
 
 # ---------------------------------------------------------------------------
@@ -593,6 +583,13 @@ class SimulationConfig:
             clustering=self.clustering, **kwargs,
         )
 
+    def initial_data(self, grid: Grid) -> VectorField:
+        """The preset's initial velocity on `grid`."""
+        from .initial_data import build_initial_data
+
+        return build_initial_data(self.preset, grid, amplitude=self.amplitude,
+                                  seed=self.seed, **self.preset_options)
+
 
 def run_simulation(config: SimulationConfig) -> PairedRun:
     """Run the viscous and inviscid schemes from identical initial data.
@@ -600,14 +597,9 @@ def run_simulation(config: SimulationConfig) -> PairedRun:
     The initial field must satisfy both wall conditions (no-slip and
     impermeability) so the two runs genuinely share it.
     """
-    from .initial_data import build_initial_data
-
     config.validate()
     grid = config.make_grid()
-    u0 = build_initial_data(
-        config.preset, grid, amplitude=config.amplitude, seed=config.seed,
-        **config.preset_options,
-    )
+    u0 = config.initial_data(grid)
     if np.any(u0.comp1[:, 0] != 0.0):
         raise ValueError("initial data must satisfy no-slip at the wall")
     if np.any(u0.comp2[:, 0] != 0.0) or np.any(u0.comp2[:, -1] != 0.0):

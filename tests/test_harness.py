@@ -128,6 +128,10 @@ def test_parse_config_rejects_bad_input(tmp_path, body, match):
     (("form = power", "form = foo"), [], "unknown schedule form 'foo'"),
     (("clustering = tanh", "clustering = foo"), [], "unknown clustering 'foo'"),
     (("strength = 2.0", "strength = -1.0"), [], "tanh clustering requires strength > 0"),
+    (("preset = shear", "preset = plume"), [],
+     "[data] preset = plume: unknown preset 'plume'"),
+    (("seed = 0", "seed = 0\nsigma = 0.5"), [],
+     "[data] preset = shear: _shear() got an unexpected keyword argument 'sigma'"),
 ])
 def test_cli_rejects_bad_layer_value_before_running(tmp_path, capsys, edit,
                                                     flags, cause):
@@ -394,6 +398,15 @@ def test_cli_simulate_rejects_a_nu_list(tmp_path, capsys):
                          "--ny", "33", "--T", "0.05", "--dt", "0.005",
                          "--out", str(out)]) == 1
     assert "--nu: simulate runs one nu, got 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_simulate_rejects_a_multi_nu_config(tmp_path, capsys):
+    ini = tmp_path / "sweep.ini"
+    ini.write_text(FULL_INI)
+    out = tmp_path / "run"
+    assert cli_dispatch(["simulate", "--config", str(ini), "--out", str(out)]) == 1
+    assert "[sweep] nu: simulate runs one nu, got 3" in capsys.readouterr().err
     assert not out.exists()
 
 

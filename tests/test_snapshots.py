@@ -1,9 +1,13 @@
 """Binary snapshot format and trajectory round-trips."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ilim.grid import VectorField, curl2d, grids_compatible, make_channel_grid
 from ilim.snapshots import (
@@ -42,6 +46,35 @@ def test_snapshot_round_trip_is_bit_exact(tmp_path):
     assert snap.t == 0.125 and snap.nu == 1e-3
     assert np.array_equal(snap.u1, u1)
     assert np.array_equal(snap.u2, u2)
+
+
+# -0.0, the smallest subnormal, a mid-range subnormal and the largest finite
+# double, in both signs; arrays hold them beside arbitrary doubles
+_EDGE = st.sampled_from([-0.0, 5e-324, -5e-324, 1e-310, 1.7976931348623157e308,
+                         -1.7976931348623157e308])
+_DOUBLE = st.one_of(_EDGE, st.floats())
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), nx=st.integers(2, 12).map(lambda h: 2 * h),
+       ny=st.integers(3, 20), period=st.floats(1e-150, 1e150),
+       height=st.floats(1e-150, 1e150), t=_DOUBLE, nu=_DOUBLE)
+def test_snapshot_round_trip_is_bit_exact_for_any_values(tmp_path_factory, data, nx,
+                                                        ny, period, height, t, nu):
+    g = make_channel_grid(nx, ny, period, height, clustering="uniform")
+    u1, u2 = (data.draw(arrays(np.float64, g.shape, elements=_DOUBLE))
+              for _ in range(2))
+    path = tmp_path_factory.mktemp("snap") / "one.bin"
+    write_snapshot(path, g, t=t, nu=nu, u1=u1, u2=u2)
+    snap = read_snapshot(path)
+    assert (snap.nx, snap.ny) == (nx, ny)
+    assert [_bits(v) for v in (snap.period, snap.height, snap.t, snap.nu)] == [
+        _bits(v) for v in (period, height, t, nu)]
+    assert snap.u1.tobytes() == u1.tobytes() and snap.u2.tobytes() == u2.tobytes()
 
 
 def test_write_snapshot_rejects_wrong_shape(tmp_path):
