@@ -7,7 +7,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .grid import VectorField, _apply_d1, _d1_stencils, gradient, grids_compatible
+from .correctors import (
+    CorrectorParams,
+    WallTrace,
+    _zero_field,
+    corrector_time_derivative,
+    flat_corrector,
+)
+from .grid import _apply_d1, _d1_stencils, _paired_times, gradient, x_derivative
 
 __all__ = [
     "ErrorSeries",
@@ -39,11 +46,7 @@ class ErrorSeries:
 
 def error_series(ns_traj, euler_traj) -> ErrorSeries:
     """Squared L^2 distance between the paired runs at each output time."""
-    if not grids_compatible(ns_traj.grid, euler_traj.grid):
-        raise ValueError("paired trajectories must share a grid")
-    t_ns, t_e = ns_traj.times, euler_traj.times
-    if len(t_ns) != len(t_e) or np.max(np.abs(t_ns - t_e)) > 1e-12:
-        raise ValueError("paired trajectories must share output times")
+    t_ns = _paired_times(ns_traj, euler_traj)
     w = ns_traj.grid.quad_weights
     vals = np.empty(len(t_ns))
     for i, (a, b) in enumerate(zip(ns_traj.states, euler_traj.states)):
@@ -60,15 +63,18 @@ class BoundCurves:
     layered: np.ndarray     # C (nu t + int_0^t M)
 
 
+def _layered(nu, t, schedule):
+    """The layered bound without its constant: nu t + int_0^t M."""
+    return nu * t + schedule.integral(nu, t)
+
+
 def theorem_bounds(series: ErrorSeries, schedule, c_fit: float) -> BoundCurves:
     """Bound curves C nu t and C (nu t + int_0^t M) at the series times."""
     if c_fit <= 0.0:
         raise ValueError("fitted constant must be positive")
     nu = series.nu
     lin = np.array([c_fit * nu * t for t in series.times])
-    lay = np.array(
-        [c_fit * (nu * t + schedule.integral(nu, t)) for t in series.times]
-    )
+    lay = np.array([c_fit * _layered(nu, t, schedule) for t in series.times])
     return BoundCurves(times=series.times, linear=lin, layered=lay)
 
 
@@ -78,13 +84,11 @@ def calibrate_bound_constant(series_list, schedule) -> float:
     best = 0.0
     for s in series_list:
         for t, v in zip(s.times, s.values):
-            if t <= 0.0:
-                continue
-            denom = s.nu * t + schedule.integral(s.nu, t)
-            best = max(best, v / denom)
+            if t > 0.0:
+                best = max(best, v / _layered(s.nu, t, schedule))
     if best == 0.0:
         raise ValueError("calibration series carry no positive-time data")
-    return best
+    return float(best)
 
 
 # ---------------------------------------------------------------------------
@@ -104,10 +108,6 @@ class EnergyBudget:
     i2: np.ndarray
     r: np.ndarray
     residual: np.ndarray
-
-
-def _pair_dot(a1, a2, b1, b2):
-    return a1 * b1 + a2 * b2
 
 
 def _budget_row(w, nu, u, ubar, phi, dphi_dt, grid):
@@ -140,7 +140,7 @@ def _budget_row(w, nu, u, ubar, phi, dphi_dt, grid):
     r2 = -float(np.sum(w * (gb_e1 * e1 + gb_e2 * e2)))
     r3 = -float(np.sum(w * (gb_e1 * phi.comp1 + gb_e2 * phi.comp2)))
     r4 = float(np.sum(w * (adv_phi_1 * ubar.comp1 + adv_phi_2 * ubar.comp2)))
-    r5 = -float(np.sum(w * _pair_dot(dphi_dt.comp1, dphi_dt.comp2, e1, e2)))
+    r5 = -float(np.sum(w * (dphi_dt.comp1 * e1 + dphi_dt.comp2 * e2)))
     gap = 0.5 * float(np.sum(w * (e1 * e1 + e2 * e2)))
     return gap, dissipation, i1, i2, r1 + r2 + r3 + r4 + r5
 
@@ -153,11 +153,6 @@ def _series_rate(times, vals):
     return _apply_d1(_d1_stencils(np.asarray(times, dtype=float)), vals)
 
 
-def _zero_corrector(grid):
-    z = np.zeros(grid.shape)
-    return VectorField(grid, z, z), VectorField(grid, z, z)
-
-
 def energy_budget(ns_traj, euler_traj, corrector_provider=None) -> EnergyBudget:
     """Assemble the budget row by row along a paired run.
 
@@ -167,26 +162,17 @@ def energy_budget(ns_traj, euler_traj, corrector_provider=None) -> EnergyBudget:
     The residual is lhs_rate + dissipation - (I1 + I2 + R); for an exact
     solution pair it vanishes, discretely it shrinks at the scheme order.
     """
-    if not grids_compatible(ns_traj.grid, euler_traj.grid):
-        raise ValueError("paired trajectories must share a grid")
+    times = _paired_times(ns_traj, euler_traj)
     grid = ns_traj.grid
-    w = grid.quad_weights
-    nu = ns_traj.nu
-    n = len(ns_traj.states)
-    gap = np.zeros(n)
-    diss = np.zeros(n)
-    i1 = np.zeros(n)
-    i2 = np.zeros(n)
-    r = np.zeros(n)
-    for i, (s_ns, s_e) in enumerate(zip(ns_traj.states, euler_traj.states)):
-        if corrector_provider is None:
-            phi, dphi = _zero_corrector(grid)
-        else:
-            phi, dphi = corrector_provider(i, s_ns.t, s_e)
-        gap[i], diss[i], i1[i], i2[i], r[i] = _budget_row(
-            w, nu, s_ns.velocity, s_e.velocity, phi, dphi, grid
-        )
-    times = ns_traj.times
+    if corrector_provider is None:
+        zero = _zero_field(grid)
+        corrector_provider = lambda i, t, euler_state: (zero, zero)
+    rows = [
+        _budget_row(grid.quad_weights, ns_traj.nu, s_ns.velocity, s_e.velocity,
+                    *corrector_provider(i, s_ns.t, s_e), grid)
+        for i, (s_ns, s_e) in enumerate(zip(ns_traj.states, euler_traj.states))
+    ]
+    gap, diss, i1, i2, r = np.array(rows).T
     lhs = _series_rate(times, gap)
     residual = lhs + diss - (i1 + i2 + r)
     return EnergyBudget(
@@ -207,14 +193,6 @@ def trace_corrector_provider(euler_traj, alpha: float):
     The trace time derivative is a second-order difference of the
     sampled trace; the corrector itself is the flat variant.
     """
-    from .correctors import (
-        CorrectorParams,
-        WallTrace,
-        corrector_time_derivative,
-        flat_corrector,
-    )
-    from .grid import x_derivative
-
     grid = euler_traj.grid
     times = euler_traj.times
     traces = np.stack([s.velocity.comp1[:, 0] for s in euler_traj.states])
@@ -225,8 +203,7 @@ def trace_corrector_provider(euler_traj, alpha: float):
         trace = WallTrace(u=u, du_dx=x_derivative(grid, u))
         params = CorrectorParams(alpha=alpha, t=float(t), trace=trace)
         if t == 0.0:
-            z = np.zeros(grid.shape)
-            return flat_corrector(params, grid), VectorField(grid, z, z)
+            return _zero_field(grid), _zero_field(grid)
         dphi = corrector_time_derivative(params, grid, rates[i])
         return flat_corrector(params, grid), dphi.field
 

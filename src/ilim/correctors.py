@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import quad
 
-from .grid import Grid, VectorField, x_derivative
+from .grid import Grid, ScalarField, VectorField, x_derivative, y_derivative
 
 __all__ = [
     "Mollifier",
@@ -46,14 +46,25 @@ __all__ = [
 _W_FLOOR = 1.0 / 700.0
 
 
-def _bump_raw(z):
-    """exp(-1/((z - 1/2)(4 - z))) on (1/2, 4), exactly zero outside."""
-    z = np.asarray(z, dtype=float)
-    w = (z - 0.5) * (4.0 - z)
+def _exp_bump(w, dw=None):
+    """exp(-1/w) where w > _W_FLOOR, exactly zero elsewhere; given dw = w',
+    the derivative exp(-1/w) w'/w^2 instead."""
     out = np.zeros_like(w)
     inside = w > _W_FLOOR
-    out[inside] = np.exp(-1.0 / w[inside])
+    wi = w[inside]
+    e = np.exp(-1.0 / wi)
+    out[inside] = e if dw is None else e * dw[inside] / (wi * wi)
     return out
+
+
+def _bump_raw(z):
+    """exp(-1/((z - 1/2)(4 - z))) on (1/2, 4), exactly zero outside."""
+    return _exp_bump((z - 0.5) * (4.0 - z))
+
+
+def _unit_bump_raw(v):
+    """exp(-1/(v(1 - v))) on (0, 1), exactly zero outside."""
+    return _exp_bump(v * (1.0 - v))
 
 
 # Composite 10-point Gauss-Legendre cumulative integration on a fixed knot
@@ -64,6 +75,7 @@ def _bump_raw(z):
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 
 
+@lru_cache(maxsize=2)  # one table per bump kernel
 def _cumulative_table(func, lo: float, hi: float, n: int = 2048):
     """Knots on [lo, hi] plus cumulative integrals of func at each knot."""
     knots = np.linspace(lo, hi, n + 1)
@@ -83,45 +95,49 @@ def _cumulative_eval(knots, cum, func, z):
     return cum[idx] + half * (func(pts) * _GL_WEIGHTS).sum(axis=-1)
 
 
-@lru_cache(maxsize=1)
-def _bump_table():
-    return _cumulative_table(_bump_raw, 0.5, 4.0)
+class _Bump:
+    """Unit-mass bump kernel((z - shift)/scale) / (mass * scale) on the image
+    of the kernel's support [lo, hi], with its exactly clamped antiderivative.
+    The defaults shift 0 and scale 1 leave z and the mass bit-exact."""
+
+    def __init__(self, kernel, lo: float, hi: float, shift=0.0, scale=1.0):
+        self._kernel, self._shift, self._scale = kernel, shift, scale
+        self._knots, self._cum = _cumulative_table(kernel, lo, hi)
+        self._mass = float(self._cum[-1])
+        self._ends = (shift + scale * lo, shift + scale * hi)
+
+    def _local(self, z):
+        return (np.asarray(z, dtype=float) - self._shift) / self._scale
+
+    def value(self, z):
+        return self._kernel(self._local(z)) / (self._mass * self._scale)
+
+    def antiderivative(self, z):
+        """Cumulative mass: exactly 0 below the support, 1 above."""
+        scalar = np.ndim(z) == 0
+        z = np.atleast_1d(np.asarray(z, dtype=float))
+        lo, hi = self._ends
+        out = np.empty_like(z)
+        out[z <= lo] = 0.0
+        out[z >= hi] = 1.0
+        mid = (z > lo) & (z < hi)
+        if mid.any():
+            v = self._local(z[mid])
+            out[mid] = _cumulative_eval(self._knots, self._cum, self._kernel, v) / self._mass
+        return float(out[0]) if scalar else out
 
 
-class Mollifier:
+class Mollifier(_Bump):
     """Unit-mass bump supported on [1/2, 4]."""
 
     support = (0.5, 4.0)
 
     def __init__(self):
-        self._knots, self._cum = _bump_table()
-        self._mass = float(self._cum[-1])
-
-    def value(self, z):
-        return _bump_raw(z) / self._mass
+        super().__init__(_bump_raw, *self.support)
 
     def derivative(self, z):
         z = np.asarray(z, dtype=float)
-        w = (z - 0.5) * (4.0 - z)
-        out = np.zeros_like(w)
-        inside = w > _W_FLOOR
-        wi = w[inside]
-        dw = 4.5 - 2.0 * z[inside]
-        out[inside] = np.exp(-1.0 / wi) * dw / (wi * wi)
-        return out / self._mass
-
-    def antiderivative(self, z):
-        """Cumulative mass from 0: exactly 0 below the support, 1 above."""
-        scalar = np.ndim(z) == 0
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        out = np.empty_like(z)
-        out[z <= 0.5] = 0.0
-        out[z >= 4.0] = 1.0
-        mid = (z > 0.5) & (z < 4.0)
-        if mid.any():
-            vals = _cumulative_eval(self._knots, self._cum, _bump_raw, z[mid])
-            out[mid] = vals / self._mass
-        return float(out[0]) if scalar else out
+        return _exp_bump((z - 0.5) * (4.0 - z), 4.5 - 2.0 * z) / self._mass
 
 
 def make_mollifier() -> Mollifier:
@@ -175,6 +191,12 @@ class CorrectorParams:
         return min(self.t, 1.0)
 
 
+def _zero_field(grid: Grid) -> VectorField:
+    """The corrector (or its rate) where the layer has no thickness yet."""
+    z = np.zeros(grid.shape)
+    return VectorField(grid, z, z)
+
+
 def _flat_profiles(y, at, moll: Mollifier):
     """y-profiles of the two components: f1 = E - at*psi, f2 = (1 - Psi) - E."""
     e = np.exp(-y / at)
@@ -195,8 +217,7 @@ def flat_corrector(params: CorrectorParams, grid: Grid) -> VectorField:
     if tr.u.shape != (grid.nx,):
         raise ValueError("trace length must equal grid.nx")
     if params.t == 0.0:
-        z = np.zeros(grid.shape)
-        return VectorField(grid, z, z)
+        return _zero_field(grid)
     at = params.alpha * params.tau
     _, f1, f2 = _flat_profiles(grid.y, at, make_mollifier())
     comp1 = -tr.u[:, None] * f1[None, :]
@@ -289,12 +310,17 @@ class ScalingReport:
                 )
 
 
-def _period_norm(func, period, p, n=20001):
-    x = np.linspace(0.0, period, n)
-    v = np.abs(np.asarray(func(x), dtype=float))
+def _lp_samples(v, x, p):
+    """L^p norm of samples v at nodes x: trapezoid rule, or the max for p = inf."""
+    v = np.abs(v)
     if np.isinf(p):
         return float(v.max())
     return float(np.trapezoid(v**p, x) ** (1.0 / p))
+
+
+def _period_norm(func, period, p, n=20001):
+    x = np.linspace(0.0, period, n)
+    return _lp_samples(np.asarray(func(x), dtype=float), x, p)
 
 
 def _strip_norm(profile, at, p, n=30001):
@@ -304,10 +330,7 @@ def _strip_norm(profile, at, p, n=30001):
             [at * np.linspace(0.0, 60.0, n), np.linspace(0.0, max(4.5, 60.0 * at), n)]
         )
     )
-    v = np.abs(profile(y))
-    if np.isinf(p):
-        return float(v.max())
-    return float(np.trapezoid(v**p, y) ** (1.0 / p))
+    return _lp_samples(profile(y), y, p)
 
 
 def verify_corrector_scalings(p, alpha_tau, trace_funcs=None, period=2.0 * np.pi):
@@ -329,6 +352,8 @@ def verify_corrector_scalings(p, alpha_tau, trace_funcs=None, period=2.0 * np.pi
     trace_funcs : (U, dU, d2U) callables, optional
         Trace and its first two tangential derivatives; defaults to cos.
     """
+    from .analysis import fit_rate
+
     at = np.sort(np.asarray(alpha_tau, dtype=float))
     if at.size < 3:
         raise ValueError("need at least 3 alpha*tau samples")
@@ -351,39 +376,31 @@ def verify_corrector_scalings(p, alpha_tau, trace_funcs=None, period=2.0 * np.pi
     xnorm_d2u = _period_norm(d2u_f, period, p)
 
     moll = make_mollifier()
-    psi = moll.value
-    dpsi = moll.derivative
-    big_psi = moll.antiderivative
 
-    quantities = {
-        "comp1": (xnorm_u, lambda y, a: np.exp(-y / a) - a * psi(y), inv_p),
-        "d1_comp1": (xnorm_du, lambda y, a: np.exp(-y / a) - a * psi(y), inv_p),
-        "d2_comp1": (
-            xnorm_u,
-            lambda y, a: np.exp(-y / a) / a + a * dpsi(y),
-            inv_p - 1.0,
-        ),
-        "comp2": (xnorm_du, lambda y, a: a * ((1.0 - big_psi(y)) - np.exp(-y / a)), 1.0),
-        "d1_comp2": (
-            xnorm_d2u,
-            lambda y, a: a * ((1.0 - big_psi(y)) - np.exp(-y / a)),
-            1.0,
-        ),
-    }
+    def strip_norms(profile):
+        return np.array([_strip_norm(lambda y: profile(y, a), a, p) for a in at])
 
+    # comp1 and d1(comp1) share the x2 profile f1, comp2 and d1(comp2) f2
+    f1 = strip_norms(lambda y, a: np.exp(-y / a) - a * moll.value(y))
+    d2_f1 = strip_norms(lambda y, a: np.exp(-y / a) / a + a * moll.derivative(y))
+    f2 = strip_norms(lambda y, a: a * ((1.0 - moll.antiderivative(y)) - np.exp(-y / a)))
+    quantities = (
+        ("comp1", xnorm_u * f1, inv_p),
+        ("d1_comp1", xnorm_du * f1, inv_p),
+        ("d2_comp1", xnorm_u * d2_f1, inv_p - 1.0),
+        ("comp2", xnorm_du * f2, 1.0),
+        ("d1_comp2", xnorm_d2u * f2, 1.0),
+    )
     rows = []
-    log_at = np.log(at)
-    for name, (xn, prof, expected) in quantities.items():
-        norms = np.array([xn * _strip_norm(lambda y: prof(y, a), a, p) for a in at])
-        slope, intercept = np.polyfit(log_at, np.log(norms), 1)
-        resid = np.sqrt(np.mean((np.log(norms) - (slope * log_at + intercept)) ** 2))
+    for name, norms, expected in quantities:
+        fit = fit_rate(at, norms)
         rows.append(
             ScalingRow(
                 quantity=name,
                 p=float(p),
-                fitted_exponent=float(slope),
+                fitted_exponent=fit.exponent,
                 expected_exponent=float(expected),
-                residual=float(resid),
+                residual=fit.residual,
             )
         )
     return ScalingReport(p=float(p), alpha_tau=at, rows=tuple(rows))
@@ -412,16 +429,10 @@ def plateau_eta(delta: float):
     """Plateau variant: exactly 1 on [0, delta/4], 0 beyond delta/2."""
     a, b = 0.25 * delta, 0.5 * delta
 
-    def f(x):
-        out = np.zeros_like(x)
-        pos = x > _W_FLOOR
-        out[pos] = np.exp(-1.0 / x[pos])
-        return out
-
     def eta(y):
         y = np.asarray(y, dtype=float)
         s = np.clip((y - a) / (b - a), 0.0, 1.0)
-        lo, hi = f(1.0 - s), f(s)
+        lo, hi = _exp_bump(1.0 - s), _exp_bump(s)
         out = lo / (lo + hi)
         out[y <= a] = 1.0
         out[y >= b] = 0.0
@@ -430,44 +441,11 @@ def plateau_eta(delta: float):
     return eta
 
 
-def _unit_bump_raw(v):
-    """exp(-1/(v(1 - v))) on (0, 1), exactly zero outside."""
-    v = np.asarray(v, dtype=float)
-    w = v * (1.0 - v)
-    out = np.zeros_like(w)
-    inside = w > _W_FLOOR
-    out[inside] = np.exp(-1.0 / w[inside])
-    return out
-
-
-@lru_cache(maxsize=1)
-def _unit_bump_table():
-    return _cumulative_table(_unit_bump_raw, 0.0, 1.0)
-
-
 def _psi_delta_pair(delta: float):
     """Unit-mass bump on (delta/2, delta) plus its exact-clamp antiderivative."""
     half = 0.5 * delta
-    knots, cum = _unit_bump_table()
-    mass = float(cum[-1])
-
-    def psi(y):
-        y = np.asarray(y, dtype=float)
-        return _unit_bump_raw((y - half) / half) / (mass * half)
-
-    def antiderivative(y):
-        scalar = np.ndim(y) == 0
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        out = np.empty_like(y)
-        out[y <= half] = 0.0
-        out[y >= delta] = 1.0
-        mid = (y > half) & (y < delta)
-        if mid.any():
-            v = (y[mid] - half) / half
-            out[mid] = _cumulative_eval(knots, cum, _unit_bump_raw, v) / mass
-        return float(out[0]) if scalar else out
-
-    return psi, antiderivative
+    bump = _Bump(_unit_bump_raw, 0.0, 1.0, shift=half, scale=half)
+    return bump.value, bump.antiderivative
 
 
 @dataclass(frozen=True)
@@ -560,6 +538,15 @@ def _cumulative_weighted_eta(ybins, at, chart: CurvedChart):
     return p, gamma
 
 
+def _chart_metric(chart: CurvedChart, grid: Grid) -> np.ndarray:
+    """The metric factor h at the grid nodes, checked positive and finite."""
+    xx, yy = np.meshgrid(grid.x, grid.y, indexing="ij")
+    hvals = np.asarray(chart.h(xx, yy), dtype=float)
+    if not np.all(np.isfinite(hvals)) or hvals.min() <= 0.0:
+        raise ValueError("chart metric factor must be positive and finite")
+    return hvals
+
+
 def curved_corrector(
     trace: WallTrace, alpha: float, tau: float, chart: CurvedChart, grid: Grid
 ) -> VectorField:
@@ -576,18 +563,16 @@ def curved_corrector(
     if tau < 0.0:
         raise ValueError("tau must be >= 0")
     if tau == 0.0:
-        z = np.zeros(grid.shape)
-        return VectorField(grid, z, z)
+        return _zero_field(grid)
     at = alpha * tau
-    xx, yy = np.meshgrid(grid.x, grid.y, indexing="ij")
-    hvals = np.asarray(chart.h(xx, yy), dtype=float)
-    if not np.all(np.isfinite(hvals)) or hvals.min() <= 0.0:
-        raise ValueError("chart metric factor must be positive and finite")
+    hvals = _chart_metric(chart, grid)
     y = grid.y
     e = np.exp(-y / at)
     eta_v = chart.eta(y)
     psi_v = chart.psi_delta(y)
     q_v = chart.psi_delta_antiderivative(y)
+    # gamma is the sum of P's own quadrature segments, not curved_gamma:
+    # only then is P - gamma Q exactly zero beyond the eta support.
     p_v, gamma = _cumulative_weighted_eta(y, at, chart)
     comp1 = -trace.u[:, None] * (e * eta_v)[None, :] + gamma * trace.u[:, None] * psi_v[None, :]
     comp2 = trace.du_dx[:, None] * (p_v - gamma * q_v)[None, :] / hvals
@@ -596,9 +581,6 @@ def curved_corrector(
 
 def curved_divergence(field: VectorField, chart: CurvedChart, grid: Grid):
     """Discrete curved divergence (1/h)(d1 comp1 + d2(h comp2))."""
-    from .grid import ScalarField, y_derivative
-
-    xx, yy = np.meshgrid(grid.x, grid.y, indexing="ij")
-    hvals = np.asarray(chart.h(xx, yy), dtype=float)
+    hvals = _chart_metric(chart, grid)
     val = (x_derivative(grid, field.comp1) + y_derivative(grid, hvals * field.comp2)) / hvals
     return ScalarField(grid, val)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ScalarField, grids_compatible, layer_region, lp_norm, y_derivative
+from .grid import ScalarField, _paired_times, layer_region, lp_norm, y_derivative
 
 __all__ = [
     "MSchedule",
@@ -229,11 +229,7 @@ def evaluate_criteria(ns_traj, euler_traj, schedule: MSchedule,
     A time is flagged under_resolved when the layer is nonempty but
     covers fewer than 2 wall-normal grid rows.
     """
-    if not grids_compatible(ns_traj.grid, euler_traj.grid):
-        raise ValueError("paired trajectories must share a grid")
-    t_ns, t_e = ns_traj.times, euler_traj.times
-    if len(t_ns) != len(t_e) or np.max(np.abs(t_ns - t_e)) > 1e-12:
-        raise ValueError("paired trajectories must share output times")
+    t_ns = _paired_times(ns_traj, euler_traj)
     nu = ns_traj.nu
     if nu <= 0.0:
         raise ValueError("viscous trajectory must have nu > 0")

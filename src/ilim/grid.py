@@ -171,6 +171,17 @@ def grids_compatible(a: "Grid", b: "Grid") -> bool:
     )
 
 
+def _paired_times(a, b) -> np.ndarray:
+    """Output times of trajectory a, once a and b are checked to be a pair:
+    a shared grid and output times equal to within 1e-12."""
+    if not grids_compatible(a.grid, b.grid):
+        raise ValueError("paired trajectories must share a grid")
+    t_a, t_b = a.times, b.times
+    if len(t_a) != len(t_b) or np.max(np.abs(t_a - t_b)) > 1e-12:
+        raise ValueError("paired trajectories must share output times")
+    return t_a
+
+
 @dataclass(frozen=True)
 class ScalarField:
     """Scalar samples on a grid, immutable once constructed."""

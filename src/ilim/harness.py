@@ -18,7 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .analysis import ErrorSeries, calibrate_bound_constant, error_series, fit_rate
+from .analysis import (
+    ErrorSeries,
+    calibrate_bound_constant,
+    error_series,
+    fit_rate,
+    theorem_bounds,
+)
 from .criteria import (
     CriterionReport,
     LayerSpec,
@@ -299,15 +305,18 @@ def run_sweep(config: SweepConfig, jobs: int | None = None) -> SweepResult:
         )
     except ValueError:
         c_fit = None
-    fit_sq = fit = None
-    if len(ok) >= 3:
-        sups = np.array([r.sup_err_sq for r in ok])
-        nus = np.array([r.nu for r in ok])
-        if np.all(sups > 0.0):
-            fit_sq = fit_rate(nus, sups)
-            fit = fit_rate(nus, np.sqrt(sups))
+    fit_sq, fit = _rate_fits([r.nu for r in ok], [r.sup_err_sq for r in ok])
     return SweepResult(config=config, records=records, c_fit=c_fit,
                        fit_sq=fit_sq, fit=fit)
+
+
+def _rate_fits(nus, sups):
+    """Rate fits of the sup squared gaps and of the sup gaps; (None, None)
+    with fewer than 3 samples or a zero sup."""
+    nus, sups = np.asarray(nus, dtype=float), np.asarray(sups, dtype=float)
+    if nus.size < 3 or not np.all(sups > 0.0):
+        return None, None
+    return fit_rate(nus, sups), fit_rate(nus, np.sqrt(sups))
 
 
 def _fit_dict(f):
@@ -381,11 +390,11 @@ def emit_report(result: SweepResult, directory) -> list:
     directory.mkdir(parents=True, exist_ok=True)
     schedule = result.config.schedule()
     names = ["sweep.csv"]
-
-    def bound(nu, t):
-        if result.c_fit is None:
-            return float("nan")
-        return result.c_fit * (nu * t + schedule.integral(nu, t))
+    # record index -> the layered bound at the record's output times
+    bounds = {} if result.c_fit is None else {
+        i: theorem_bounds(rec.error_series(), schedule, result.c_fit).layered
+        for i, rec in enumerate(result.records) if rec.ok
+    }
 
     with open(directory / "sweep.csv", "w", newline="") as fh:
         fh.write(
@@ -393,13 +402,13 @@ def emit_report(result: SweepResult, directory) -> list:
             "backflow_margin_min,cond_pass_all,wall_vort_margin_min,"
             "under_resolved_any,message\n"
         )
-        for rec in result.records:
+        for i, rec in enumerate(result.records):
             if rec.ok:
                 sup_sq = rec.sup_err_sq
                 c = rec.criteria
+                bound = float(bounds[i][-1]) if i in bounds else float("nan")
                 fh.write(
-                    f"{rec.nu!r},ok,{sup_sq!r},{float(np.sqrt(sup_sq))!r},"
-                    f"{bound(rec.nu, float(rec.times[-1]))!r},"
+                    f"{rec.nu!r},ok,{sup_sq!r},{float(np.sqrt(sup_sq))!r},{bound!r},"
                     f"{float(c.backflow_margin.min())!r},"
                     f"{bool(np.all(c.cond_pass))!r},"
                     f"{float(c.wall_vort_margin.min())!r},"
@@ -409,12 +418,10 @@ def emit_report(result: SweepResult, directory) -> list:
                 msg = rec.message.replace(",", ";").replace("\n", " ")
                 fh.write(f"{rec.nu!r},failed,,,,,,,,{msg}\n")
 
-    for i, rec in enumerate(result.records):
-        if rec.ok and result.c_fit is not None:
-            name = f"bound_series_{i:02d}.dat"
-            _write_dat(directory / name,
-                       (rec.times, [bound(rec.nu, t) for t in rec.times]))
-            names.append(name)
+    for i, layered in bounds.items():
+        name = f"bound_series_{i:02d}.dat"
+        _write_dat(directory / name, (result.records[i].times, layered))
+        names.append(name)
 
     return _write_report(
         directory, result, names,
@@ -536,32 +543,21 @@ def shear_limit_study(
         del ns, euler
 
     n_calibration = min(n_calibration, len(nu_values))
-    calib = tuple(nu_values[:n_calibration])
-    calib_series = [
-        ErrorSeries(nu=nu_values[i], times=times, values=err_sq[i])
-        for i in range(n_calibration)
-    ]
-    c_fit = calibrate_bound_constant(calib_series, schedule)
-    holdout = {}
-    for i in range(n_calibration, len(nu_values)):
-        nu = nu_values[i]
-        bounds = np.array(
-            [c_fit * (nu * t + schedule.integral(nu, t)) for t in times]
-        )
-        holdout[nu] = bool(np.all(err_sq[i] <= bounds + 1e-300))
-    sups = err_sq.max(axis=1)
-    if len(nu_values) >= 3 and np.all(sups > 0.0):
-        fit_sq = fit_rate(np.array(nu_values), sups)
-        fit = fit_rate(np.array(nu_values), np.sqrt(sups))
-    else:
-        fit_sq = fit = None
+    series = [ErrorSeries(nu=nu, times=times, values=err_sq[i])
+              for i, nu in enumerate(nu_values)]
+    c_fit = calibrate_bound_constant(series[:n_calibration], schedule)
+    holdout = {
+        s.nu: bool(np.all(s.values <= theorem_bounds(s, schedule, c_fit).layered + 1e-300))
+        for s in series[n_calibration:]
+    }
+    fit_sq, fit = _rate_fits(nu_values, err_sq.max(axis=1))
     return ShearStudyResult(
         nu_values=tuple(nu_values),
         times=times,
         err_sq=err_sq,
         reports_by_r=reports_by_r,
         c_fit=c_fit,
-        calibration_nu=calib,
+        calibration_nu=tuple(nu_values[:n_calibration]),
         holdout_bound_ok=holdout,
         fit_sq=fit_sq,
         fit=fit,

@@ -129,12 +129,8 @@ def load_trajectory(directory):
     if manifest.get("format") != "ILIM1":
         raise ValueError(f"{directory}: not an ILIM1 trajectory")
     g = manifest["grid"]
-    kwargs = {}
-    if g["clustering"] != "uniform":
-        kwargs["strength"] = g["strength"]
-    grid = make_channel_grid(
-        g["nx"], g["ny"], g["period"], g["height"], clustering=g["clustering"], **kwargs
-    )
+    grid = make_channel_grid(g["nx"], g["ny"], g["period"], g["height"],
+                             clustering=g["clustering"], strength=g["strength"])
     states = []
     for name, t in zip(manifest["snapshots"], manifest["times"]):
         snap = read_snapshot(directory / name)

@@ -575,13 +575,8 @@ class SimulationConfig:
         return self
 
     def make_grid(self) -> Grid:
-        kwargs = {}
-        if self.clustering == "tanh":
-            kwargs["strength"] = self.strength
-        return make_channel_grid(
-            self.nx, self.ny, self.period, self.height,
-            clustering=self.clustering, **kwargs,
-        )
+        return make_channel_grid(self.nx, self.ny, self.period, self.height,
+                                 clustering=self.clustering, strength=self.strength)
 
     def initial_data(self, grid: Grid) -> VectorField:
         """The preset's initial velocity on `grid`."""

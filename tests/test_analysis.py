@@ -1,5 +1,6 @@
 """Error series, bound curves, energy budget, envelope, and rate fits."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -139,6 +140,25 @@ def test_budget_gap_is_half_error_series(shear_pair):
 def test_budget_needs_three_outputs(unit_grid):
     ns, euler = _parallel_pair(unit_grid, (0.0, 0.1))
     with pytest.raises(ValueError, match="at least 3"):
+        energy_budget(ns, euler)
+
+
+def _retimed(traj, dt):
+    """The trajectory with its i-th output moved to t = i * dt."""
+    states = tuple(dataclasses.replace(s, t=i * dt) for i, s in enumerate(traj.states))
+    return dataclasses.replace(traj, dt=dt, states=states)
+
+
+@pytest.mark.parametrize("case", ["missing-outputs", "other-dt"])
+def test_budget_rejects_unpaired_runs(unit_grid, case):
+    ns, euler = _parallel_pair(unit_grid, (0.0, 0.1, 0.2, 0.3, 0.4, 0.5))
+    if case == "missing-outputs":
+        # the inviscid run holds only 4 of the 6 output states
+        euler = dataclasses.replace(euler, states=euler.states[:4])
+    else:
+        # outputs at 0, 0.005, ... against 0, 0.01, ...
+        ns, euler = _retimed(ns, 0.005), _retimed(euler, 0.01)
+    with pytest.raises(ValueError, match="paired trajectories must share output times"):
         energy_budget(ns, euler)
 
 

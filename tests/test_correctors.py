@@ -362,8 +362,12 @@ def test_curved_corrector_wall_and_support(curved_grid):
 def test_curved_corrector_validates_metric(curved_grid):
     tr = trace_from_callable(curved_grid, np.cos)
     chart = make_curved_chart(delta=1.0, h=lambda x1, x2: -np.ones(np.shape(x2)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="metric factor"):
         curved_corrector(tr, 1.0, 0.05, chart, curved_grid)
+    good = make_curved_chart(delta=1.0)
+    field = curved_corrector(tr, 1.0, 0.05, good, curved_grid)
+    with pytest.raises(ValueError, match="metric factor"):
+        curved_divergence(field, chart, curved_grid)
 
 
 def test_curved_divergence_identity_refines():

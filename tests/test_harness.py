@@ -1,5 +1,6 @@
 """Sweep orchestration, config parsing, report files, and the CLI."""
 
+import csv
 import json
 from pathlib import Path
 
@@ -276,6 +277,14 @@ def test_report_files_and_manifest(small_sweep_serial, tmp_path):
         "nu,status,sup_error_sq,sup_error,bound_at_t_final,backflow_margin_min,"
         "cond_pass_all,wall_vort_margin_min,under_resolved_any,message"
     )
+    # every numeric cell of an ok row is a plain float a CSV reader parses
+    with open(tmp_path / "sweep.csv", newline="") as fh:
+        rows = [row for row in csv.DictReader(fh) if row["status"] == "ok"]
+    assert len(rows) == 3
+    for row in rows:
+        for key in ("nu", "sup_error_sq", "sup_error", "bound_at_t_final",
+                    "backflow_margin_min", "wall_vort_margin_min"):
+            float(row[key])
     crit_lines = (tmp_path / "criteria.csv").read_text().strip().split("\n")
     assert crit_lines[0] == CRITERIA_CSV_HEADER
     assert len(crit_lines) == 1 + 3 * 6  # three nus, six output times each
