@@ -44,16 +44,19 @@ class ErrorSeries:
         return float(self.values.max())
 
 
+def _dot(w, a, b):
+    """Weighted integral of a . b, the products summed in component order."""
+    return float(np.sum(w * sum((x * y for x, y in zip(a[1:], b[1:])), a[0] * b[0])))
+
+
 def error_series(ns_traj, euler_traj) -> ErrorSeries:
     """Squared L^2 distance between the paired runs at each output time."""
     t_ns = _paired_times(ns_traj, euler_traj)
-    w = ns_traj.grid.quad_weights
-    vals = np.empty(len(t_ns))
-    for i, (a, b) in enumerate(zip(ns_traj.states, euler_traj.states)):
-        d1 = a.velocity.comp1 - b.velocity.comp1
-        d2 = a.velocity.comp2 - b.velocity.comp2
-        vals[i] = float(np.sum(w * (d1 * d1 + d2 * d2)))
-    return ErrorSeries(nu=ns_traj.nu, times=t_ns, values=vals)
+    vals = []
+    for a, b in zip(ns_traj.states, euler_traj.states):
+        d = (a.velocity.comp1 - b.velocity.comp1, a.velocity.comp2 - b.velocity.comp2)
+        vals.append(_dot(ns_traj.grid.quad_weights, d, d))
+    return ErrorSeries(nu=ns_traj.nu, times=t_ns, values=np.array(vals))
 
 
 @dataclass(frozen=True)
@@ -110,39 +113,32 @@ class EnergyBudget:
     residual: np.ndarray
 
 
+def _grad(grid, f):
+    """grad f of a component pair f, as (d1 f1, d2 f1, d1 f2, d2 f2)."""
+    return (*gradient(grid, f[0]), *gradient(grid, f[1]))
+
+
+def _advect(a, g):
+    """(a . grad) f of a component pair a, with g = _grad of f."""
+    return a[0] * g[0] + a[1] * g[1], a[0] * g[2] + a[1] * g[3]
+
+
 def _budget_row(w, nu, u, ubar, phi, dphi_dt, grid):
     """Pointwise integrands of one budget row; u is the viscous field,
     ubar the inviscid one, phi the corrector, v = u - ubar the gap."""
-    u1, u2 = u.comp1, u.comp2
-    g11, g12 = gradient(grid, u1)     # (d1 u1, d2 u1)
-    g21, g22 = gradient(grid, u2)
-    p11, p12 = gradient(grid, phi.comp1)
-    p21, p22 = gradient(grid, phi.comp2)
-    b11, b12 = gradient(grid, ubar.comp1)
-    b21, b22 = gradient(grid, ubar.comp2)
-    v1 = u1 - ubar.comp1
-    v2 = u2 - ubar.comp2
-    e1 = v1 - phi.comp1
-    e2 = v2 - phi.comp2
-
-    dissipation = nu * float(np.sum(w * (g11**2 + g12**2 + g21**2 + g22**2)))
-    i1 = nu * float(np.sum(w * (g11 * p11 + g12 * p12 + g21 * p21 + g22 * p22)))
+    u, ubar, phi, dphi_dt = ((f.comp1, f.comp2) for f in (u, ubar, phi, dphi_dt))
+    g_u, g_phi, g_bar = (_grad(grid, f) for f in (u, phi, ubar))
+    e = (u[0] - ubar[0] - phi[0], u[1] - ubar[1] - phi[1])     # v - phi
+    adv_phi = _advect(u, g_phi)     # (u . grad) phi
+    gb_e = _advect(e, g_bar)        # ((v-phi) . grad) ubar
     # I2 = -int (u . grad phi) . u
-    adv_phi_1 = u1 * p11 + u2 * p12
-    adv_phi_2 = u1 * p21 + u2 * p22
-    i2 = -float(np.sum(w * (adv_phi_1 * u1 + adv_phi_2 * u2)))
     # R = nu int grad u : grad ubar - int (v-phi) . (grad ubar)(v-phi)
     #     - int phi . (grad ubar)(v-phi) + int (u . grad phi) . ubar
     #     - int d(phi)/dt . (v-phi)
-    r1 = nu * float(np.sum(w * (g11 * b11 + g12 * b12 + g21 * b21 + g22 * b22)))
-    gb_e1 = e1 * b11 + e2 * b12          # ((v-phi) . grad) ubar, comp 1
-    gb_e2 = e1 * b21 + e2 * b22
-    r2 = -float(np.sum(w * (gb_e1 * e1 + gb_e2 * e2)))
-    r3 = -float(np.sum(w * (gb_e1 * phi.comp1 + gb_e2 * phi.comp2)))
-    r4 = float(np.sum(w * (adv_phi_1 * ubar.comp1 + adv_phi_2 * ubar.comp2)))
-    r5 = -float(np.sum(w * (dphi_dt.comp1 * e1 + dphi_dt.comp2 * e2)))
-    gap = 0.5 * float(np.sum(w * (e1 * e1 + e2 * e2)))
-    return gap, dissipation, i1, i2, r1 + r2 + r3 + r4 + r5
+    r = (nu * _dot(w, g_u, g_bar) - _dot(w, gb_e, e) - _dot(w, gb_e, phi)
+         + _dot(w, adv_phi, ubar) - _dot(w, dphi_dt, e))
+    return (0.5 * _dot(w, e, e), nu * _dot(w, g_u, g_u), nu * _dot(w, g_u, g_phi),
+            -_dot(w, adv_phi, u), r)
 
 
 def _series_rate(times, vals):

@@ -433,7 +433,7 @@ def plateau_eta(delta: float):
         y = np.asarray(y, dtype=float)
         s = np.clip((y - a) / (b - a), 0.0, 1.0)
         lo, hi = _exp_bump(1.0 - s), _exp_bump(s)
-        out = lo / (lo + hi)
+        out = np.asarray(lo / (lo + hi))  # an array at 0-d y as well
         out[y <= a] = 1.0
         out[y >= b] = 0.0
         return out

@@ -79,7 +79,7 @@ class MSchedule:
         out = float(np.trapezoid(vals, grid_t))
         if t > ts[-1]:
             out += ms[-1] * (t - ts[-1])
-        return out
+        return float(out)
 
 
 @dataclass(frozen=True)
@@ -127,14 +127,27 @@ def no_backflow_margin(euler_state) -> float:
     return float(euler_state.velocity.comp1[:, 0].min())
 
 
-def _negative_part_field(state, schedule: MSchedule, spec: LayerSpec):
+def _layer_pass(state, schedule: MSchedule, spec: LayerSpec):
+    """The layer at the state's time: its height, the grid rows inside the
+    strip, and (lhs, rhs) of the layer condition on it."""
+    if state.nu <= 0.0:
+        raise ValueError("the layer condition applies to the viscous state")
+    h = layer_height(state.nu, state.t, schedule, spec.C)
+    region = layer_region(state.grid, h.value)
     m = schedule.value(state.nu, state.t)
     if spec.use_du1dy:
         base = -y_derivative(state.grid, state.velocity.comp1)
     else:
         base = state.vorticity.values
-    defect = np.minimum(base + m / state.nu, 0.0)
-    return ScalarField(state.grid, np.abs(defect)), m
+    defect = ScalarField(state.grid, np.abs(np.minimum(base + m / state.nu, 0.0)))
+    if np.isinf(spec.r):
+        lhs = state.nu * lp_norm(defect, np.inf, region)
+        rhs = m
+    else:
+        r = spec.r
+        lhs = state.nu ** ((r - 1.0) / r) * lp_norm(defect, r, region)
+        rhs = min(state.t, 1.0) ** (1.0 / r) * m  # tau^{1/r} M
+    return h, int(np.count_nonzero(region.mask[0])), float(lhs), float(rhs)
 
 
 def kato_condition(state, schedule: MSchedule, spec: LayerSpec):
@@ -144,20 +157,7 @@ def kato_condition(state, schedule: MSchedule, spec: LayerSpec):
     rhs = tau^{1/r} M; for r = inf the prefactor is nu and tau^{1/r} = 1.
     Empty layers give lhs = 0.
     """
-    if state.nu <= 0.0:
-        raise ValueError("the layer condition applies to the viscous state")
-    tau = min(state.t, 1.0)
-    h = layer_height(state.nu, state.t, schedule, spec.C)
-    region = layer_region(state.grid, h.value)
-    defect, m = _negative_part_field(state, schedule, spec)
-    if np.isinf(spec.r):
-        lhs = state.nu * lp_norm(defect, np.inf, region)
-        rhs = m
-    else:
-        r = spec.r
-        lhs = state.nu ** ((r - 1.0) / r) * lp_norm(defect, r, region)
-        rhs = tau ** (1.0 / r) * m
-    return float(lhs), float(rhs)
+    return _layer_pass(state, schedule, spec)[2:]
 
 
 def boundary_vorticity_condition(state, schedule: MSchedule) -> float:
@@ -169,10 +169,19 @@ def boundary_vorticity_condition(state, schedule: MSchedule) -> float:
     return float((state.vorticity.values[:, 0] + m / state.nu).min())
 
 
-CRITERIA_CSV_HEADER = (
-    "t,nu,layer_height,backflow_margin,cond_lhs,cond_rhs,cond_pass,"
-    "wall_vort_margin,under_resolved"
+# (criteria.csv column, CriterionReport field), in column order
+_CRITERIA_COLUMNS = (
+    ("t", "times"),
+    ("nu", "nu"),
+    ("layer_height", "layer_heights"),
+    ("backflow_margin", "backflow_margin"),
+    ("cond_lhs", "cond_lhs"),
+    ("cond_rhs", "cond_rhs"),
+    ("cond_pass", "cond_pass"),
+    ("wall_vort_margin", "wall_vort_margin"),
+    ("under_resolved", "under_resolved"),
 )
+CRITERIA_CSV_HEADER = ",".join(column for column, _ in _CRITERIA_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -191,18 +200,8 @@ class CriterionReport:
     under_resolved: np.ndarray
 
     def rows(self):
-        for i, t in enumerate(self.times):
-            yield (
-                float(t),
-                self.nu,
-                float(self.layer_heights[i]),
-                float(self.backflow_margin[i]),
-                float(self.cond_lhs[i]),
-                float(self.cond_rhs[i]),
-                bool(self.cond_pass[i]),
-                float(self.wall_vort_margin[i]),
-                bool(self.under_resolved[i]),
-            )
+        return zip(*(np.broadcast_to(getattr(self, name), self.times.shape)
+                     for _, name in _CRITERIA_COLUMNS))
 
     def write_csv(self, path) -> None:
         write_criteria_csv(path, (self,))
@@ -212,14 +211,26 @@ class CriterionReport:
         return bool(np.all(self.cond_pass))
 
 
+def _write_csv(path, header: str, rows) -> None:
+    """Write the header, then each row: text as it is, None as an empty
+    cell, a number or flag as the repr of its Python value."""
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(map(_csv_cell, row)) + "\n")
+
+
+def _csv_cell(v) -> str:
+    if isinstance(v, str):
+        return v
+    return "" if v is None else repr(v.item() if isinstance(v, np.generic) else v)
+
+
 def write_criteria_csv(path, reports) -> None:
     """Write the criteria CSV: the header, then every row of each report
     in order, floats written with repr."""
-    with open(path, "w", newline="") as fh:
-        fh.write(CRITERIA_CSV_HEADER + "\n")
-        for rep in reports:
-            for row in rep.rows():
-                fh.write(",".join(repr(v) for v in row) + "\n")
+    _write_csv(path, CRITERIA_CSV_HEADER,
+               (row for rep in reports for row in rep.rows()))
 
 
 def evaluate_criteria(ns_traj, euler_traj, schedule: MSchedule,
@@ -230,34 +241,14 @@ def evaluate_criteria(ns_traj, euler_traj, schedule: MSchedule,
     covers fewer than 2 wall-normal grid rows.
     """
     t_ns = _paired_times(ns_traj, euler_traj)
-    nu = ns_traj.nu
-    if nu <= 0.0:
-        raise ValueError("viscous trajectory must have nu > 0")
-    grid = ns_traj.grid
-    n = len(t_ns)
-    out = {
-        "layer_heights": np.zeros(n),
-        "layer_clamped": np.zeros(n, dtype=bool),
-        "backflow_margin": np.zeros(n),
-        "cond_lhs": np.zeros(n),
-        "cond_rhs": np.zeros(n),
-        "cond_pass": np.zeros(n, dtype=bool),
-        "wall_vort_margin": np.zeros(n),
-        "under_resolved": np.zeros(n, dtype=bool),
-    }
-    for i, (s_ns, s_e) in enumerate(zip(ns_traj.states, euler_traj.states)):
-        h = layer_height(nu, s_ns.t, schedule, spec.C)
-        lhs, rhs = kato_condition(s_ns, schedule, spec)
-        rows_inside = int(np.count_nonzero((grid.y > 0.0) & (grid.y <= h.value)))
-        out["layer_heights"][i] = h.value
-        out["layer_clamped"][i] = h.clamped
-        out["backflow_margin"][i] = no_backflow_margin(s_e)
-        out["cond_lhs"][i] = lhs
-        out["cond_rhs"][i] = rhs
-        out["cond_pass"][i] = lhs <= rhs
-        out["wall_vort_margin"][i] = boundary_vorticity_condition(s_ns, schedule)
-        out["under_resolved"][i] = h.value > 0.0 and rows_inside < 2
-    return CriterionReport(nu=nu, times=t_ns, **out)
+    rows = []
+    for s_ns, s_e in zip(ns_traj.states, euler_traj.states):
+        h, rows_inside, lhs, rhs = _layer_pass(s_ns, schedule, spec)
+        # one value per CriterionReport field after nu and times, in order
+        rows.append((h.value, h.clamped, no_backflow_margin(s_e), lhs, rhs,
+                     lhs <= rhs, boundary_vorticity_condition(s_ns, schedule),
+                     h.value > 0.0 and rows_inside < 2))
+    return CriterionReport(ns_traj.nu, t_ns, *map(np.array, zip(*rows)))
 
 
 def scales_from_trace(trace: np.ndarray, period: float):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import configparser
 import json
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +29,7 @@ from .criteria import (
     CriterionReport,
     LayerSpec,
     MSchedule,
+    _write_csv,
     evaluate_criteria,
     layer_height,
     write_criteria_csv,
@@ -70,7 +71,6 @@ class SweepConfig:
     seed: int = 0
     preset_options: dict = field(default_factory=dict)
     nu_values: tuple = (1e-2, 1e-3, 1e-4)
-    jobs: int = 0  # 0 = auto (ILIM_JOBS env, else available cores)
     m_form: str = "power"
     m_c: float = 1.0
     m_a: float = 0.5
@@ -174,7 +174,6 @@ _CONFIG_SCHEMA = (
     ("data", "amplitude", "amplitude", float),
     ("data", "seed", "seed", int),
     ("sweep", "nu", "nu_values", _parse_nu_list),
-    ("sweep", "jobs", "jobs", int),
     ("schedule", "form", "m_form", str),
     ("schedule", "c", "m_c", float),
     ("schedule", "a", "m_a", float),
@@ -272,20 +271,16 @@ def run_sweep(config: SweepConfig, jobs: int | None = None) -> SweepResult:
     """Run the sweep, one isolated paired run per nu.
 
     Worker count precedence: explicit `jobs` argument (the --jobs flag),
-    else a positive jobs value in the config, else the ILIM_JOBS
-    environment variable, else all available cores.  Results are ordered
-    by the config's nu list regardless of worker scheduling, so output is
-    identical for any worker count.  Raises RuntimeError if every nu
-    failed.
+    else the ILIM_JOBS environment variable, else all available cores.
+    Results are ordered by the config's nu list regardless of worker
+    scheduling, so output is identical for any worker count.  Raises
+    RuntimeError if every nu failed.
     """
     if not config.nu_values:
         raise ValueError("sweep needs at least one nu")
     if jobs is None:
-        if config.jobs > 0:
-            jobs = config.jobs
-        else:
-            env = os.environ.get("ILIM_JOBS")
-            jobs = int(env) if env is not None else (os.cpu_count() or 1)
+        env = os.environ.get("ILIM_JOBS")
+        jobs = int(env) if env is not None else (os.cpu_count() or 1)
     jobs = max(1, min(jobs, len(config.nu_values)))
     tasks = [(config, nu) for nu in config.nu_values]
     if jobs > 1:
@@ -319,17 +314,6 @@ def _rate_fits(nus, sups):
     return fit_rate(nus, sups), fit_rate(nus, np.sqrt(sups))
 
 
-def _fit_dict(f):
-    if f is None:
-        return None
-    return {
-        "exponent": f.exponent,
-        "prefactor": f.prefactor,
-        "residual": f.residual,
-        "n_samples": f.n_samples,
-    }
-
-
 def _write_json(path, obj):
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
@@ -357,8 +341,8 @@ def _write_report(directory, result, names, series, criteria, rates,
         "nu": [s.nu for s in ok],
         "sup_error_sq": sups,
         "sup_error": [float(np.sqrt(v)) for v in sups],
-        "fit_error_sq": _fit_dict(result.fit_sq),
-        "fit_error": _fit_dict(result.fit),
+        "fit_error_sq": asdict(result.fit_sq) if result.fit_sq else None,
+        "fit_error": asdict(result.fit) if result.fit else None,
         "c_fit": result.c_fit,
         **rates,
     })
@@ -376,6 +360,26 @@ def _write_report(directory, result, names, series, criteria, rates,
     _write_json(directory / "manifest.json",
                 {**manifest, "version": __version__, "files": sorted(names)})
     return names
+
+
+# sweep.csv: nu, status, these measures of an ok record (given the record
+# and its layered bound at t_final; empty on a failed one), then message.
+_SWEEP_MEASURES = (
+    ("sup_error_sq", lambda rec, bound: rec.sup_err_sq),
+    ("sup_error", lambda rec, bound: np.sqrt(rec.sup_err_sq)),
+    ("bound_at_t_final", lambda rec, bound: bound),
+    ("backflow_margin_min", lambda rec, bound: rec.criteria.backflow_margin.min()),
+    ("cond_pass_all", lambda rec, bound: rec.criteria.all_pass),
+    ("wall_vort_margin_min", lambda rec, bound: rec.criteria.wall_vort_margin.min()),
+    ("under_resolved_any", lambda rec, bound: np.any(rec.criteria.under_resolved)),
+)
+_SWEEP_HEADER = ",".join(("nu", "status", *(c for c, _ in _SWEEP_MEASURES), "message"))
+
+
+def _sweep_row(rec, bound):
+    measures = (cell(rec, bound) if rec.ok else None for _, cell in _SWEEP_MEASURES)
+    return (rec.nu, rec.status, *measures,
+            rec.message.replace(",", ";").replace("\n", " "))
 
 
 def emit_report(result: SweepResult, directory) -> list:
@@ -396,27 +400,9 @@ def emit_report(result: SweepResult, directory) -> list:
         for i, rec in enumerate(result.records) if rec.ok
     }
 
-    with open(directory / "sweep.csv", "w", newline="") as fh:
-        fh.write(
-            "nu,status,sup_error_sq,sup_error,bound_at_t_final,"
-            "backflow_margin_min,cond_pass_all,wall_vort_margin_min,"
-            "under_resolved_any,message\n"
-        )
-        for i, rec in enumerate(result.records):
-            if rec.ok:
-                sup_sq = rec.sup_err_sq
-                c = rec.criteria
-                bound = float(bounds[i][-1]) if i in bounds else float("nan")
-                fh.write(
-                    f"{rec.nu!r},ok,{sup_sq!r},{float(np.sqrt(sup_sq))!r},{bound!r},"
-                    f"{float(c.backflow_margin.min())!r},"
-                    f"{bool(np.all(c.cond_pass))!r},"
-                    f"{float(c.wall_vort_margin.min())!r},"
-                    f"{bool(np.any(c.under_resolved))!r},\n"
-                )
-            else:
-                msg = rec.message.replace(",", ";").replace("\n", " ")
-                fh.write(f"{rec.nu!r},failed,,,,,,,,{msg}\n")
+    _write_csv(directory / "sweep.csv", _SWEEP_HEADER,
+               (_sweep_row(rec, bounds[i][-1] if i in bounds else float("nan"))
+                for i, rec in enumerate(result.records)))
 
     for i, layered in bounds.items():
         name = f"bound_series_{i:02d}.dat"

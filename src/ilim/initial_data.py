@@ -47,15 +47,9 @@ def _poly_window_d(y, height):
 
 
 def _shear(grid, amplitude, seed, profile="exp", scale=1.0):
-    if callable(profile):
-        v = np.asarray(profile(grid.y), dtype=float)
-        if v[0] != 0.0:
-            raise ValueError("shear profile must vanish at the wall")
-        v = amplitude * v
-    elif profile == "exp":
-        v = shear_profile_exp(grid.y, amplitude, scale)
-    else:
+    if profile != "exp":
         raise ValueError(f"unknown shear profile {profile!r}")
+    v = shear_profile_exp(grid.y, amplitude, scale)
     u1 = np.broadcast_to(v, grid.shape).copy()
     return VectorField(grid, u1, np.zeros(grid.shape))
 

@@ -120,6 +120,7 @@ def load_trajectory(directory):
 
     Velocities are restored bit-exactly; the vorticity of each state is
     recomputed with the discrete curl (the format stores velocity only).
+    A snapshot whose grid or time disagrees with the manifest is rejected.
     """
     from .solvers import FlowState, Trajectory
 
@@ -131,11 +132,18 @@ def load_trajectory(directory):
     g = manifest["grid"]
     grid = make_channel_grid(g["nx"], g["ny"], g["period"], g["height"],
                              clustering=g["clustering"], strength=g["strength"])
+    names, times = manifest["snapshots"], manifest["times"]
+    if len(names) != len(times):
+        raise ValueError(f"{directory / 'manifest.json'}: {len(names)} snapshots "
+                         f"but {len(times)} times")
     states = []
-    for name, t in zip(manifest["snapshots"], manifest["times"]):
+    for name, t in zip(names, times):
         snap = read_snapshot(directory / name)
-        if (snap.nx, snap.ny) != grid.shape:
-            raise ValueError(f"{name}: snapshot shape disagrees with manifest grid")
+        got = (snap.nx, snap.ny, snap.period, snap.height, snap.t)
+        want = (grid.nx, grid.ny, grid.period, grid.height, t)
+        if got != want:
+            raise ValueError(f"{directory / name}: (nx, ny, period, height, t) = "
+                             f"{got!r} disagrees with the manifest's {want!r}")
         vel = VectorField(grid, snap.u1, snap.u2)
         states.append(
             FlowState(grid=grid, t=snap.t, nu=snap.nu, velocity=vel, vorticity=curl2d(vel))

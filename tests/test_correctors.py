@@ -370,13 +370,18 @@ def test_curved_corrector_validates_metric(curved_grid):
         curved_divergence(field, chart, curved_grid)
 
 
-def test_curved_divergence_identity_refines():
+@pytest.mark.parametrize(
+    "eta_args",
+    [{}, {"eta": plateau_eta(1.0), "eta_support": 0.5}],
+    ids=["default", "plateau"],
+)
+def test_curved_divergence_identity_refines(eta_args):
     errs = []
     for ny in (97, 193):
         grid = make_channel_grid(32, ny, 2.0 * np.pi, 1.5, clustering="uniform")
         tr = trace_from_callable(grid, np.cos, lambda x: -np.sin(x))
         chart = make_curved_chart(
-            delta=1.0, h=lambda x1, x2: 1.0 + 0.3 * np.sin(x1) + 0.5 * x2
+            delta=1.0, h=lambda x1, x2: 1.0 + 0.3 * np.sin(x1) + 0.5 * x2, **eta_args
         )
         f = curved_corrector(tr, 1.0, 0.05, chart, grid)
         errs.append(lp_norm(curved_divergence(f, chart, grid), 2.0))

@@ -1,5 +1,6 @@
 """Layer geometry, modulus schedules, and the one-sided conditions."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from ilim.criteria import (
 from ilim.grid import (
     ScalarField,
     VectorField,
+    layer_region,
     make_channel_grid,
     strength_for_min_spacing,
 )
@@ -53,6 +55,8 @@ def test_schedule_table_interpolation_and_integral():
     assert sched.integral(0.0, 1.5) == pytest.approx(2.75, rel=1e-14)
     # past the table end M extends as a constant
     assert sched.integral(0.0, 3.0) == pytest.approx(4.5 + 4.0, rel=1e-14)
+    assert type(sched.integral(0.0, 1.5)) is float
+    assert type(sched.integral(0.0, 3.0)) is float
 
 
 @pytest.mark.parametrize(
@@ -300,6 +304,36 @@ def test_criteria_csv_format(adverse_pair, tmp_path):
     first = lines[1].split(",")
     assert float(first[0]) == 0.0 and float(first[1]) == 1e-2
     assert first[6] in ("True", "False")
+    # a nu held as a numpy scalar is written as its Python value
+    np_nu = dataclasses.replace(report, nu=np.float64(1e-3))
+    np_nu.write_csv(path)
+    cells = path.read_text().split("\n")[1].split(",")
+    assert cells[1] == "0.001"
+    assert cells[:1] + cells[2:] == first[:1] + first[2:]
+
+
+@pytest.mark.parametrize("r", [1.0, 2.0, np.inf])
+def test_evaluate_criteria_matches_per_state_functions(adverse_pair, r):
+    sched = MSchedule(form="power", c=1.0, a=0.5)
+    spec = LayerSpec(C=10.0, r=r)
+    ns, euler = adverse_pair.ns, adverse_pair.euler
+    report = evaluate_criteria(ns, euler, sched, spec)
+    for i, (s_ns, s_e) in enumerate(zip(ns.states, euler.states)):
+        h = layer_height(s_ns.nu, s_ns.t, sched, spec.C)
+        lhs, rhs = kato_condition(s_ns, sched, spec)
+        rows_inside = np.count_nonzero(layer_region(ns.grid, h.value).mask[0])
+        assert report.times[i] == s_ns.t
+        assert report.layer_heights[i] == h.value
+        assert report.layer_clamped[i] == h.clamped
+        assert report.backflow_margin[i] == no_backflow_margin(s_e)
+        assert report.cond_lhs[i] == lhs and report.cond_rhs[i] == rhs
+        assert report.cond_pass[i] == (lhs <= rhs)
+        assert report.wall_vort_margin[i] == boundary_vorticity_condition(s_ns, sched)
+        assert report.under_resolved[i] == (h.value > 0.0 and rows_inside < 2)
+    assert report.layer_heights.dtype == np.float64
+    assert report.cond_pass.dtype == bool and report.under_resolved.dtype == bool
+    # the run has both resolved and under-resolved nonempty layers
+    assert report.under_resolved.any() and not report.under_resolved[1:].all()
 
 
 def test_evaluate_criteria_rejects_mismatched_runs():

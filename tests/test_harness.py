@@ -49,7 +49,6 @@ seed = 0
 
 [sweep]
 nu = 1e-2, 1e-3 1e-4
-jobs = 1
 
 [schedule]
 form = power
@@ -76,7 +75,6 @@ def test_parse_config_full(tmp_path):
     assert cfg.dt == 5e-3 and cfg.t_final == 0.05 and cfg.n_outputs == 5
     assert cfg.preset == "shear" and cfg.amplitude == 1.0 and cfg.seed == 0
     assert cfg.nu_values == (1e-2, 1e-3, 1e-4)
-    assert cfg.jobs == 1
     # [schedule] c and [layer] C are distinct, case-sensitive keys
     assert cfg.m_c == 2.5 and cfg.layer_c == 12.0
     assert np.isinf(cfg.r)
@@ -104,6 +102,8 @@ def test_parse_config_free_form_preset_options(tmp_path):
     [
         ("[plasma]\nfoo = 1\n", "unknown config section"),
         ("[grid]\nnz = 4\n", "unknown config key"),
+        # the worker count is a run option (--jobs, ILIM_JOBS), not a config key
+        ("[sweep]\njobs = 2\n", "unknown config key 'jobs' in \\[sweep\\]"),
         ("[sweep]\nnu = -1e-3\n", "positive"),
         ("[sweep]\nnu =\n", "at least one nu"),
         ("[layer]\nr = 0.5\n", r"^\[layer\] r = 0.5: r must be >= 1"),
@@ -173,7 +173,6 @@ _sweep_configs = st.builds(
         _word, st.one_of(st.integers(-10**6, 10**6), _positive, _word), max_size=3
     ),
     nu_values=st.lists(_positive, min_size=1, max_size=4).map(tuple),
-    jobs=st.integers(0, 64),
     m_form=st.sampled_from(("constant", "power")),
     m_c=_positive, m_a=st.floats(-4.0, 4.0),
     layer_c=st.floats(min_value=1.0, max_value=1e6, exclude_min=True),
@@ -399,6 +398,16 @@ def test_cli_simulate_and_criteria(tmp_path, capsys):
     lines = (out / "criteria.csv").read_text().strip().split("\n")
     assert lines[0] == CRITERIA_CSV_HEADER
     assert len(lines) == 12
+
+
+def test_readme_config_example_runs(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    ini = tmp_path / "sweep.ini"
+    ini.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+    out = tmp_path / "report"
+    assert cli_dispatch(["sweep", "--config", str(ini), "--out", str(out),
+                         "--jobs", "1"]) == 0
+    assert (out / "sweep.csv").read_text().count(",ok,") == 3
 
 
 def test_cli_simulate_rejects_a_nu_list(tmp_path, capsys):

@@ -161,21 +161,41 @@ def test_load_rejects_foreign_manifest(tmp_path):
         load_trajectory(tmp_path / "run")
 
 
-def test_load_rejects_shape_mismatch(tmp_path):
+def _edit_times(change):
+    def corrupt(run):
+        path = run / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["times"] = change(manifest["times"])
+        path.write_text(json.dumps(manifest))
+    return corrupt
+
+
+def _rewrite_snapshot(**grid_args):
+    def rewrite(run):
+        other = make_channel_grid(**{"nx": 8, "ny": 9, "period": 2.0 * np.pi,
+                                     "height": 2.0, "clustering": "uniform",
+                                     **grid_args})
+        zeros = np.zeros(other.shape)
+        write_snapshot(run / "snap_0001.bin", other, 0.05, 1e-3, zeros, zeros)
+    return rewrite
+
+
+@pytest.mark.parametrize(
+    "corrupt, match",
+    [
+        (_rewrite_snapshot(nx=4, ny=5), r"snap_0001\.bin: .* disagrees"),
+        (_edit_times(lambda ts: ts[:1]), r"manifest\.json: 2 snapshots but 1 times"),
+        (_edit_times(lambda ts: [9.0 + t for t in ts]), r"snap_0000\.bin: .* disagrees"),
+        (_rewrite_snapshot(period=1.0), r"snap_0001\.bin: .* disagrees"),
+        (_rewrite_snapshot(height=3.0), r"snap_0001\.bin: .* disagrees"),
+    ],
+    ids=["shape", "count", "times", "period", "height"],
+)
+def test_load_rejects_shape_mismatch(tmp_path, corrupt, match):
     g = _grid()
-    traj = Trajectory(
-        grid=g, scheme="ns", nu=1e-3, dt=0.1, states=(_state(g, 0.0, 1e-3, 1),)
-    )
-    save_trajectory(traj, tmp_path / "run")
-    # overwrite the snapshot with one on a different grid
-    other = make_channel_grid(4, 5, 2.0 * np.pi, 2.0, clustering="uniform")
-    write_snapshot(
-        tmp_path / "run" / "snap_0000.bin",
-        other,
-        0.0,
-        1e-3,
-        np.zeros(other.shape),
-        np.zeros(other.shape),
-    )
-    with pytest.raises(ValueError, match="disagrees"):
+    states = (_state(g, 0.0, 1e-3, 1), _state(g, 0.05, 1e-3, 2))
+    save_trajectory(Trajectory(grid=g, scheme="ns", nu=1e-3, dt=0.05, states=states),
+                    tmp_path / "run")
+    corrupt(tmp_path / "run")
+    with pytest.raises(ValueError, match=match):
         load_trajectory(tmp_path / "run")
