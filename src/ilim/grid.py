@@ -10,6 +10,7 @@ Quadrature is uniform-in-x1 times trapezoidal-in-x2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -76,6 +77,11 @@ class Grid:
     @property
     def shape(self):
         return (self.nx, self.ny)
+
+    @cached_property
+    def _d1(self):
+        """`_d1_stencils` of `y`, built on first use."""
+        return _d1_stencils(self.y)
 
     def wavenumbers(self) -> np.ndarray:
         """rfft wavenumbers 2*pi*m/Lx, m = 0..nx//2."""
@@ -346,7 +352,7 @@ def _d2_interior(y: np.ndarray):
 
 def y_derivative(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Finite-difference d/dx2 along axis 1 (works on real or complex data)."""
-    return _apply_d1(_d1_stencils(grid.y), values)
+    return _apply_d1(grid._d1, values)
 
 
 def gradient(grid: Grid, values: np.ndarray):

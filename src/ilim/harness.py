@@ -1,8 +1,9 @@
 """Sweep driver, shear-verification pipeline, and report emission.
 
-A sweep runs the paired solvers once per viscosity with everything else
-pinned, evaluates the layer criteria, and fits the convergence rate of
-the sup-in-time velocity gap.  All report files are byte-deterministic
+A sweep pairs one Navier-Stokes run per viscosity, everything else
+pinned, with the nu-independent Euler run (stepped once per worker),
+evaluates the layer criteria, and fits the convergence rate of the
+sup-in-time velocity gap.  All report files are byte-deterministic
 for a fixed config and seed: floats are written with repr, rows follow
 the config order, and nothing records wall-clock time.
 """
@@ -36,7 +37,7 @@ from .criteria import (
 )
 from .grid import ScalarField, VectorField, make_channel_grid, strength_for_min_spacing
 from .initial_data import shear_profile_exp
-from .solvers import FlowState, SimulationConfig, Trajectory, run_simulation
+from .solvers import FlowState, SimulationConfig, Trajectory, _paired_runs
 from .solvers import ShearFlow
 
 __all__ = [
@@ -252,14 +253,15 @@ class SweepResult:
     fit: object
 
 
-def _sweep_worker(task) -> NuRecord:
-    """Run one nu end to end; never raises (per-nu isolation)."""
-    cfg, nu = task
+def _record(cfg: SweepConfig, nu: float, outcome) -> NuRecord:
+    """`nu`'s record from its `_paired_runs` outcome; a failed run or
+    post-processing gives a failed record (per-nu isolation)."""
     try:
-        pair = run_simulation(cfg.simulation_config(nu))
-        series = error_series(pair.ns, pair.euler)
+        if isinstance(outcome, Exception):
+            raise outcome
+        series = error_series(outcome.ns, outcome.euler)
         report = evaluate_criteria(
-            pair.ns, pair.euler, cfg.schedule(), cfg.layer_spec()
+            outcome.ns, outcome.euler, cfg.schedule(), cfg.layer_spec()
         )
         return NuRecord(nu=nu, status="ok", times=series.times,
                         err_sq=series.values, criteria=report)
@@ -267,14 +269,26 @@ def _sweep_worker(task) -> NuRecord:
         return NuRecord(nu=nu, status="failed", message=str(exc))
 
 
+def _sweep_worker(task) -> list:
+    """Run one share of the nu values end to end, stepping the Euler run
+    once for all of them; never raises.  Each nu's failure message is the
+    one its own `run_simulation` would raise."""
+    cfg, nus = task
+    runs = _paired_runs(cfg.simulation_config, nus)
+    # each pair is a temporary, freed before the next nu's NS run
+    return [_record(cfg, nu, next(runs)) for nu in nus]
+
+
 def run_sweep(config: SweepConfig, jobs: int | None = None) -> SweepResult:
     """Run the sweep, one isolated paired run per nu.
 
-    Worker count precedence: explicit `jobs` argument (the --jobs flag),
-    else the ILIM_JOBS environment variable, else all available cores.
-    Results are ordered by the config's nu list regardless of worker
-    scheduling, so output is identical for any worker count.  Raises
-    RuntimeError if every nu failed.
+    The Euler run has no nu in it, so each worker steps it once for its
+    share of the nu values (every `jobs`-th one) and pairs it with a
+    Navier-Stokes run per nu.  Worker count precedence: explicit `jobs`
+    argument (the --jobs flag), else the ILIM_JOBS environment variable,
+    else all available cores.  Results are ordered by the config's nu list
+    regardless of worker scheduling, so output is identical for any worker
+    count.  Raises RuntimeError if every nu failed.
     """
     if not config.nu_values:
         raise ValueError("sweep needs at least one nu")
@@ -282,14 +296,17 @@ def run_sweep(config: SweepConfig, jobs: int | None = None) -> SweepResult:
         env = os.environ.get("ILIM_JOBS")
         jobs = int(env) if env is not None else (os.cpu_count() or 1)
     jobs = max(1, min(jobs, len(config.nu_values)))
-    tasks = [(config, nu) for nu in config.nu_values]
+    tasks = [(config, config.nu_values[i::jobs]) for i in range(jobs)]
     if jobs > 1:
         import multiprocessing
 
         with multiprocessing.Pool(jobs) as pool:
-            records = pool.map(_sweep_worker, tasks)
+            shares = pool.map(_sweep_worker, tasks)
     else:
-        records = [_sweep_worker(t) for t in tasks]
+        shares = [_sweep_worker(t) for t in tasks]
+    records = [None] * len(config.nu_values)
+    for i, share in enumerate(shares):
+        records[i::jobs] = share
     ok = [r for r in records if r.ok]
     if not ok:
         detail = "; ".join(f"nu={r.nu!r}: {r.message}" for r in records)

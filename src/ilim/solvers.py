@@ -36,7 +36,6 @@ from .grid import (
     ScalarField,
     VectorField,
     _apply_d1,
-    _d1_stencils,
     _d2_interior,
     _wall_d1,
     curl2d,
@@ -170,7 +169,7 @@ class _ChannelOperators:
         self.ik = 1j * k.copy()
         self.ik[-1] = 0.0  # drop the Nyquist mode in derivatives
         self.dealias = np.arange(self.nk) <= nx // 3
-        self.d1 = _d1_stencils(grid.y)
+        self.d1 = grid._d1
         self.d1_bottom = self.d1[3]
         self.d2 = _d2_interior(grid.y)
         self.dy = np.diff(grid.y)
@@ -586,21 +585,62 @@ class SimulationConfig:
                                   seed=self.seed, **self.preset_options)
 
 
+def _initial_velocity(config: SimulationConfig) -> VectorField:
+    """`config`'s initial velocity on its grid, checked against both wall
+    conditions (no-slip and impermeability) so the two runs genuinely
+    share it."""
+    u0 = config.initial_data(config.make_grid())
+    if np.any(u0.comp1[:, 0] != 0.0):
+        raise ValueError("initial data must satisfy no-slip at the wall")
+    if np.any(u0.comp2[:, 0] != 0.0) or np.any(u0.comp2[:, -1] != 0.0):
+        raise ValueError("initial data must be impermeable at wall and top")
+    return u0
+
+
+def _paired_runs(config_of, nu_values):
+    """Yield, for each nu in turn, what `run_simulation(config_of(nu))`
+    gives: its PairedRun, or the exception it raises.
+
+    The configs may differ only in nu.  The Euler run has no nu in it, so
+    it is stepped once, after the first Navier-Stokes run that succeeds,
+    and paired with every NS run; if it fails, each NS run that succeeds
+    gets its exception, as `run_simulation` would raise it.  Nothing the
+    generator holds outlives a yield, so the caller alone decides when a
+    pair is freed.
+    """
+    u0 = euler = None
+    for nu in nu_values:
+        try:
+            config = config_of(nu).validate()
+            if u0 is None:
+                u0 = _initial_velocity(config)
+            ns = NavierStokesIntegrator(u0.grid, config.nu, config.dt).run(
+                u0, config.t_final, config.n_outputs
+            )
+            if euler is None:
+                try:
+                    euler = EulerIntegrator(u0.grid, config.dt).run(
+                        u0, config.t_final, config.n_outputs
+                    )
+                except Exception as exc:  # noqa: BLE001 - raised after each NS run
+                    euler = exc
+            if isinstance(euler, Exception):
+                raise euler
+            outcome = PairedRun(ns=ns, euler=euler)
+        except Exception as exc:  # noqa: BLE001 - handed to the caller, per nu
+            outcome = exc
+        ns = None
+        yield outcome
+        outcome = None
+
+
 def run_simulation(config: SimulationConfig) -> PairedRun:
     """Run the viscous and inviscid schemes from identical initial data.
 
     The initial field must satisfy both wall conditions (no-slip and
     impermeability) so the two runs genuinely share it.
     """
-    config.validate()
-    grid = config.make_grid()
-    u0 = config.initial_data(grid)
-    if np.any(u0.comp1[:, 0] != 0.0):
-        raise ValueError("initial data must satisfy no-slip at the wall")
-    if np.any(u0.comp2[:, 0] != 0.0) or np.any(u0.comp2[:, -1] != 0.0):
-        raise ValueError("initial data must be impermeable at wall and top")
-    ns = NavierStokesIntegrator(grid, config.nu, config.dt).run(
-        u0, config.t_final, config.n_outputs
-    )
-    euler = EulerIntegrator(grid, config.dt).run(u0, config.t_final, config.n_outputs)
-    return PairedRun(ns=ns, euler=euler)
+    (outcome,) = _paired_runs(lambda nu: config, [config.nu])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome

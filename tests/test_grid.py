@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from ilim.grid import (
+    _apply_d1,
+    _d1_stencils,
     Region,
     ScalarField,
     VectorField,
@@ -235,6 +237,17 @@ def test_y_derivative_second_order():
         errs.append(np.abs(y_derivative(g, vals) - expect).max())
     orders = np.log(np.array(errs[:-1]) / np.array(errs[1:])) / np.log(2.0)
     assert np.all(orders > 1.9)
+
+
+def test_y_derivative_reuses_the_grid_stencil():
+    g = make_channel_grid(8, 17, 1.0, 2.0, clustering="tanh", strength=1.5)
+    vals = np.random.default_rng(0).normal(size=g.shape)
+    first = y_derivative(g, vals)
+    assert g._d1 is g._d1
+    assert y_derivative(g, vals).tobytes() == first.tobytes()
+    assert first.tobytes() == _apply_d1(_d1_stencils(g.y), vals).tobytes()
+    with pytest.raises(ValueError):  # a cached stencil still checks the width
+        y_derivative(g, vals[:, :10])
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import csv
 import json
+import multiprocessing
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ilim.analysis import error_series
 from ilim.cli import cli_dispatch
-from ilim.criteria import CRITERIA_CSV_HEADER
+from ilim.criteria import CRITERIA_CSV_HEADER, CriterionReport, evaluate_criteria
 from ilim.harness import (
     SweepConfig,
     emit_report,
@@ -21,7 +24,13 @@ from ilim.harness import (
     sweep_config_from_dict,
 )
 from ilim.snapshots import load_trajectory
-from ilim.solvers import ShearFlow
+from ilim.solvers import (
+    CFLError,
+    EulerIntegrator,
+    NavierStokesIntegrator,
+    ShearFlow,
+    run_simulation,
+)
 
 SMALL = dict(
     nx=16, ny=33, dt=5e-3, t_final=0.05, n_outputs=5, preset="shear",
@@ -267,6 +276,100 @@ def test_sweep_raises_when_every_nu_fails():
     cfg = SweepConfig(**{**SMALL, "nu_values": (-1.0, -2.0)})
     with pytest.raises(RuntimeError, match="every nu failed"):
         run_sweep(cfg, jobs=1)
+
+
+class _InlinePool:
+    """A stand-in for multiprocessing.Pool that maps in this process, so
+    monkeypatched solvers reach every share."""
+
+    def __init__(self, processes):
+        self.processes = processes
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return [fn(task) for task in tasks]
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3, 5])
+def test_sweep_steps_euler_once_per_worker(monkeypatch, jobs):
+    monkeypatch.setattr(multiprocessing, "Pool", _InlinePool)
+    real_run, calls = EulerIntegrator.run, []
+
+    def counting(self, *args, **kwargs):
+        calls.append(self.dt)
+        return real_run(self, *args, **kwargs)
+
+    monkeypatch.setattr(EulerIntegrator, "run", counting)
+    result = run_sweep(SweepConfig(**SMALL), jobs=jobs)
+    assert len(calls) == min(jobs, len(SMALL["nu_values"]))
+    assert [r.nu for r in result.records] == list(SMALL["nu_values"])
+    assert all(r.ok for r in result.records)
+
+
+@pytest.mark.parametrize("nus", [(1e-2, 1e-3, 1e-4), (1e-3, 1e-2, 1e-3)])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_records_equal_run_simulation_bitwise(jobs, nus):
+    cfg = SweepConfig(**{**SMALL, "preset": "perturbed-shear", "nu_values": nus})
+    result = run_sweep(cfg, jobs=jobs)
+    assert [r.nu for r in result.records] == list(nus)
+    for rec in result.records:
+        pair = run_simulation(cfg.simulation_config(rec.nu))
+        series = error_series(pair.ns, pair.euler)
+        report = evaluate_criteria(pair.ns, pair.euler, cfg.schedule(),
+                                   cfg.layer_spec())
+        assert rec.ok
+        assert rec.times.tobytes() == series.times.tobytes()
+        assert rec.err_sq.tobytes() == series.values.tobytes()
+        for f in fields(CriterionReport):
+            got, want = getattr(rec.criteria, f.name), getattr(report, f.name)
+            assert type(got) is type(want), f.name
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), f.name
+
+
+def _simulation_error(cfg, nu) -> str:
+    """The message of the exception a lone paired run of `nu` raises."""
+    with pytest.raises(Exception) as info:
+        run_simulation(cfg.simulation_config(nu))
+    return str(info.value)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_failure_messages_follow_run_simulation(monkeypatch, jobs):
+    # shares at jobs = 2: (-1.0, 1e-2) sets up on its second nu, and
+    # (1e-3, 1e-4) steps its Euler run only after 1e-4's NS run
+    monkeypatch.setattr(multiprocessing, "Pool", _InlinePool)
+    cfg = SweepConfig(**{**SMALL, "nu_values": (-1.0, 1e-3, 1e-2, 1e-4)})
+    real_ns = NavierStokesIntegrator.run
+
+    def ns_run(self, *args, **kwargs):
+        if self.nu == 1e-3:
+            raise RuntimeError("NS run failed")
+        return real_ns(self, *args, **kwargs)
+
+    monkeypatch.setattr(NavierStokesIntegrator, "run", ns_run)
+    result = run_sweep(cfg, jobs=jobs)
+    assert [r.status for r in result.records] == ["failed", "failed", "ok", "ok"]
+    assert [r.message for r in result.records[:2]] == [
+        _simulation_error(cfg, nu) for nu in (-1.0, 1e-3)
+    ]
+    assert result.records[1].message == "NS run failed"
+
+    def euler_run(self, *args, **kwargs):
+        raise CFLError("Euler run failed")
+
+    monkeypatch.setattr(EulerIntegrator, "run", euler_run)
+    expected = [_simulation_error(cfg, nu) for nu in cfg.nu_values]
+    assert expected[1:] == ["NS run failed", "Euler run failed", "Euler run failed"]
+    with pytest.raises(RuntimeError) as info:
+        run_sweep(cfg, jobs=jobs)
+    assert str(info.value) == "every nu failed: " + "; ".join(
+        f"nu={nu!r}: {msg}" for nu, msg in zip(cfg.nu_values, expected)
+    )
 
 
 def test_report_files_and_manifest(small_sweep_serial, tmp_path):

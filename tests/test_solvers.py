@@ -1,6 +1,8 @@
 """Channel schemes, exact shear series, and paired runs."""
 
 from collections import Counter
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -487,6 +489,77 @@ def test_run_simulation_pairs_runs():
     a = pair.ns.states[0].velocity.comp1[:, 1:]
     b = pair.euler.states[0].velocity.comp1[:, 1:]
     assert np.allclose(a, b, atol=1e-12)
+
+
+def test_paired_runs_step_euler_once_after_the_first_ns_success(monkeypatch):
+    cfg = SimulationConfig(
+        nx=16, ny=33, nu=1e-3, dt=5e-3, t_final=0.05, n_outputs=5, preset="shear"
+    )
+    nus = (1e-2, -1.0, 1e-3, 1e-2)
+    real_ns, real_euler, order = (NavierStokesIntegrator.run, EulerIntegrator.run, [])
+
+    def ns_run(self, *args, **kwargs):
+        order.append(self.nu)
+        return real_ns(self, *args, **kwargs)
+
+    def euler_run(self, *args, **kwargs):
+        order.append("euler")
+        return real_euler(self, *args, **kwargs)
+
+    monkeypatch.setattr(NavierStokesIntegrator, "run", ns_run)
+    monkeypatch.setattr(EulerIntegrator, "run", euler_run)
+    outcomes = list(solvers._paired_runs(lambda nu: replace(cfg, nu=nu), nus))
+    assert order == [1e-2, "euler", 1e-3, 1e-2]
+    assert isinstance(outcomes[1], ValueError) and "nu must be positive" in str(outcomes[1])
+    pairs = [outcomes[i] for i in (0, 2, 3)]
+    assert pairs[0].euler is pairs[1].euler is pairs[2].euler
+    monkeypatch.undo()
+    for nu, pair in zip((1e-2, 1e-3, 1e-2), pairs):
+        alone = run_simulation(replace(cfg, nu=nu))
+        for got, want in ((pair.ns, alone.ns), (pair.euler, alone.euler)):
+            assert got.times.tobytes() == want.times.tobytes()
+            for a, b in zip(got.states, want.states):
+                assert a.velocity.comp1.tobytes() == b.velocity.comp1.tobytes()
+                assert a.vorticity.values.tobytes() == b.vorticity.values.tobytes()
+
+
+def test_paired_runs_raise_a_failed_euler_run_after_each_ns_run(monkeypatch):
+    cfg = SimulationConfig(
+        nx=16, ny=33, nu=1e-3, dt=5e-3, t_final=0.05, n_outputs=5, preset="shear"
+    )
+    real_ns = NavierStokesIntegrator.run
+
+    def ns_run(self, *args, **kwargs):
+        if self.nu == 1e-2:
+            raise RuntimeError("NS run failed")
+        return real_ns(self, *args, **kwargs)
+
+    def euler_run(self, *args, **kwargs):
+        raise CFLError("Euler run failed")
+
+    monkeypatch.setattr(NavierStokesIntegrator, "run", ns_run)
+    monkeypatch.setattr(EulerIntegrator, "run", euler_run)
+    outcomes = list(solvers._paired_runs(lambda nu: replace(cfg, nu=nu),
+                                         (1e-2, 1e-3, 1e-4)))
+    assert [str(o) for o in outcomes] == ["NS run failed"] + ["Euler run failed"] * 2
+    with pytest.raises(CFLError, match="Euler run failed"):
+        run_simulation(cfg)
+
+
+def test_paired_runs_hold_no_pair_past_its_yield(monkeypatch):
+    cfg = SimulationConfig(
+        nx=16, ny=33, nu=1e-3, dt=5e-3, t_final=0.05, n_outputs=5, preset="shear"
+    )
+    real_ns, earlier = NavierStokesIntegrator.run, []
+
+    def ns_run(self, *args, **kwargs):
+        assert all(ref() is None for ref in earlier)  # freed before this NS run
+        return real_ns(self, *args, **kwargs)
+
+    monkeypatch.setattr(NavierStokesIntegrator, "run", ns_run)
+    runs = solvers._paired_runs(lambda nu: replace(cfg, nu=nu), (1e-2, 1e-3, 1e-4))
+    for _ in range(3):
+        earlier.append(weakref.ref(next(runs).ns))
 
 
 def test_unknown_preset_rejected():
