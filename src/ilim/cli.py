@@ -17,7 +17,7 @@ import numpy as np
 
 from ._version import __version__
 from .correctors import verify_corrector_scalings
-from .criteria import evaluate_criteria
+from .criteria import MSchedule, evaluate_criteria
 from .harness import (
     _CONFIG_SCHEMA,
     SweepConfig,
@@ -28,7 +28,7 @@ from .harness import (
     shear_limit_study,
 )
 from .snapshots import load_trajectory, save_trajectory
-from .solvers import run_simulation
+from .solvers import _step_count, run_simulation
 
 __all__ = ["cli_dispatch", "main"]
 
@@ -65,8 +65,8 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
     def add_schedule_flags(p):
-        _config_flag(p, "--M-form", "m_form", choices=("constant", "power"),
-                     help="viscosity schedule M_nu(t): constant or c*nu^a")
+        _config_flag(p, "--M-form", "m_form",
+                     help="viscosity schedule M_nu(t): constant or power (c*nu^a)")
         _config_flag(p, "--M-c", "m_c", help="schedule constant c")
         _config_flag(p, "--M-a", "m_a", help="schedule power a")
 
@@ -129,9 +129,9 @@ def _build_parser() -> _Parser:
     p_shear = sub.add_parser("shear-verify",
                              help="exact shear-series inviscid-limit study")
     _config_flag(p_shear, "--nu", "nu_values", metavar="NU",
-                 default="1e-2,1e-3,1e-4,1e-5", help="comma list of viscosities")
-    _config_flag(p_shear, "--T", "t_final", default=1.0)
-    _config_flag(p_shear, "--ny", "ny", default=193)
+                 help="comma list of viscosities")
+    _config_flag(p_shear, "--T", "t_final")
+    _config_flag(p_shear, "--ny", "ny")
     add_schedule_flags(p_shear)
     add_layer_flags(p_shear)
     p_shear.add_argument("--out", metavar="DIR", default="shear-report",
@@ -139,11 +139,21 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _in_section(prefix, fn, *args):
+    """fn(*args), with `prefix` (the config section at fault) put before the
+    cause of a ValueError or TypeError it raises."""
+    try:
+        return fn(*args)
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"{prefix} {exc}") from None
+
+
 def _load_config(args) -> SweepConfig:
     """The --config file, else the SweepConfig defaults, with every given
-    flag applied.  A value that is bad for every nu fails here, before any
-    run: the schedule, the layer spec and, for the commands that run the
-    solvers, the simulation config, its grid and its initial data."""
+    flag applied.  Each value was checked as its config row was parsed; for
+    the commands that run the solvers, the rules that join several keys are
+    checked here, before any run: the grid, the time partition and the
+    initial data."""
     if getattr(args, "config", None) is not None:
         cfg = parse_config(args.config)
     elif args.command == "sweep":
@@ -156,15 +166,10 @@ def _load_config(args) -> SweepConfig:
     for _, _, name, _ in _CONFIG_SCHEMA:
         if getattr(args, name, None) is not None:
             setattr(cfg, name, getattr(args, name))
-    cfg.schedule()
-    cfg.layer_spec()
     if args.command in ("simulate", "sweep"):
-        sim = cfg.simulation_config(cfg.nu_values[0])
-        grid = sim.make_grid()
-        try:
-            sim.initial_data(grid)
-        except (ValueError, TypeError) as exc:
-            raise ValueError(f"[data] preset = {cfg.preset}: {exc}") from None
+        grid = _in_section("[grid]", cfg.make_grid)
+        _in_section("[time]", _step_count, cfg.dt, cfg.t_final, cfg.n_outputs)
+        _in_section(f"[data] preset = {cfg.preset}:", cfg.initial_data, grid)
     return cfg
 
 
@@ -221,9 +226,7 @@ def _cmd_criteria(args) -> int:
 
 
 def _cmd_corrector_check(args) -> int:
-    p_values = []
-    for tok in args.p.replace(",", " ").split():
-        p_values.append(np.inf if tok.strip().lower() == "inf" else float(tok))
+    p_values = [float(tok) for tok in args.p.replace(",", " ").split()]
     if not p_values:
         raise ValueError("empty p list")
     if args.samples < 3:
@@ -231,11 +234,11 @@ def _cmd_corrector_check(args) -> int:
     if not (0.0 < args.at_min < args.at_max):
         raise ValueError("need 0 < min < max")
     at = np.geomspace(args.at_min, args.at_max, args.samples)
+    reports = [verify_corrector_scalings(p, at) for p in p_values]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     worst = 0.0
-    for p in p_values:
-        report = verify_corrector_scalings(p, at)
+    for p, report in zip(p_values, reports):
         tag = "inf" if np.isinf(p) else f"{p:g}"
         path = out / f"scaling_p{tag}.csv"
         report.write_csv(path)
@@ -248,16 +251,17 @@ def _cmd_corrector_check(args) -> int:
 
 
 def _cmd_shear_verify(args) -> int:
-    cfg = _load_config(args)
-    result = shear_limit_study(
-        nu_values=cfg.nu_values,
-        t_final=cfg.t_final,
-        ny=cfg.ny,
-        schedule=cfg.schedule(),
-        layer_c=cfg.layer_c,
-        # one r when --r is given, else all of 1, 2 and inf
-        r_values=(cfg.r,) if args.r is not None else (1.0, 2.0, np.inf),
-    )
+    # only the flags given, so shear_limit_study's signature holds the defaults
+    given = {name: v for name, v in vars(args).items() if v is not None}
+    study = {name: given[name] for name in ("nu_values", "t_final", "ny", "layer_c")
+             if name in given}
+    schedule = {key: given[f"m_{key}"] for key in ("form", "c", "a")
+                if f"m_{key}" in given}
+    if schedule:
+        study["schedule"] = MSchedule(**schedule)
+    if "r" in given:
+        study["r_values"] = (given["r"],)
+    result = shear_limit_study(**study)
     names = emit_shear_report(result, args.out)
     for i, nu in enumerate(result.nu_values):
         print(f"nu={nu!r}: sup_error_sq={float(result.sup_err_sq[i])!r}")

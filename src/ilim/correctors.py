@@ -11,12 +11,13 @@ the streamfunction.  A curved variant works in wall-fitted coordinates
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
 
+from .criteria import _write_csv
 from .grid import Grid, ScalarField, VectorField, x_derivative, y_derivative
 
 __all__ = [
@@ -301,13 +302,9 @@ class ScalingReport:
     rows: tuple
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("quantity,p,fitted_exponent,expected_exponent,residual\n")
-            for r in self.rows:
-                fh.write(
-                    f"{r.quantity},{r.p!r},{r.fitted_exponent!r},"
-                    f"{r.expected_exponent!r},{r.residual!r}\n"
-                )
+        """One column per ScalingRow field, in field order."""
+        _write_csv(path, ",".join(f.name for f in fields(ScalingRow)),
+                   map(astuple, self.rows))
 
 
 def _lp_samples(v, x, p):
@@ -361,12 +358,9 @@ def verify_corrector_scalings(p, alpha_tau, trace_funcs=None, period=2.0 * np.pi
         raise ValueError("alpha*tau samples must be positive")
     if at[-1] / at[0] < 100.0:
         raise ValueError("alpha*tau samples must span at least 2 decades")
-    if np.isinf(p):
-        inv_p = 0.0
-    else:
-        if p < 1.0:
-            raise ValueError("p must be >= 1")
-        inv_p = 1.0 / p
+    if not p >= 1.0:
+        raise ValueError("p must be >= 1")
+    inv_p = 0.0 if np.isinf(p) else 1.0 / p
 
     if trace_funcs is None:
         trace_funcs = (np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x))

@@ -45,18 +45,21 @@ class MSchedule:
     def __post_init__(self):
         if self.form not in ("constant", "power", "table"):
             raise ValueError(f"unknown schedule form {self.form!r}")
-        if self.form in ("constant", "power") and self.c <= 0.0:
-            raise ValueError("schedule amplitude must be positive")
+        # an infinite M clamps every layer to nothing: a vacuous pass
+        if self.form in ("constant", "power") and not 0.0 < self.c < np.inf:
+            raise ValueError("schedule amplitude must be positive and finite")
+        if not abs(self.a) < np.inf:
+            raise ValueError("schedule power a must be finite")
         if self.form == "table":
             if self.table is None:
                 raise ValueError("table form needs (t, M) samples")
             ts, ms = (np.asarray(v, dtype=float) for v in self.table)
             if ts.ndim != 1 or ts.shape != ms.shape or ts.size < 2:
                 raise ValueError("table needs matching 1-d t and M samples")
-            if np.any(np.diff(ts) <= 0.0) or ts[0] != 0.0:
+            if not np.all(np.diff(ts) > 0.0) or ts[0] != 0.0:
                 raise ValueError("table times must start at 0 and increase")
-            if np.any(ms <= 0.0):
-                raise ValueError("table M values must be positive")
+            if not np.all((0.0 < ms) & (ms < np.inf)):
+                raise ValueError("table M values must be positive and finite")
             object.__setattr__(self, "table", (ts, ms))
 
     def value(self, nu: float, t: float) -> float:
@@ -92,9 +95,9 @@ class LayerSpec:
     use_du1dy: bool = False
 
     def __post_init__(self):
-        if self.C <= 1.0:
+        if not self.C > 1.0:
             raise ValueError("layer constant C must exceed 1")
-        if not np.isinf(self.r) and self.r < 1.0:
+        if not self.r >= 1.0:
             raise ValueError("r must be >= 1 (inf allowed)")
 
 

@@ -115,8 +115,8 @@ def make_channel_grid(nx, ny, period, height, clustering="uniform", strength=2.0
         raise ValueError("nx must be an even integer >= 4")
     if ny < 3:
         raise ValueError("ny must be >= 3")
-    if not (period > 0.0 and height > 0.0):
-        raise ValueError("period and height must be positive")
+    if not (0.0 < period < np.inf and 0.0 < height < np.inf):
+        raise ValueError("period and height must be finite and positive")
     if clustering == "uniform":
         y = np.linspace(0.0, height, ny)
         strength = 0.0

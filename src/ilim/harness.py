@@ -13,7 +13,7 @@ from __future__ import annotations
 import configparser
 import json
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -37,8 +37,14 @@ from .criteria import (
 )
 from .grid import ScalarField, VectorField, make_channel_grid, strength_for_min_spacing
 from .initial_data import shear_profile_exp
-from .solvers import FlowState, SimulationConfig, Trajectory, _paired_runs
-from .solvers import ShearFlow
+from .solvers import (
+    FlowState,
+    ShearFlow,
+    SimulationConfig,
+    Trajectory,
+    _paired_runs,
+    _RunFields,
+)
 
 __all__ = [
     "SweepConfig",
@@ -55,22 +61,9 @@ __all__ = [
 
 
 @dataclass
-class SweepConfig:
+class SweepConfig(_RunFields):
     """Everything a sweep needs, independent of nu."""
 
-    nx: int = 128
-    ny: int = 193
-    period: float = 2.0 * np.pi
-    height: float = 6.0
-    clustering: str = "tanh"
-    strength: float = 2.0
-    dt: float = 2e-3
-    t_final: float = 0.5
-    n_outputs: int = 10
-    preset: str = "shear"
-    amplitude: float = 1.0
-    seed: int = 0
-    preset_options: dict = field(default_factory=dict)
     nu_values: tuple = (1e-2, 1e-3, 1e-4)
     m_form: str = "power"
     m_c: float = 1.0
@@ -86,8 +79,7 @@ class SweepConfig:
         return LayerSpec(C=self.layer_c, r=self.r, use_du1dy=self.use_du1dy)
 
     def simulation_config(self, nu: float) -> SimulationConfig:
-        shared = {f.name: getattr(self, f.name) for f in fields(SimulationConfig)
-                  if f.name != "nu"}
+        shared = {f.name: getattr(self, f.name) for f in fields(_RunFields)}
         shared["preset_options"] = dict(self.preset_options)
         return SimulationConfig(nu=nu, **shared).validate()
 
@@ -132,20 +124,10 @@ def _parse_nu_list(value) -> tuple:
     return nus
 
 
-def _parse_r(text) -> float:
-    if str(text).strip().lower() in ("inf", "infinity"):
-        return np.inf
-    r = float(text)
-    if not r >= 1.0:
-        raise ValueError("r must be >= 1 or 'inf'")
-    return r
-
-
-def _parse_layer_c(text) -> float:
-    c = float(text)
-    if not c > 1.0:
-        raise ValueError("layer constant C must exceed 1")
-    return c
+def _owned(owner, arg, parse=float):
+    """A row parser that hands the parsed value to `owner` as its `arg`, so
+    the type that owns the rule (LayerSpec, MSchedule) checks it."""
+    return lambda text: getattr(owner(**{arg: parse(text)}), arg)
 
 
 def _parse_bool(value) -> bool:
@@ -175,11 +157,11 @@ _CONFIG_SCHEMA = (
     ("data", "amplitude", "amplitude", float),
     ("data", "seed", "seed", int),
     ("sweep", "nu", "nu_values", _parse_nu_list),
-    ("schedule", "form", "m_form", str),
-    ("schedule", "c", "m_c", float),
-    ("schedule", "a", "m_a", float),
-    ("layer", "C", "layer_c", _parse_layer_c),
-    ("layer", "r", "r", _parse_r),
+    ("schedule", "form", "m_form", _owned(MSchedule, "form", str)),
+    ("schedule", "c", "m_c", _owned(MSchedule, "c")),
+    ("schedule", "a", "m_a", _owned(MSchedule, "a")),
+    ("layer", "C", "layer_c", _owned(LayerSpec, "C")),
+    ("layer", "r", "r", _owned(LayerSpec, "r")),
     ("layer", "use_du1dy", "use_du1dy", _parse_bool),
 )
 

@@ -338,6 +338,20 @@ def _check_finite(omega_hat, t):
         raise RuntimeError(f"solution lost finiteness near t = {t!r}")
 
 
+def _step_count(dt: float, t_final: float, n_outputs: int) -> int:
+    """The number of steps of size dt to t_final.  Raises ValueError unless
+    dt and t_final are finite and positive, t_final is a whole number (>= 1)
+    of steps, and n_outputs divides that number."""
+    if not (0.0 < dt < np.inf and 0.0 < t_final < np.inf):
+        raise ValueError("dt and t_final must be finite and positive")
+    n_steps = int(round(t_final / dt))
+    if n_steps < 1 or abs(n_steps * dt - t_final) > 1e-9 * max(1.0, t_final):
+        raise ValueError("t_final must be an integer number of steps of dt")
+    if n_outputs < 1 or n_steps % n_outputs != 0:
+        raise ValueError("n_outputs must divide t_final/dt")
+    return n_steps
+
+
 def _march(integ, u0: VectorField, t_final: float, n_outputs: int,
            track_energy: bool, wall_mean: float = 0.0) -> Trajectory:
     """The AB2 time loop both schemes share; `integ` brings the wall closure.
@@ -354,11 +368,7 @@ def _march(integ, u0: VectorField, t_final: float, n_outputs: int,
     condition of the velocity.
     """
     grid, ops, dt, nu = integ.grid, integ.ops, integ.dt, integ.nu
-    n_steps = int(round(t_final / dt))
-    if abs(n_steps * dt - t_final) > 1e-9 * max(1.0, t_final):
-        raise ValueError("t_final must be an integer number of steps")
-    if n_outputs < 1 or n_steps % n_outputs != 0:
-        raise ValueError("n_outputs must divide the step count")
+    n_steps = _step_count(dt, t_final, n_outputs)
     every = n_steps // n_outputs
 
     def project(omega_hat, psi_hat):
@@ -408,9 +418,9 @@ class NavierStokesIntegrator:
     slip = False
 
     def __init__(self, grid: Grid, nu: float, dt: float):
-        if nu <= 0.0:
+        if not nu > 0.0:
             raise ValueError("nu must be positive")
-        if dt <= 0.0:
+        if not dt > 0.0:
             raise ValueError("dt must be positive")
         self.grid = grid
         self.nu = nu
@@ -436,7 +446,7 @@ class EulerIntegrator:
     nu = 0.0
 
     def __init__(self, grid: Grid, dt: float):
-        if dt <= 0.0:
+        if not dt > 0.0:
             raise ValueError("dt must be positive")
         self.grid = grid
         self.dt = dt
@@ -541,8 +551,10 @@ def shear_exact(v0, nu: float, t: float, grid_y, n_modes: int = 4096) -> np.ndar
 
 
 @dataclass
-class SimulationConfig:
-    """One paired (viscous, inviscid) run specification."""
+class _RunFields:
+    """The fields of a paired run that do not depend on nu: grid, time
+    partition and initial data.  A single run adds nu (SimulationConfig), a
+    sweep its nu list and criteria (harness.SweepConfig)."""
 
     nx: int = 128
     ny: int = 193
@@ -550,7 +562,6 @@ class SimulationConfig:
     height: float = 6.0
     clustering: str = "tanh"
     strength: float = 2.0
-    nu: float = 1e-3
     dt: float = 2e-3
     t_final: float = 0.5
     n_outputs: int = 10
@@ -558,20 +569,6 @@ class SimulationConfig:
     amplitude: float = 1.0
     seed: int = 0
     preset_options: dict = field(default_factory=dict)
-
-    def validate(self):
-        if self.clustering not in ("uniform", "tanh"):
-            raise ValueError(f"unknown clustering {self.clustering!r}")
-        if self.nu <= 0.0:
-            raise ValueError("nu must be positive")
-        if self.dt <= 0.0 or self.t_final <= 0.0:
-            raise ValueError("dt and t_final must be positive")
-        n_steps = int(round(self.t_final / self.dt))
-        if n_steps < 1 or abs(n_steps * self.dt - self.t_final) > 1e-9 * max(1.0, self.t_final):
-            raise ValueError("t_final must be an integer multiple of dt")
-        if self.n_outputs < 1 or n_steps % self.n_outputs != 0:
-            raise ValueError("n_outputs must divide t_final/dt")
-        return self
 
     def make_grid(self) -> Grid:
         return make_channel_grid(self.nx, self.ny, self.period, self.height,
@@ -583,6 +580,22 @@ class SimulationConfig:
 
         return build_initial_data(self.preset, grid, amplitude=self.amplitude,
                                   seed=self.seed, **self.preset_options)
+
+
+@dataclass
+class SimulationConfig(_RunFields):
+    """One paired (viscous, inviscid) run specification."""
+
+    nu: float = 1e-3
+
+    def validate(self):
+        """Raise ValueError unless nu is positive, the grid can be built and
+        the time partition holds (`_step_count`); returns self."""
+        if not self.nu > 0.0:
+            raise ValueError("nu must be positive")
+        self.make_grid()
+        _step_count(self.dt, self.t_final, self.n_outputs)
+        return self
 
 
 def _initial_velocity(config: SimulationConfig) -> VectorField:

@@ -226,6 +226,8 @@ def test_scaling_report_validation():
         verify_corrector_scalings(2.0, [1e-3, 2e-3, 4e-3])  # under two decades
     with pytest.raises(ValueError):
         verify_corrector_scalings(0.5, np.geomspace(1e-3, 1e-1, 5))
+    with pytest.raises(ValueError, match="p must be >= 1"):
+        verify_corrector_scalings(np.nan, np.geomspace(1e-3, 1e-1, 5))
     with pytest.raises(ValueError):
         verify_corrector_scalings(2.0, [-1e-3, 1e-2, 1e-1])
 

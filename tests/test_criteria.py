@@ -70,6 +70,12 @@ def test_schedule_table_interpolation_and_integral():
         dict(form="table", table=((0.5, 1.0), (1.0, 1.0))),
         dict(form="table", table=((0.0, 1.0, 0.5), (1.0, 1.0, 1.0))),
         dict(form="table", table=((0.0, 1.0), (1.0, -1.0))),
+        dict(form="table", table=((0.0, np.nan), (1.0, 1.0))),
+        dict(form="table", table=((0.0, 1.0), (1.0, np.nan))),
+        dict(form="table", table=((0.0, 1.0), (1.0, np.inf))),
+        dict(form="power", c=np.nan),
+        dict(form="constant", c=np.inf),  # M = inf would clamp every layer
+        dict(form="power", a=np.nan),
     ],
 )
 def test_schedule_validation(kwargs):
@@ -82,6 +88,10 @@ def test_layer_spec_validation():
         LayerSpec(C=1.0)
     with pytest.raises(ValueError):
         LayerSpec(r=0.5)
+    with pytest.raises(ValueError):
+        LayerSpec(C=np.nan)
+    with pytest.raises(ValueError):
+        LayerSpec(r=np.nan)
     assert np.isinf(LayerSpec(r=np.inf).r)
 
 

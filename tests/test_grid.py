@@ -60,6 +60,7 @@ def test_tanh_grid_clusters_near_wall():
         dict(nx=8, ny=5, period=1.0, height=-1.0),
         dict(nx=8, ny=5, period=1.0, height=1.0, clustering="spline"),
         dict(nx=8, ny=5, period=1.0, height=1.0, clustering="tanh", strength=0.0),
+        dict(nx=8, ny=5, period=np.inf, height=1.0),
     ],
 )
 def test_grid_validation_errors(kwargs):

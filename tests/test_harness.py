@@ -117,6 +117,11 @@ def test_parse_config_free_form_preset_options(tmp_path):
         ("[sweep]\nnu =\n", "at least one nu"),
         ("[layer]\nr = 0.5\n", r"^\[layer\] r = 0.5: r must be >= 1"),
         ("[layer]\nC = 0.5\n", r"^\[layer\] C = 0.5: layer constant C must exceed 1"),
+        ("[layer]\nr = nan\n", r"^\[layer\] r = nan: r must be >= 1"),
+        ("[schedule]\nc = nan\n", r"^\[schedule\] c = nan: schedule amplitude must be"),
+        ("[schedule]\nc = inf\n", r"^\[schedule\] c = inf: .* must be positive and finite"),
+        ("[schedule]\nform = foo\n", r"^\[schedule\] form = foo: unknown schedule form"),
+        ("[schedule]\nform = table\n", r"^\[schedule\] form = table: table form needs"),
         ("[data]\namplitude = abc\n", r"^\[data\] amplitude = abc: could not convert"),
         ("[data]\nseed = x\n", r"^\[data\] seed = x: invalid literal"),
     ],
@@ -134,14 +139,23 @@ def test_parse_config_rejects_bad_input(tmp_path, body, match):
     (None, ["--C", "0.5"], "layer constant C must exceed 1"),
     (None, ["--nu=-1e-3"], "--nu -1e-3: nu values must be positive"),
     # errors that hold for every nu, found before the first run
-    (("n_outputs = 5", "n_outputs = 3"), [], "n_outputs must divide t_final/dt"),
+    (("n_outputs = 5", "n_outputs = 3"), [], "[time] n_outputs must divide t_final/dt"),
     (("form = power", "form = foo"), [], "unknown schedule form 'foo'"),
-    (("clustering = tanh", "clustering = foo"), [], "unknown clustering 'foo'"),
-    (("strength = 2.0", "strength = -1.0"), [], "tanh clustering requires strength > 0"),
+    (("clustering = tanh", "clustering = foo"), [], "[grid] unknown clustering 'foo'"),
+    (("strength = 2.0", "strength = -1.0"), [],
+     "[grid] tanh clustering requires strength > 0"),
     (("preset = shear", "preset = plume"), [],
      "[data] preset = plume: unknown preset 'plume'"),
     (("seed = 0", "seed = 0\nsigma = 0.5"), [],
      "[data] preset = shear: _shear() got an unexpected keyword argument 'sigma'"),
+    (("c = 2.5", "c = nan"), [], "[schedule] c = nan: schedule amplitude must be positive"),
+    (("form = power", "form = table"), [], "[schedule] form = table: table form needs"),
+    (("a = 0.5", "a = inf"), [], "[schedule] a = inf: schedule power a must be finite"),
+    (None, ["--M-form", "foo"], "--M-form foo: unknown schedule form 'foo'"),
+    (("t_final = 0.05", "t_final = inf"), [],
+     "[time] dt and t_final must be finite and positive"),
+    (("dt = 5e-3", "dt = nan"), [], "[time] dt and t_final must be finite and positive"),
+    (("nx = 16", "nx = 15"), [], "[grid] nx must be an even integer >= 4"),
 ])
 def test_cli_rejects_bad_layer_value_before_running(tmp_path, capsys, edit,
                                                     flags, cause):
@@ -577,9 +591,13 @@ def test_cli_corrector_check(tmp_path, capsys):
     assert len(lines) == 6
 
 
-def test_cli_corrector_check_validation():
+def test_cli_corrector_check_validation(tmp_path):
     assert cli_dispatch(["corrector-check", "--samples", "2"]) == 1
     assert cli_dispatch(["corrector-check", "--min", "1.0", "--max", "0.1"]) == 1
+    # a NaN p is rejected, not written as an all-NaN report that passes
+    out = tmp_path / "corr"
+    assert cli_dispatch(["corrector-check", "--p", "2,nan", "--out", str(out)]) == 1
+    assert not out.exists()
 
 
 def test_cli_shear_verify(tmp_path, capsys):
@@ -593,6 +611,15 @@ def test_cli_shear_verify(tmp_path, capsys):
     rates = json.loads((out / "rates.json").read_text())
     assert rates["nu"] == [0.01, 0.001]
     assert all(rates["criteria_all_pass"].values())
+
+
+def test_cli_shear_verify_defaults_are_the_study_defaults(tmp_path):
+    # a flag not given leaves shear_limit_study's own default
+    assert cli_dispatch(["shear-verify", "--out", str(tmp_path / "cli")]) == 0
+    names = sorted(emit_shear_report(shear_limit_study(), tmp_path / "api"))
+    assert sorted(p.name for p in (tmp_path / "cli").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "api" / name).read_bytes()
 
 
 def test_cli_shear_verify_has_no_du1dy_flag(tmp_path, capsys):

@@ -466,6 +466,13 @@ def test_shear_flow_requires_profile_or_coeffs():
 def test_simulation_config_validation():
     with pytest.raises(ValueError):
         SimulationConfig(nu=0.0).validate()
+    with pytest.raises(ValueError, match="nu must be positive"):
+        SimulationConfig(nu=np.nan).validate()
+    # non-finite times are a ValueError, not an OverflowError or a NaN cast
+    with pytest.raises(ValueError, match="finite and positive"):
+        SimulationConfig(t_final=np.inf).validate()
+    with pytest.raises(ValueError, match="finite and positive"):
+        SimulationConfig(dt=np.nan).validate()
     with pytest.raises(ValueError):
         SimulationConfig(dt=-1e-3).validate()
     with pytest.raises(ValueError):
@@ -474,6 +481,11 @@ def test_simulation_config_validation():
         SimulationConfig(dt=2e-3, t_final=0.5, n_outputs=7).validate()
     with pytest.raises(ValueError, match="unknown clustering 'foo'"):
         SimulationConfig(clustering="foo").validate()
+    # the grid is checked by building it
+    with pytest.raises(ValueError, match="nx must be an even integer"):
+        SimulationConfig(nx=7).validate()
+    with pytest.raises(ValueError, match="requires strength > 0"):
+        SimulationConfig(strength=np.nan).validate()
     assert SimulationConfig().validate() is not None
 
 
