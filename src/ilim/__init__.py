@@ -3,170 +3,21 @@
 Paired Navier-Stokes (no-slip) / Euler (slip) solvers, boundary-layer
 correctors with verified norm scalings, layer-criterion evaluation, and
 a sweep harness that measures the vanishing-viscosity convergence rate.
+
+Each module's `__all__` is the one list of its public names; this package
+re-exports all of them.
 """
 
+from . import analysis, correctors, criteria, grid, harness, initial_data, snapshots, solvers
 from ._version import __version__
-from .analysis import (
-    BoundCurves,
-    EnergyBudget,
-    ErrorSeries,
-    RateFit,
-    calibrate_bound_constant,
-    energy_budget,
-    error_series,
-    fit_rate,
-    gronwall_envelope,
-    theorem_bounds,
-    trace_corrector_provider,
-)
-from .correctors import (
-    CorrectorParams,
-    CurvedChart,
-    Mollifier,
-    ScalingReport,
-    WallTrace,
-    corrector_time_derivative,
-    curved_corrector,
-    curved_divergence,
-    curved_gamma,
-    default_eta,
-    flat_corrector,
-    flat_corrector_wall_gradient,
-    make_curved_chart,
-    make_mollifier,
-    plateau_eta,
-    trace_from_callable,
-    verify_corrector_scalings,
-)
-from .criteria import (
-    CriterionReport,
-    LayerSpec,
-    MSchedule,
-    boundary_vorticity_condition,
-    evaluate_criteria,
-    kato_condition,
-    layer_height,
-    no_backflow_margin,
-    scales_from_trace,
-)
-from .grid import (
-    Grid,
-    Region,
-    ScalarField,
-    VectorField,
-    divergence2d,
-    curl2d,
-    gradient,
-    grids_compatible,
-    integrate,
-    layer_region,
-    lp_norm,
-    make_channel_grid,
-    strength_for_min_spacing,
-)
-from .harness import (
-    ShearStudyResult,
-    SweepConfig,
-    SweepResult,
-    emit_report,
-    emit_shear_report,
-    parse_config,
-    run_sweep,
-    shear_limit_study,
-    sweep_config_from_dict,
-)
-from .initial_data import PRESETS, build_initial_data
-from .snapshots import load_trajectory, read_snapshot, save_trajectory, write_snapshot
-from .solvers import (
-    CFLError,
-    EulerIntegrator,
-    FlowState,
-    NavierStokesIntegrator,
-    PairedRun,
-    ShearFlow,
-    SimulationConfig,
-    Trajectory,
-    kinetic_energy,
-    run_simulation,
-    shear_exact,
-)
+from .analysis import *
+from .correctors import *
+from .criteria import *
+from .grid import *
+from .harness import *
+from .initial_data import *
+from .snapshots import *
+from .solvers import *
 
-__all__ = [
-    "__version__",
-    "BoundCurves",
-    "EnergyBudget",
-    "ErrorSeries",
-    "RateFit",
-    "calibrate_bound_constant",
-    "energy_budget",
-    "error_series",
-    "fit_rate",
-    "gronwall_envelope",
-    "theorem_bounds",
-    "trace_corrector_provider",
-    "CorrectorParams",
-    "CurvedChart",
-    "Mollifier",
-    "ScalingReport",
-    "WallTrace",
-    "corrector_time_derivative",
-    "curved_corrector",
-    "curved_divergence",
-    "curved_gamma",
-    "default_eta",
-    "flat_corrector",
-    "flat_corrector_wall_gradient",
-    "make_curved_chart",
-    "make_mollifier",
-    "plateau_eta",
-    "trace_from_callable",
-    "verify_corrector_scalings",
-    "CriterionReport",
-    "LayerSpec",
-    "MSchedule",
-    "boundary_vorticity_condition",
-    "evaluate_criteria",
-    "kato_condition",
-    "layer_height",
-    "no_backflow_margin",
-    "scales_from_trace",
-    "Grid",
-    "Region",
-    "ScalarField",
-    "VectorField",
-    "divergence2d",
-    "curl2d",
-    "gradient",
-    "grids_compatible",
-    "integrate",
-    "layer_region",
-    "lp_norm",
-    "make_channel_grid",
-    "strength_for_min_spacing",
-    "ShearStudyResult",
-    "SweepConfig",
-    "SweepResult",
-    "emit_report",
-    "emit_shear_report",
-    "parse_config",
-    "run_sweep",
-    "shear_limit_study",
-    "sweep_config_from_dict",
-    "PRESETS",
-    "build_initial_data",
-    "load_trajectory",
-    "read_snapshot",
-    "save_trajectory",
-    "write_snapshot",
-    "CFLError",
-    "EulerIntegrator",
-    "FlowState",
-    "NavierStokesIntegrator",
-    "PairedRun",
-    "ShearFlow",
-    "SimulationConfig",
-    "Trajectory",
-    "kinetic_energy",
-    "run_simulation",
-    "shear_exact",
-]
+_MODULES = (analysis, correctors, criteria, grid, harness, initial_data, snapshots, solvers)
+__all__ = ["__version__", *(name for module in _MODULES for name in module.__all__)]

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .correctors import (
     CorrectorParams,
@@ -233,6 +232,8 @@ def gronwall_envelope(times, rate_c: float, forcing) -> np.ndarray:
         f = lambda t: float(np.interp(t, times, samples))
     if times.size == 1:
         return np.zeros(1)
+    from scipy.integrate import solve_ivp
+
     sol = solve_ivp(
         lambda t, y: 2.0 * rate_c * y + 2.0 * f(t),
         (0.0, float(times[-1])),

@@ -15,7 +15,6 @@ from dataclasses import astuple, dataclass, fields
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .criteria import _write_csv
 from .grid import Grid, ScalarField, VectorField, x_derivative, y_derivative
@@ -43,8 +42,9 @@ __all__ = [
 ]
 
 # Exponents below ~ -700 underflow in f64; treat the bump as exactly zero
-# once 1/w would exceed that.
-_W_FLOOR = 1.0 / 700.0
+# once 1/w would exceed that, and cut e^{-z} integrals off there.
+_EXP_CAP = 700.0
+_W_FLOOR = 1.0 / _EXP_CAP
 
 
 def _exp_bump(w, dw=None):
@@ -477,22 +477,32 @@ def make_curved_chart(delta: float = 1.0, h=None, eta=None, eta_support=None) ->
     )
 
 
+def _weighted_eta(chart: CurvedChart, at, za, zb, limit, epsrel) -> float:
+    """at * int_za^zb e^{-z} eta(z at) dz by quadrature, with zb cut off at
+    _EXP_CAP; 0 when the cut interval is empty."""
+    from scipy.integrate import quad
+
+    zb = min(zb, _EXP_CAP)
+    if za >= zb:
+        return 0.0
+    val, _ = quad(
+        lambda z: np.exp(-z) * float(chart.eta(np.array(z * at))),
+        za,
+        zb,
+        limit=limit,
+        epsrel=epsrel,
+        epsabs=0.0,
+    )
+    return at * val
+
+
 def curved_gamma(alpha: float, tau: float, chart: CurvedChart) -> float:
     """gamma = int_0^delta e^{-y/(alpha tau)} eta(y) dy (= alpha*tau up to
     O((alpha*tau)^3) for eta with unit value and flat slope at the wall)."""
     at = alpha * tau
     if at <= 0.0:
         raise ValueError("curved_gamma requires alpha*tau > 0")
-    zmax = min(chart.eta_support / at, 700.0)
-    val, _ = quad(
-        lambda z: np.exp(-z) * float(chart.eta(np.array(z * at))),
-        0.0,
-        zmax,
-        limit=300,
-        epsrel=1e-13,
-        epsabs=0.0,
-    )
-    return at * val
+    return _weighted_eta(chart, at, 0.0, chart.eta_support / at, limit=300, epsrel=1e-13)
 
 
 def _cumulative_weighted_eta(ybins, at, chart: CurvedChart):
@@ -504,18 +514,7 @@ def _cumulative_weighted_eta(ybins, at, chart: CurvedChart):
     cut = chart.eta_support
 
     def seg(a, b):
-        za, zb = a / at, min(b, cut) / at
-        if za >= 700.0 or zb <= za:
-            return 0.0
-        zb = min(zb, 700.0)
-        return at * quad(
-            lambda z: np.exp(-z) * float(chart.eta(np.array(z * at))),
-            za,
-            zb,
-            limit=200,
-            epsrel=1e-12,
-            epsabs=0.0,
-        )[0]
+        return _weighted_eta(chart, at, a / at, min(b, cut) / at, limit=200, epsrel=1e-12)
 
     p = np.zeros_like(ybins)
     acc = 0.0

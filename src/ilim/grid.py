@@ -59,6 +59,7 @@ class Grid:
             raise ValueError("y grid must start exactly at the wall x2 = 0")
         if not np.all(np.diff(self.y) > 0.0):
             raise ValueError("y coordinates must be strictly increasing")
+        _check_stencils(self.y)
         total = float(self.quad_weights.sum())
         target = self.period * self.height
         if abs(total - target) > 1e-12 * target:
@@ -322,6 +323,17 @@ def _d1_stencils(y: np.ndarray):
         c / (d * (c + d)),
     )
     return lo, di, up, bottom, top
+
+
+def _check_stencils(y: np.ndarray) -> None:
+    """Raise ValueError unless the d/dy and d2/dy2 coefficients on `y` are
+    finite and, bar the d/dy diagonal (zero on uniform rows), nonzero;
+    spacings too large or too small overflow or flush them."""
+    with np.errstate(all="ignore"):
+        lo, di, up, bottom, top = _d1_stencils(y)
+        nonzero = np.concatenate([lo, up, bottom, top, *_d2_interior(y)])
+    if not (np.all(np.isfinite(di)) and np.all(np.isfinite(nonzero) & (nonzero != 0.0))):
+        raise ValueError("height and ny give wall-normal spacings whose derivative stencils overflow or vanish")
 
 
 def _apply_d1(stencils, vals):

@@ -130,6 +130,13 @@ def _owned(owner, arg, parse=float):
     return lambda text: getattr(owner(**{arg: parse(text)}), arg)
 
 
+def _parse_finite(value) -> float:
+    value = float(value)
+    if not np.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
 def _parse_bool(value) -> bool:
     if isinstance(value, bool):
         return value
@@ -154,7 +161,7 @@ _CONFIG_SCHEMA = (
     ("time", "t_final", "t_final", float),
     ("time", "n_outputs", "n_outputs", int),
     ("data", "preset", "preset", str),
-    ("data", "amplitude", "amplitude", float),
+    ("data", "amplitude", "amplitude", _parse_finite),
     ("data", "seed", "seed", int),
     ("sweep", "nu", "nu_values", _parse_nu_list),
     ("schedule", "form", "m_form", _owned(MSchedule, "form", str)),

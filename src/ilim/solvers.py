@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import dst
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, zgbtrf, zgbtrs, zgttrs
 
@@ -492,6 +491,8 @@ class ShearFlow:
         else:
             if v0 is None:
                 raise ValueError("provide a profile callable or coefficients")
+            from scipy.fft import dst
+
             n = int(n_modes)
             y_mid = (np.arange(n) + 0.5) * (self.height / n)
             b = dst(np.asarray(v0(y_mid), dtype=float), type=4) / n

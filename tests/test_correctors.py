@@ -322,12 +322,23 @@ def test_curved_gamma_constant_eta_closed_form():
         curved_gamma(0.5, 0.0, chart)
 
 
+def _eta_quad(chart, at, za, zb, limit, epsrel):
+    """at * int_za^zb e^{-z} eta(z at) dz with quad's own settings given."""
+    val, _ = quad(lambda z: np.exp(-z) * float(chart.eta(np.array(z * at))),
+                  za, zb, limit=limit, epsrel=epsrel, epsabs=0.0)
+    return at * val
+
+
 def test_curved_gamma_cubic_defect():
     # for the default cap, alpha*tau - gamma ~ 16 (alpha*tau)^3 / delta^2
     chart = make_curved_chart(delta=1.0)
     at = 1e-2
     gap = at - curved_gamma(1.0, at, chart)
     assert gap / (16.0 * at**3) == pytest.approx(1.0, abs=0.01)
+    # one quadrature over the support, at limit 300 and epsrel 1e-13 (at
+    # 5e-2, epsrel 1e-12 would give other bits)
+    for at in (1e-2, 5e-2):
+        assert curved_gamma(1.0, at, chart) == _eta_quad(chart, at, 0.0, 0.5 / at, 300, 1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +370,20 @@ def test_curved_corrector_wall_and_support(curved_grid):
     beyond = curved_grid.y >= 1.0
     assert np.all(f.comp1[:, beyond] == 0.0)
     assert np.all(f.comp2[:, beyond] == 0.0)
+    # P sums one quadrature per node gap inside the eta support, at limit
+    # 200 and epsrel 1e-12, and gamma closes it at the support's edge
+    y, at, cut = curved_grid.y, 0.05, chart.eta_support
+    ends = np.append(np.minimum(y, cut), cut)
+    segs = [_eta_quad(chart, at, a / at, b / at, 200, 1e-12) if b > a else 0.0
+            for a, b in zip(ends[:-1], ends[1:])]
+    p = np.cumsum([0.0, *segs])
+    gamma = p[-1]
+    p = np.where(y >= cut, gamma, p[:-1])
+    e = np.exp(-y / at)
+    comp1 = -u[:, None] * (e * chart.eta(y))[None, :] + gamma * u[:, None] * chart.psi_delta(y)[None, :]
+    comp2 = tr.du_dx[:, None] * (p - gamma * chart.psi_delta_antiderivative(y))[None, :] / (1.0 + y)
+    assert np.array_equal(f.comp1, comp1)
+    assert np.array_equal(f.comp2, comp2)
 
 
 def test_curved_corrector_validates_metric(curved_grid):

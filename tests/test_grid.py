@@ -68,6 +68,13 @@ def test_grid_validation_errors(kwargs):
         make_channel_grid(**kwargs)
 
 
+@pytest.mark.parametrize("height", [1e300, 1e-300])
+def test_grid_rejects_spacings_that_break_the_stencils(height):
+    # found before any stencil is used, and without an overflow warning
+    with pytest.raises(ValueError, match="derivative stencils overflow or vanish"):
+        make_channel_grid(16, 33, 1.0, height)
+
+
 def test_strength_for_min_spacing_hits_target():
     target = 1e-3
     s = strength_for_min_spacing(65, 2.0, target)

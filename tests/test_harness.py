@@ -124,6 +124,8 @@ def test_parse_config_free_form_preset_options(tmp_path):
         ("[schedule]\nform = table\n", r"^\[schedule\] form = table: table form needs"),
         ("[data]\namplitude = abc\n", r"^\[data\] amplitude = abc: could not convert"),
         ("[data]\nseed = x\n", r"^\[data\] seed = x: invalid literal"),
+        ("[data]\namplitude = nan\n", r"^\[data\] amplitude = nan: not a finite number"),
+        ("[data]\namplitude = -inf\n", r"^\[data\] amplitude = -inf: not a finite number"),
     ],
 )
 def test_parse_config_rejects_bad_input(tmp_path, body, match):
@@ -156,6 +158,9 @@ def test_parse_config_rejects_bad_input(tmp_path, body, match):
      "[time] dt and t_final must be finite and positive"),
     (("dt = 5e-3", "dt = nan"), [], "[time] dt and t_final must be finite and positive"),
     (("nx = 16", "nx = 15"), [], "[grid] nx must be an even integer >= 4"),
+    (("amplitude = 1.0", "amplitude = nan"), [], "[data] amplitude = nan: not a finite number"),
+    (("height = 6.0", "height = 1e300"), [],
+     "[grid] height and ny give wall-normal spacings whose derivative stencils overflow"),
 ])
 def test_cli_rejects_bad_layer_value_before_running(tmp_path, capsys, edit,
                                                     flags, cause):
