@@ -28,7 +28,7 @@ from .harness import (
     shear_limit_study,
 )
 from .snapshots import load_trajectory, save_trajectory
-from .solvers import _step_count, run_simulation
+from .solvers import run_simulation
 
 __all__ = ["cli_dispatch", "main"]
 
@@ -139,21 +139,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _in_section(prefix, fn, *args):
-    """fn(*args), with `prefix` (the config section at fault) put before the
-    cause of a ValueError or TypeError it raises."""
-    try:
-        return fn(*args)
-    except (ValueError, TypeError) as exc:
-        raise ValueError(f"{prefix} {exc}") from None
-
-
 def _load_config(args) -> SweepConfig:
     """The --config file, else the SweepConfig defaults, with every given
-    flag applied.  Each value was checked as its config row was parsed; for
-    the commands that run the solvers, the rules that join several keys are
-    checked here, before any run: the grid, the time partition and the
-    initial data."""
+    flag applied.  Each value was checked as its config row was parsed;
+    the library checks the rules that join several keys as a run is set up."""
     if getattr(args, "config", None) is not None:
         cfg = parse_config(args.config)
     elif args.command == "sweep":
@@ -166,10 +155,6 @@ def _load_config(args) -> SweepConfig:
     for _, _, name, _ in _CONFIG_SCHEMA:
         if getattr(args, name, None) is not None:
             setattr(cfg, name, getattr(args, name))
-    if args.command in ("simulate", "sweep"):
-        grid = _in_section("[grid]", cfg.make_grid)
-        _in_section("[time]", _step_count, cfg.dt, cfg.t_final, cfg.n_outputs)
-        _in_section(f"[data] preset = {cfg.preset}:", cfg.initial_data, grid)
     return cfg
 
 

@@ -11,7 +11,6 @@ the config order, and nothing records wall-clock time.
 from __future__ import annotations
 
 import configparser
-import json
 import os
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -35,15 +34,18 @@ from .criteria import (
     layer_height,
     write_criteria_csv,
 )
-from .grid import ScalarField, VectorField, make_channel_grid, strength_for_min_spacing
+from .grid import make_channel_grid, strength_for_min_spacing
 from .initial_data import shear_profile_exp
+from .snapshots import _write_json
 from .solvers import (
-    FlowState,
     ShearFlow,
     SimulationConfig,
     Trajectory,
+    _in_section,
+    _initial_velocity,
     _paired_runs,
     _RunFields,
+    _state,
 )
 
 __all__ = [
@@ -81,7 +83,7 @@ class SweepConfig(_RunFields):
     def simulation_config(self, nu: float) -> SimulationConfig:
         shared = {f.name: getattr(self, f.name) for f in fields(_RunFields)}
         shared["preset_options"] = dict(self.preset_options)
-        return SimulationConfig(nu=nu, **shared).validate()
+        return SimulationConfig(nu=nu, **shared)
 
     def to_dict(self) -> dict:
         d = {section: {} for section, _, _, _ in _CONFIG_SCHEMA}
@@ -137,6 +139,13 @@ def _parse_finite(value) -> float:
     return value
 
 
+def _parse_seed(value) -> int:
+    value = int(value)
+    if value < 0:
+        raise ValueError("not a non-negative integer")
+    return value
+
+
 def _parse_bool(value) -> bool:
     if isinstance(value, bool):
         return value
@@ -162,7 +171,7 @@ _CONFIG_SCHEMA = (
     ("time", "n_outputs", "n_outputs", int),
     ("data", "preset", "preset", str),
     ("data", "amplitude", "amplitude", _parse_finite),
-    ("data", "seed", "seed", int),
+    ("data", "seed", "seed", _parse_seed),
     ("sweep", "nu", "nu_values", _parse_nu_list),
     ("schedule", "form", "m_form", _owned(MSchedule, "form", str)),
     ("schedule", "c", "m_c", _owned(MSchedule, "c")),
@@ -177,12 +186,13 @@ _ROW_BY_KEY = {(section, key): (name, parse)
 
 
 def _preset_option(text):
-    """A free-form [data] value: an int, else a float, else the text."""
+    """A free-form [data] value: an int, else a finite float, else the text."""
     for kind in (int, float):
         try:
-            return kind(text)
+            value = kind(text)
         except ValueError:
-            pass
+            continue
+        return value if kind is int else _parse_finite(value)
     return text  # e.g. profile = exp
 
 
@@ -199,16 +209,15 @@ def parse_config(path) -> SweepConfig:
         if section not in sections:
             raise ValueError(f"unknown config section [{section}]")
         for key, text in cp.items(section):
-            if (section, key) in _ROW_BY_KEY:
-                name, parse = _ROW_BY_KEY[(section, key)]
-                try:
-                    setattr(cfg, name, parse(text))
-                except ValueError as exc:
-                    raise ValueError(f"[{section}] {key} = {text}: {exc}") from None
-            elif section == "data":
-                cfg.preset_options[key] = _preset_option(text)
-            else:
+            row = _ROW_BY_KEY.get((section, key))
+            if row is None and section != "data":
                 raise ValueError(f"unknown config key {key!r} in [{section}]")
+            with _in_section(f"[{section}] {key} = {text}:"):
+                if row is None:
+                    cfg.preset_options[key] = _preset_option(text)
+                else:
+                    name, parse = row
+                    setattr(cfg, name, parse(text))
     return cfg
 
 
@@ -277,10 +286,13 @@ def run_sweep(config: SweepConfig, jobs: int | None = None) -> SweepResult:
     argument (the --jobs flag), else the ILIM_JOBS environment variable,
     else all available cores.  Results are ordered by the config's nu list
     regardless of worker scheduling, so output is identical for any worker
-    count.  Raises RuntimeError if every nu failed.
+    count.  A grid, time or data fault raises `_initial_velocity`'s
+    ValueError before any worker starts; a fault of one nu fails only its
+    record.  Raises RuntimeError if every nu failed.
     """
     if not config.nu_values:
         raise ValueError("sweep needs at least one nu")
+    _initial_velocity(config)
     if jobs is None:
         env = os.environ.get("ILIM_JOBS")
         jobs = int(env) if env is not None else (os.cpu_count() or 1)
@@ -318,12 +330,6 @@ def _rate_fits(nus, sups):
     if nus.size < 3 or not np.all(sups > 0.0):
         return None, None
     return fit_rate(nus, sups), fit_rate(nus, np.sqrt(sups))
-
-
-def _write_json(path, obj):
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _write_dat(path, cols):
@@ -455,15 +461,8 @@ def _shear_series_trajectory(grid, scheme: str, nu: float, times, w, om
     for t, w_t, om_t in zip(times, w, om):
         u1 = np.broadcast_to(w_t, grid.shape).copy()
         u1[:, 0] = 0.0
-        states.append(
-            FlowState(
-                grid=grid,
-                t=float(t),
-                nu=nu,
-                velocity=VectorField(grid, u1, np.zeros(grid.shape)),
-                vorticity=ScalarField(grid, np.broadcast_to(om_t, grid.shape).copy()),
-            )
-        )
+        states.append(_state(grid, t, nu, u1, np.zeros(grid.shape),
+                             np.broadcast_to(om_t, grid.shape).copy()))
     return Trajectory(
         grid=grid,
         scheme=scheme,
@@ -498,10 +497,7 @@ def shear_limit_study(
     output time; the layered bound constant is calibrated on the first
     `n_calibration` nu values and checked on the rest.
     """
-    if not nu_values:
-        raise ValueError("study needs at least one nu value")
-    if any(nu <= 0.0 for nu in nu_values):
-        raise ValueError("nu values must be positive")
+    nu_values = _parse_nu_list(nu_values)
     if schedule is None:
         schedule = MSchedule(form="power", c=1.0, a=0.5)
     flow = ShearFlow(v0=profile or shear_profile_exp, height=height,

@@ -110,8 +110,13 @@ def save_trajectory(traj, directory) -> None:
         },
         "snapshots": names,
     }
-    with open(directory / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    _write_json(directory / "manifest.json", manifest)
+
+
+def _write_json(path, obj) -> None:
+    """Write `obj` as JSON, as every manifest and report is: sorted keys, indent 2."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

@@ -24,6 +24,7 @@ mode is then solved in a single LAPACK call.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,13 +74,17 @@ class FlowState:
     vorticity: ScalarField
 
     def __post_init__(self):
-        v = self.velocity
-        if v.grid is not self.grid or self.vorticity.grid is not self.grid:
+        if self.velocity.grid is not self.grid or self.vorticity.grid is not self.grid:
             raise ValueError("state fields must live on the state grid")
-        if np.any(v.comp2[:, 0] != 0.0) or np.any(v.comp2[:, -1] != 0.0):
-            raise ValueError("wall-normal velocity must vanish exactly at walls")
-        if self.nu > 0.0 and np.any(v.comp1[:, 0] != 0.0):
-            raise ValueError("no-slip wall requires comp1 = 0 at x2 = 0")
+        _check_walls(self.velocity, no_slip=self.nu > 0.0)
+
+
+def _check_walls(velocity: VectorField, no_slip: bool) -> None:
+    """Raise ValueError unless the velocity meets the wall conditions."""
+    if np.any(velocity.comp2[:, 0] != 0.0) or np.any(velocity.comp2[:, -1] != 0.0):
+        raise ValueError("wall-normal velocity must vanish exactly at walls")
+    if no_slip and np.any(velocity.comp1[:, 0] != 0.0):
+        raise ValueError("no-slip wall requires comp1 = 0 at x2 = 0")
 
 
 @dataclass(frozen=True)
@@ -571,17 +576,6 @@ class _RunFields:
     seed: int = 0
     preset_options: dict = field(default_factory=dict)
 
-    def make_grid(self) -> Grid:
-        return make_channel_grid(self.nx, self.ny, self.period, self.height,
-                                 clustering=self.clustering, strength=self.strength)
-
-    def initial_data(self, grid: Grid) -> VectorField:
-        """The preset's initial velocity on `grid`."""
-        from .initial_data import build_initial_data
-
-        return build_initial_data(self.preset, grid, amplitude=self.amplitude,
-                                  seed=self.seed, **self.preset_options)
-
 
 @dataclass
 class SimulationConfig(_RunFields):
@@ -590,24 +584,40 @@ class SimulationConfig(_RunFields):
     nu: float = 1e-3
 
     def validate(self):
-        """Raise ValueError unless nu is positive, the grid can be built and
-        the time partition holds (`_step_count`); returns self."""
+        """Raise ValueError unless nu is positive and `_initial_velocity`
+        accepts the config; returns self."""
         if not self.nu > 0.0:
             raise ValueError("nu must be positive")
-        self.make_grid()
-        _step_count(self.dt, self.t_final, self.n_outputs)
+        _initial_velocity(self)
         return self
 
 
-def _initial_velocity(config: SimulationConfig) -> VectorField:
-    """`config`'s initial velocity on its grid, checked against both wall
-    conditions (no-slip and impermeability) so the two runs genuinely
-    share it."""
-    u0 = config.initial_data(config.make_grid())
-    if np.any(u0.comp1[:, 0] != 0.0):
-        raise ValueError("initial data must satisfy no-slip at the wall")
-    if np.any(u0.comp2[:, 0] != 0.0) or np.any(u0.comp2[:, -1] != 0.0):
-        raise ValueError("initial data must be impermeable at wall and top")
+@contextmanager
+def _in_section(prefix):
+    """Put `prefix` (the config section at fault) before the cause of a
+    ValueError or TypeError raised inside the block."""
+    try:
+        yield
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"{prefix} {exc}") from None
+
+
+def _initial_velocity(config: _RunFields) -> VectorField:
+    """`config`'s initial velocity on its grid.  Every rule that joins run
+    fields is checked here, each ValueError naming its config section: the
+    grid, the time partition, and the preset data with both wall conditions
+    (no-slip and impermeability), so the two runs genuinely share them."""
+    from .initial_data import build_initial_data
+
+    with _in_section("[grid]"):
+        grid = make_channel_grid(config.nx, config.ny, config.period, config.height,
+                                 clustering=config.clustering, strength=config.strength)
+    with _in_section("[time]"):
+        _step_count(config.dt, config.t_final, config.n_outputs)
+    with _in_section(f"[data] preset = {config.preset}:"):
+        u0 = build_initial_data(config.preset, grid, amplitude=config.amplitude,
+                                seed=config.seed, **config.preset_options)
+        _check_walls(u0, no_slip=True)
     return u0
 
 
@@ -615,17 +625,18 @@ def _paired_runs(config_of, nu_values):
     """Yield, for each nu in turn, what `run_simulation(config_of(nu))`
     gives: its PairedRun, or the exception it raises.
 
-    The configs may differ only in nu.  The Euler run has no nu in it, so
-    it is stepped once, after the first Navier-Stokes run that succeeds,
-    and paired with every NS run; if it fails, each NS run that succeeds
-    gets its exception, as `run_simulation` would raise it.  Nothing the
-    generator holds outlives a yield, so the caller alone decides when a
-    pair is freed.
+    The configs may differ only in nu, so one `_initial_velocity` serves
+    them all; nu's own rule is NavierStokesIntegrator's.  The Euler run has
+    no nu in it, so it is stepped once, after the first Navier-Stokes run
+    that succeeds, and paired with every NS run; if it fails, each NS run
+    that succeeds gets its exception, as `run_simulation` would raise it.
+    Nothing the generator holds outlives a yield, so the caller alone
+    decides when a pair is freed.
     """
     u0 = euler = None
     for nu in nu_values:
         try:
-            config = config_of(nu).validate()
+            config = config_of(nu)
             if u0 is None:
                 u0 = _initial_velocity(config)
             ns = NavierStokesIntegrator(u0.grid, config.nu, config.dt).run(
@@ -651,8 +662,8 @@ def _paired_runs(config_of, nu_values):
 def run_simulation(config: SimulationConfig) -> PairedRun:
     """Run the viscous and inviscid schemes from identical initial data.
 
-    The initial field must satisfy both wall conditions (no-slip and
-    impermeability) so the two runs genuinely share it.
+    A config that breaks a grid, time or data rule raises the ValueError
+    of `_initial_velocity`, which names the config section at fault.
     """
     (outcome,) = _paired_runs(lambda nu: config, [config.nu])
     if isinstance(outcome, Exception):

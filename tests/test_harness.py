@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ilim import solvers
 from ilim.analysis import error_series
 from ilim.cli import cli_dispatch
 from ilim.criteria import CRITERIA_CSV_HEADER, CriterionReport, evaluate_criteria
@@ -126,6 +127,10 @@ def test_parse_config_free_form_preset_options(tmp_path):
         ("[data]\nseed = x\n", r"^\[data\] seed = x: invalid literal"),
         ("[data]\namplitude = nan\n", r"^\[data\] amplitude = nan: not a finite number"),
         ("[data]\namplitude = -inf\n", r"^\[data\] amplitude = -inf: not a finite number"),
+        # a free-form preset option that reads as a number must be finite
+        ("[data]\nsigma = nan\n", r"^\[data\] sigma = nan: not a finite number"),
+        ("[data]\nsigma = inf\n", r"^\[data\] sigma = inf: not a finite number"),
+        ("[data]\nseed = -1\n", r"^\[data\] seed = -1: not a non-negative integer"),
     ],
 )
 def test_parse_config_rejects_bad_input(tmp_path, body, match):
@@ -161,6 +166,13 @@ def test_parse_config_rejects_bad_input(tmp_path, body, match):
     (("amplitude = 1.0", "amplitude = nan"), [], "[data] amplitude = nan: not a finite number"),
     (("height = 6.0", "height = 1e300"), [],
      "[grid] height and ny give wall-normal spacings whose derivative stencils overflow"),
+    (("preset = shear", "preset = vortex\nsigma = inf"), [],
+     "[data] sigma = inf: not a finite number"),
+    # the seed is checked under every preset, used or not
+    (("seed = 0", "seed = -1"), [], "[data] seed = -1: not a non-negative integer"),
+    (("preset = shear\namplitude = 1.0\nseed = 0",
+      "preset = perturbed-shear\namplitude = 1.0\nseed = -1"), [],
+     "[data] seed = -1: not a non-negative integer"),
 ])
 def test_cli_rejects_bad_layer_value_before_running(tmp_path, capsys, edit,
                                                     flags, cause):
@@ -291,6 +303,40 @@ def test_sweep_isolates_failing_nu(tmp_path):
     assert rates["nu"] == [0.01]
 
 
+class _NoPool:
+    def __init__(self, processes):
+        raise AssertionError("a worker pool was started")
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"clustering": "foo"}, "[grid] unknown clustering 'foo'"),
+    ({"preset": "plume"}, "[data] preset = plume: unknown preset 'plume'"),
+    ({"t_final": 0.0501}, "[time] t_final must be an integer number of steps of dt"),
+])
+def test_sweep_set_up_faults_raise_before_any_worker(monkeypatch, edit, message):
+    monkeypatch.setattr(multiprocessing, "Pool", _NoPool)
+    with pytest.raises(ValueError) as info:
+        run_sweep(SweepConfig(**{**SMALL, **edit}), jobs=2)
+    assert str(info.value).startswith(message)
+
+
+def test_grid_builds_per_set_up(monkeypatch):
+    real, calls = solvers.make_channel_grid, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "make_channel_grid", counting)
+    cfg = SweepConfig(**SMALL)
+    # a serial sweep: one set-up check before the workers, one set-up in
+    # the lone worker for all three nu; a lone paired run: one set-up
+    run_sweep(cfg, jobs=1)
+    assert len(calls) == 2
+    run_simulation(cfg.simulation_config(1e-3))
+    assert len(calls) == 3
+
+
 def test_sweep_raises_when_every_nu_fails():
     cfg = SweepConfig(**{**SMALL, "nu_values": (-1.0, -2.0)})
     with pytest.raises(RuntimeError, match="every nu failed"):
@@ -359,8 +405,9 @@ def _simulation_error(cfg, nu) -> str:
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_sweep_failure_messages_follow_run_simulation(monkeypatch, jobs):
-    # shares at jobs = 2: (-1.0, 1e-2) sets up on its second nu, and
-    # (1e-3, 1e-4) steps its Euler run only after 1e-4's NS run
+    # shares at jobs = 2: (-1.0, 1e-2) sets up on -1.0, before its nu
+    # check fails, and (1e-3, 1e-4) steps its Euler run only after 1e-4's
+    # NS run
     monkeypatch.setattr(multiprocessing, "Pool", _InlinePool)
     cfg = SweepConfig(**{**SMALL, "nu_values": (-1.0, 1e-3, 1e-2, 1e-4)})
     real_ns = NavierStokesIntegrator.run
@@ -469,6 +516,8 @@ def test_shear_study_validation():
         shear_limit_study(nu_values=())
     with pytest.raises(ValueError):
         shear_limit_study(nu_values=(1e-3, 0.0))
+    with pytest.raises(ValueError, match="nu values must be positive"):
+        shear_limit_study(nu_values=(1e-3, np.nan))
 
 
 def test_shear_report_files(tmp_path):

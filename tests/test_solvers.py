@@ -10,7 +10,7 @@ from scipy.linalg import LinAlgError, solve_banded
 
 import ilim.solvers as solvers
 from ilim.grid import ScalarField, VectorField, curl2d, make_channel_grid
-from ilim.initial_data import build_initial_data, shear_profile_exp
+from ilim.initial_data import PRESETS, build_initial_data, shear_profile_exp
 from ilim.solvers import (
     CFLError,
     _ChannelOperators,
@@ -487,6 +487,33 @@ def test_simulation_config_validation():
     with pytest.raises(ValueError, match="requires strength > 0"):
         SimulationConfig(strength=np.nan).validate()
     assert SimulationConfig().validate() is not None
+
+
+def _slipping(grid, amplitude, seed):
+    """Initial data that slip at the wall (comp1 = 1 everywhere)."""
+    return VectorField(grid, np.ones(grid.shape), np.zeros(grid.shape))
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"clustering": "foo"}, "[grid] unknown clustering 'foo'"),
+    ({"nx": 7}, "[grid] nx must be an even integer >= 4"),
+    ({"t_final": 0.0501}, "[time] t_final must be an integer number of steps of dt"),
+    ({"n_outputs": 3}, "[time] n_outputs must divide t_final/dt"),
+    ({"preset": "plume"},
+     "[data] preset = plume: unknown preset 'plume'; expected one of "
+     "['adverse-shear', 'perturbed-shear', 'shear', 'slipping', 'vortex']"),
+    ({"preset": "slipping"},
+     "[data] preset = slipping: no-slip wall requires comp1 = 0 at x2 = 0"),
+])
+def test_run_simulation_names_the_section_at_fault(monkeypatch, edit, message):
+    # run_simulation and validate share one set-up check, so one message
+    monkeypatch.setitem(PRESETS, "slipping", _slipping)
+    small = dict(nx=16, ny=33, dt=5e-3, t_final=0.05, n_outputs=5)
+    cfg = SimulationConfig(**{**small, **edit})
+    for check in (run_simulation, SimulationConfig.validate):
+        with pytest.raises(ValueError) as info:
+            check(cfg)
+        assert str(info.value) == message, check
 
 
 def test_run_simulation_pairs_runs():
