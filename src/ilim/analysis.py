@@ -9,6 +9,7 @@ import numpy as np
 from .correctors import (
     CorrectorParams,
     WallTrace,
+    _flat_gradient,
     _zero_field,
     corrector_time_derivative,
     flat_corrector,
@@ -44,8 +45,13 @@ class ErrorSeries:
 
 
 def _dot(w, a, b):
-    """Weighted integral of a . b, the products summed in component order."""
-    return float(np.sum(w * sum((x * y for x, y in zip(a[1:], b[1:])), a[0] * b[0])))
+    """Weighted integral of a . b, the products summed in component order
+    into the first one, in place."""
+    acc = a[0] * b[0]
+    for x, y in zip(a[1:], b[1:]):
+        acc += x * y
+    acc *= w
+    return float(np.sum(acc))
 
 
 def error_series(ns_traj, euler_traj) -> ErrorSeries:
@@ -118,15 +124,20 @@ def _grad(grid, f):
 
 
 def _advect(a, g):
-    """(a . grad) f of a component pair a, with g = _grad of f."""
-    return a[0] * g[0] + a[1] * g[1], a[0] * g[2] + a[1] * g[3]
+    """(a . grad) f of a component pair a, with g = _grad of f; each
+    component sums into its first product, in place."""
+    c1, c2 = a[0] * g[0], a[0] * g[2]
+    c1 += a[1] * g[1]
+    c2 += a[1] * g[3]
+    return c1, c2
 
 
-def _budget_row(w, nu, u, ubar, phi, dphi_dt, grid):
+def _budget_row(w, nu, u, ubar, phi, dphi_dt, g_phi, grid):
     """Pointwise integrands of one budget row; u is the viscous field,
-    ubar the inviscid one, phi the corrector, v = u - ubar the gap."""
+    ubar the inviscid one, phi the corrector with gradient g_phi (ordered as
+    `_grad`'s), v = u - ubar the gap."""
     u, ubar, phi, dphi_dt = ((f.comp1, f.comp2) for f in (u, ubar, phi, dphi_dt))
-    g_u, g_phi, g_bar = (_grad(grid, f) for f in (u, phi, ubar))
+    g_u, g_bar = _grad(grid, u), _grad(grid, ubar)
     e = (u[0] - ubar[0] - phi[0], u[1] - ubar[1] - phi[1])     # v - phi
     adv_phi = _advect(u, g_phi)     # (u . grad) phi
     gb_e = _advect(e, g_bar)        # ((v-phi) . grad) ubar
@@ -151,17 +162,21 @@ def _series_rate(times, vals):
 def energy_budget(ns_traj, euler_traj, corrector_provider=None) -> EnergyBudget:
     """Assemble the budget row by row along a paired run.
 
-    corrector_provider(i, t, euler_state) must return the corrector and
-    its time derivative at output index i; by default the corrector is
-    the zero field (appropriate whenever the inviscid trace vanishes).
+    corrector_provider(i, t, euler_state) returns the tuple
+    (phi, dphi_dt, grad_phi) at output index i: the corrector and its time
+    derivative as VectorFields, and grad phi as the four arrays
+    (d1 phi1, d2 phi1, d1 phi2, d2 phi2).  By default the corrector is the
+    zero field (appropriate whenever the inviscid trace vanishes).  Each row
+    differentiates only u and ubar: 8 two-dimensional FFTs and 4
+    two-dimensional d/dx2 stencil passes.
     The residual is lhs_rate + dissipation - (I1 + I2 + R); for an exact
     solution pair it vanishes, discretely it shrinks at the scheme order.
     """
     times = _paired_times(ns_traj, euler_traj)
     grid = ns_traj.grid
     if corrector_provider is None:
-        zero = _zero_field(grid)
-        corrector_provider = lambda i, t, euler_state: (zero, zero)
+        zero_row = _zero_row(grid)
+        corrector_provider = lambda i, t, euler_state: zero_row
     rows = [
         _budget_row(grid.quad_weights, ns_traj.nu, s_ns.velocity, s_e.velocity,
                     *corrector_provider(i, s_ns.t, s_e), grid)
@@ -182,25 +197,35 @@ def energy_budget(ns_traj, euler_traj, corrector_provider=None) -> EnergyBudget:
     )
 
 
+def _zero_row(grid):
+    """The provider tuple of a zero corrector: (phi, dphi_dt, grad_phi)."""
+    zero = _zero_field(grid)
+    return zero, zero, (zero.comp1,) * 4
+
+
 def trace_corrector_provider(euler_traj, alpha: float):
     """Corrector provider fed by the inviscid wall trace of a run.
 
+    The provider returns energy_budget's tuple (phi, dphi_dt, grad_phi).
     The trace time derivative is a second-order difference of the
-    sampled trace; the corrector itself is the flat variant.
+    sampled trace; the corrector itself is the flat variant, and its
+    gradient comes from its 1-D factors (`correctors._flat_gradient`).
+    At t = 0 all three are zero.
     """
     grid = euler_traj.grid
     times = euler_traj.times
     traces = np.stack([s.velocity.comp1[:, 0] for s in euler_traj.states])
     rates = _series_rate(times, traces.T).T
+    zero_row = _zero_row(grid)
 
     def provider(i, t, euler_state):
         u = traces[i]
         trace = WallTrace(u=u, du_dx=x_derivative(grid, u))
         params = CorrectorParams(alpha=alpha, t=float(t), trace=trace)
         if t == 0.0:
-            return _zero_field(grid), _zero_field(grid)
+            return zero_row
         dphi = corrector_time_derivative(params, grid, rates[i])
-        return flat_corrector(params, grid), dphi.field
+        return flat_corrector(params, grid), dphi.field, _flat_gradient(params, grid)
 
     return provider
 

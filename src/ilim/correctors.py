@@ -226,6 +226,22 @@ def flat_corrector(params: CorrectorParams, grid: Grid) -> VectorField:
     return VectorField(grid, comp1, comp2)
 
 
+def _flat_gradient(params: CorrectorParams, grid: Grid):
+    """grad of `flat_corrector` at t > 0 from its 1-D factors, ordered as
+    (d1 comp1, d2 comp1, d1 comp2, d2 comp2):
+    -U' f1, -U D f1, at U'' f2 and at U' D f2.  U'' is spectral and D is the
+    d/dx2 stencil, the derivatives `gradient` takes, so the result equals
+    `gradient` of each component at round-off, with no 2-D transform."""
+    tr = params.trace
+    at = params.alpha * params.tau
+    _, f1, f2 = _flat_profiles(grid.y, at, make_mollifier())
+    d2u = x_derivative(grid, tr.du_dx)
+    return (-tr.du_dx[:, None] * f1[None, :],
+            -tr.u[:, None] * y_derivative(grid, f1)[None, :],
+            at * d2u[:, None] * f2[None, :],
+            at * tr.du_dx[:, None] * y_derivative(grid, f2)[None, :])
+
+
 def flat_corrector_wall_gradient(params: CorrectorParams, grid: Grid) -> np.ndarray:
     """Analytic wall-normal gradient of comp1 at the wall: U/(alpha*tau).
 

@@ -9,6 +9,7 @@ Quadrature is uniform-in-x1 times trapezoidal-in-x2.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -176,6 +177,16 @@ def grids_compatible(a: "Grid", b: "Grid") -> bool:
         and a.height == b.height
         and np.array_equal(a.y, b.y)
     )
+
+
+@contextmanager
+def _in_section(prefix):
+    """Put `prefix` (the config section or key at fault) before the cause of
+    a ValueError or TypeError raised inside the block."""
+    try:
+        yield
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"{prefix} {exc}") from None
 
 
 def _paired_times(a, b) -> np.ndarray:

@@ -34,14 +34,13 @@ from .criteria import (
     layer_height,
     write_criteria_csv,
 )
-from .grid import make_channel_grid, strength_for_min_spacing
-from .initial_data import shear_profile_exp
+from .grid import _in_section, make_channel_grid, strength_for_min_spacing
+from .initial_data import _finite, _seed, shear_profile_exp
 from .snapshots import _write_json
 from .solvers import (
     ShearFlow,
     SimulationConfig,
     Trajectory,
-    _in_section,
     _initial_velocity,
     _paired_runs,
     _RunFields,
@@ -133,17 +132,11 @@ def _owned(owner, arg, parse=float):
 
 
 def _parse_finite(value) -> float:
-    value = float(value)
-    if not np.isfinite(value):
-        raise ValueError("not a finite number")
-    return value
+    return _finite(float(value))
 
 
 def _parse_seed(value) -> int:
-    value = int(value)
-    if value < 0:
-        raise ValueError("not a non-negative integer")
-    return value
+    return _seed(int(value))
 
 
 def _parse_bool(value) -> bool:
@@ -186,13 +179,14 @@ _ROW_BY_KEY = {(section, key): (name, parse)
 
 
 def _preset_option(text):
-    """A free-form [data] value: an int, else a finite float, else the text."""
+    """A free-form [data] value: an int, else a float, else the text, held
+    to build_initial_data's option rule."""
     for kind in (int, float):
         try:
             value = kind(text)
         except ValueError:
             continue
-        return value if kind is int else _parse_finite(value)
+        return _finite(value)
     return text  # e.g. profile = exp
 
 

@@ -7,9 +7,12 @@ the inviscid run), so a single field can seed the pair.
 
 from __future__ import annotations
 
+import inspect
+import numbers
+
 import numpy as np
 
-from .grid import Grid, VectorField
+from .grid import Grid, VectorField, _in_section
 
 __all__ = [
     "PRESETS",
@@ -117,12 +120,38 @@ PRESETS = {
 }
 
 
+def _finite(value):
+    """`value`, unless it is a number that is not finite: the rule of the
+    amplitude and of every numeric preset option."""
+    if isinstance(value, numbers.Real) and not np.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
+def _seed(value):
+    """`value`, if it is a non-negative integer: the rule of the seed,
+    checked under every preset, whether it draws random numbers or not."""
+    if not (isinstance(value, numbers.Integral) and value >= 0):
+        raise ValueError("not a non-negative integer")
+    return value
+
+
 def build_initial_data(preset: str, grid: Grid, amplitude: float = 1.0,
                        seed: int = 0, **options) -> VectorField:
-    try:
+    """`preset`'s velocity on `grid`; `options` are the preset's own keyword
+    parameters.  Each ValueError names the argument at fault, as in
+    `seed = -1: not a non-negative integer` or `preset = vortex: ...`."""
+    for key, value, rule in (("amplitude", amplitude, _finite), ("seed", seed, _seed),
+                             *((key, value, _finite) for key, value in options.items())):
+        with _in_section(f"{key} = {value}:"):
+            rule(value)
+    with _in_section(f"preset = {preset}:"):
+        if preset not in PRESETS:
+            raise ValueError(f"unknown preset {preset!r}; expected one of {sorted(PRESETS)}")
         builder = PRESETS[preset]
-    except KeyError:
-        raise ValueError(
-            f"unknown preset {preset!r}; expected one of {sorted(PRESETS)}"
-        ) from None
-    return builder(grid, amplitude, seed, **options)
+        # every builder is called as builder(grid, amplitude, seed, **options)
+        takes = sorted(list(inspect.signature(builder).parameters)[3:])
+        for key in options:
+            if key not in takes:
+                raise ValueError(f"unknown option {key!r}; it takes {takes}")
+        return builder(grid, amplitude, seed, **options)

@@ -12,6 +12,7 @@ describing the grid, the scheme, and the output times.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -56,25 +57,26 @@ def write_snapshot(path, grid: Grid, t: float, nu: float, u1, u2) -> None:
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(u1).tobytes())
-        fh.write(np.ascontiguousarray(u2).tobytes())
+        fh.write(np.ascontiguousarray(u1))
+        fh.write(np.ascontiguousarray(u2))
 
 
 def read_snapshot(path) -> Snapshot:
-    """Read an ILIM1 snapshot, rejecting bad magic or truncated payloads."""
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise ValueError(f"{path}: truncated header")
-    magic, nx, ny, period, height, t, nu = _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise ValueError(f"{path}: bad magic {magic!r}")
-    n = int(nx) * int(ny)
-    expected = _HEADER.size + 2 * 8 * n
-    if len(raw) != expected:
-        raise ValueError(f"{path}: payload is {len(raw)} bytes, expected {expected}")
-    flat = np.frombuffer(raw, dtype="<f8", count=2 * n, offset=_HEADER.size)
-    u1 = flat[:n].reshape(nx, ny).copy()
-    u2 = flat[n:].reshape(nx, ny).copy()
+    """Read an ILIM1 snapshot, rejecting bad magic or truncated payloads.
+    The payload is read straight into the two velocity arrays."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size < _HEADER.size:
+            raise ValueError(f"{path}: truncated header")
+        magic, nx, ny, period, height, t, nu = _HEADER.unpack(fh.read(_HEADER.size))
+        if magic != MAGIC:
+            raise ValueError(f"{path}: bad magic {magic!r}")
+        expected = _HEADER.size + 2 * 8 * int(nx) * int(ny)
+        if size != expected:
+            raise ValueError(f"{path}: payload is {size} bytes, expected {expected}")
+        u1, u2 = (np.empty((nx, ny), dtype="<f8") for _ in range(2))
+        if fh.readinto(u1) + fh.readinto(u2) != expected - _HEADER.size:
+            raise ValueError(f"{path}: payload shrank while it was read")
     return Snapshot(int(nx), int(ny), period, height, t, nu, u1, u2)
 
 

@@ -24,7 +24,6 @@ mode is then solved in a single LAPACK call.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +36,7 @@ from .grid import (
     VectorField,
     _apply_d1,
     _d2_interior,
+    _in_section,
     _wall_d1,
     curl2d,
     make_channel_grid,
@@ -592,16 +592,6 @@ class SimulationConfig(_RunFields):
         return self
 
 
-@contextmanager
-def _in_section(prefix):
-    """Put `prefix` (the config section at fault) before the cause of a
-    ValueError or TypeError raised inside the block."""
-    try:
-        yield
-    except (ValueError, TypeError) as exc:
-        raise ValueError(f"{prefix} {exc}") from None
-
-
 def _initial_velocity(config: _RunFields) -> VectorField:
     """`config`'s initial velocity on its grid.  Every rule that joins run
     fields is checked here, each ValueError naming its config section: the
@@ -614,9 +604,10 @@ def _initial_velocity(config: _RunFields) -> VectorField:
                                  clustering=config.clustering, strength=config.strength)
     with _in_section("[time]"):
         _step_count(config.dt, config.t_final, config.n_outputs)
-    with _in_section(f"[data] preset = {config.preset}:"):
+    with _in_section("[data]"):
         u0 = build_initial_data(config.preset, grid, amplitude=config.amplitude,
                                 seed=config.seed, **config.preset_options)
+    with _in_section(f"[data] preset = {config.preset}:"):
         _check_walls(u0, no_slip=True)
     return u0
 

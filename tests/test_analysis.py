@@ -2,10 +2,13 @@
 
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from ilim import analysis
+from ilim import grid as grid_module
 from ilim.analysis import (
     ErrorSeries,
     calibrate_bound_constant,
@@ -164,9 +167,10 @@ def test_budget_rejects_unpaired_runs(unit_grid, case):
 
 def test_trace_provider_zero_trace_gives_zero_corrector(shear_pair):
     provider = trace_corrector_provider(shear_pair.euler, alpha=0.5)
-    phi, dphi = provider(3, shear_pair.euler.times[3], shear_pair.euler.states[3])
+    phi, dphi, grad_phi = provider(3, shear_pair.euler.times[3], shear_pair.euler.states[3])
     assert np.abs(phi.comp1).max() == 0.0 and np.abs(phi.comp2).max() == 0.0
     assert np.abs(dphi.comp1).max() == 0.0
+    assert all(np.abs(g).max() == 0.0 for g in grad_phi)
 
 
 def test_trace_provider_matches_wall_values():
@@ -183,15 +187,131 @@ def test_trace_provider_matches_wall_values():
     traj = Trajectory(grid=grid, scheme="euler", nu=0.0, dt=0.1, states=tuple(states))
     provider = trace_corrector_provider(traj, alpha=0.5)
 
-    phi0, dphi0 = provider(0, 0.0, states[0])
+    phi0, dphi0, grad_phi0 = provider(0, 0.0, states[0])
     assert np.abs(phi0.comp1).max() == 0.0 and np.abs(dphi0.comp1).max() == 0.0
+    assert all(np.abs(g).max() == 0.0 for g in grad_phi0)
 
-    phi, dphi = provider(1, 0.1, states[1])
+    phi, dphi, _ = provider(1, 0.1, states[1])
     # the corrector cancels the sampled trace at the wall
     assert np.allclose(phi.comp1[:, 0], -1.05 * np.cos(grid.x), atol=1e-13)
     # the sampled amplitude is linear in t, so the second-order rate is
     # exact: at the wall d(phi_1)/dt = -dU/dt
     assert np.allclose(dphi.comp1[:, 0], -0.5 * np.cos(grid.x), atol=1e-10)
+
+
+def _dot_reference(w, a, b):
+    """`analysis._dot` as a generator sum, the reference for its bits."""
+    return float(np.sum(w * sum((x * y for x, y in zip(a[1:], b[1:])), a[0] * b[0])))
+
+
+def _advect_reference(a, g):
+    """`analysis._advect` as a sum expression, the reference for its bits."""
+    return a[0] * g[0] + a[1] * g[1], a[0] * g[2] + a[1] * g[3]
+
+
+def _random_pair(grid, rng, n):
+    """NS/Euler trajectories of n random states that meet both wall rules."""
+    trajs = []
+    for scheme, nu in (("ns", 1e-3), ("euler", 0.0)):
+        states = []
+        for i in range(n):
+            u1, u2 = rng.standard_normal((2, *grid.shape)) * rng.uniform(0.1, 10.0)
+            u1[:, 0] = 0.0
+            u2[:, [0, -1]] = 0.0
+            vel = VectorField(grid, u1, u2)
+            states.append(FlowState(grid=grid, t=0.1 * i, nu=nu, velocity=vel,
+                                    vorticity=curl2d(vel)))
+        trajs.append(Trajectory(grid=grid, scheme=scheme, nu=nu, dt=0.1,
+                                states=tuple(states)))
+    return trajs
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_in_place_sums_keep_the_bits_of_the_generator_sums(seed):
+    rng = np.random.default_rng(seed)
+    grid = make_channel_grid(16, 33, 2.0 * np.pi, 6.0, clustering="tanh", strength=2.0)
+    w = grid.quad_weights
+    f = rng.standard_normal((8, *grid.shape)) * rng.uniform(0.1, 10.0, (8, 1, 1))
+    for n in (2, 4):
+        got = np.float64(analysis._dot(w, f[:n], f[4:4 + n]))
+        assert got.tobytes() == np.float64(_dot_reference(w, f[:n], f[4:4 + n])).tobytes()
+    for got, want in zip(analysis._advect(f[:2], f[4:]), _advect_reference(f[:2], f[4:])):
+        assert got.tobytes() == want.tobytes()
+    ns, euler = _random_pair(grid, rng, 4)
+    want = []
+    for a, b in zip(ns.states, euler.states):
+        d = (a.velocity.comp1 - b.velocity.comp1, a.velocity.comp2 - b.velocity.comp2)
+        want.append(_dot_reference(w, d, d))
+    assert error_series(ns, euler).values.tobytes() == np.array(want).tobytes()
+
+
+def _trace_pair(grid, n):
+    """NS/Euler trajectories at t = 0, 0.5, 1.0, ...: the Euler run has the
+    growing wall trace (1 + t/2)(cos x1 + sin 3x1 / 2) under e^{-x2}."""
+    trace = np.cos(grid.x) + 0.5 * np.sin(3.0 * grid.x)
+    trajs = []
+    for scheme, nu, profile in (("ns", 1e-3, 1.0 - np.exp(-grid.y)),
+                                ("euler", 0.0, np.exp(-grid.y))):
+        states = []
+        for i in range(n):
+            t = 0.5 * i
+            vel = VectorField(grid, (1.0 + 0.5 * t) * trace[:, None] * profile[None, :],
+                              np.zeros(grid.shape))
+            states.append(FlowState(grid=grid, t=t, nu=nu, velocity=vel,
+                                    vorticity=curl2d(vel)))
+        trajs.append(Trajectory(grid=grid, scheme=scheme, nu=nu, dt=0.5,
+                                states=tuple(states)))
+    return trajs
+
+
+@pytest.fixture(scope="module")
+def tanh_grid():
+    return make_channel_grid(32, 65, 2.0 * np.pi, 6.0, clustering="tanh", strength=2.0)
+
+
+@pytest.mark.parametrize("i", [1, 2, 3], ids=["t<1", "t=1", "t>1"])
+def test_trace_provider_gradient_matches_the_2d_gradient(tanh_grid, i):
+    _, euler = _trace_pair(tanh_grid, 4)
+    provider = trace_corrector_provider(euler, alpha=0.5)
+    phi, _, grad_phi = provider(i, euler.times[i], euler.states[i])
+    want = analysis._grad(tanh_grid, (phi.comp1, phi.comp2))
+    for got, ref in zip(grad_phi, want):
+        assert np.abs(ref).max() > 0.0
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def _budget_transforms(monkeypatch, grid, n_outputs):
+    """2-D rfft, irfft and _apply_d1 calls of one trace-corrector budget."""
+    ns, euler = _trace_pair(grid, n_outputs)
+    provider = trace_corrector_provider(euler, alpha=0.5)
+    calls = Counter()
+
+    def counting(name, func, arg):
+        def wrapper(*args, **kwargs):
+            calls[name] += np.ndim(args[arg]) == 2
+            return func(*args, **kwargs)
+        return wrapper
+
+    with monkeypatch.context() as mp:
+        for name in ("rfft", "irfft"):
+            mp.setattr(np.fft, name, counting(name, getattr(np.fft, name), 0))
+        d1 = counting("_apply_d1", grid_module._apply_d1, 1)
+        for module in (grid_module, analysis):
+            mp.setattr(module, "_apply_d1", d1)
+        energy_budget(ns, euler, provider)
+    return calls
+
+
+def test_budget_transforms_per_row(monkeypatch, tanh_grid):
+    five = _budget_transforms(monkeypatch, tanh_grid, 5)
+    nine = _budget_transforms(monkeypatch, tanh_grid, 9)
+    # a row differentiates u and ubar only, each component by one rfft and
+    # one irfft in x1 and one stencil pass in x2; the corrector's gradient
+    # comes from 1-D factors
+    per_row = {k: (nine[k] - five[k]) / 4 for k in nine}
+    assert per_row == {"rfft": 4, "irfft": 4, "_apply_d1": 4}
+    # and nothing else in the budget is a 2-D transform
+    assert five == Counter({"rfft": 5 * 4, "irfft": 5 * 4, "_apply_d1": 5 * 4})
 
 
 # ---------------------------------------------------------------------------

@@ -154,7 +154,7 @@ def test_parse_config_rejects_bad_input(tmp_path, body, match):
     (("preset = shear", "preset = plume"), [],
      "[data] preset = plume: unknown preset 'plume'"),
     (("seed = 0", "seed = 0\nsigma = 0.5"), [],
-     "[data] preset = shear: _shear() got an unexpected keyword argument 'sigma'"),
+     "[data] preset = shear: unknown option 'sigma'; it takes ['profile', 'scale']"),
     (("c = 2.5", "c = nan"), [], "[schedule] c = nan: schedule amplitude must be positive"),
     (("form = power", "form = table"), [], "[schedule] form = table: table form needs"),
     (("a = 0.5", "a = inf"), [], "[schedule] a = inf: schedule power a must be finite"),
@@ -173,6 +173,9 @@ def test_parse_config_rejects_bad_input(tmp_path, body, match):
     (("preset = shear\namplitude = 1.0\nseed = 0",
       "preset = perturbed-shear\namplitude = 1.0\nseed = -1"), [],
      "[data] seed = -1: not a non-negative integer"),
+    (("preset = shear", "preset = perturbed-shear\nsigma = 0.5"), [],
+     "[data] preset = perturbed-shear: unknown option 'sigma'; it takes "
+     "['epsilon', 'modes', 'profile', 'scale']"),
 ])
 def test_cli_rejects_bad_layer_value_before_running(tmp_path, capsys, edit,
                                                     flags, cause):

@@ -504,6 +504,16 @@ def _slipping(grid, amplitude, seed):
      "['adverse-shear', 'perturbed-shear', 'shear', 'slipping', 'vortex']"),
     ({"preset": "slipping"},
      "[data] preset = slipping: no-slip wall requires comp1 = 0 at x2 = 0"),
+    # the seed and the option rules hold for library callers too
+    ({"preset": "shear", "seed": -1}, "[data] seed = -1: not a non-negative integer"),
+    ({"preset": "perturbed-shear", "seed": -1},
+     "[data] seed = -1: not a non-negative integer"),
+    ({"preset": "vortex", "preset_options": {"sigma": np.inf}},
+     "[data] sigma = inf: not a finite number"),
+    ({"amplitude": np.nan}, "[data] amplitude = nan: not a finite number"),
+    ({"preset": "perturbed-shear", "preset_options": {"sigma": 0.5}},
+     "[data] preset = perturbed-shear: unknown option 'sigma'; it takes "
+     "['epsilon', 'modes', 'profile', 'scale']"),
 ])
 def test_run_simulation_names_the_section_at_fault(monkeypatch, edit, message):
     # run_simulation and validate share one set-up check, so one message
