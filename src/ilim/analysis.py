@@ -9,8 +9,7 @@ import numpy as np
 from .correctors import (
     CorrectorParams,
     WallTrace,
-    _flat_gradient,
-    _zero_field,
+    _FlatFactors,
     corrector_time_derivative,
     flat_corrector,
 )
@@ -44,12 +43,12 @@ class ErrorSeries:
         return float(self.values.max())
 
 
-def _dot(w, a, b):
+def _dot(w, a, b, acc, tmp):
     """Weighted integral of a . b, the products summed in component order
-    into the first one, in place."""
-    acc = a[0] * b[0]
+    into `acc`, each one after the first formed in `tmp`."""
+    np.multiply(a[0], b[0], out=acc)
     for x, y in zip(a[1:], b[1:]):
-        acc += x * y
+        acc += np.multiply(x, y, out=tmp)
     acc *= w
     return float(np.sum(acc))
 
@@ -57,10 +56,12 @@ def _dot(w, a, b):
 def error_series(ns_traj, euler_traj) -> ErrorSeries:
     """Squared L^2 distance between the paired runs at each output time."""
     t_ns = _paired_times(ns_traj, euler_traj)
+    d1, d2, acc, tmp = (np.empty(ns_traj.grid.shape) for _ in range(4))
     vals = []
     for a, b in zip(ns_traj.states, euler_traj.states):
-        d = (a.velocity.comp1 - b.velocity.comp1, a.velocity.comp2 - b.velocity.comp2)
-        vals.append(_dot(ns_traj.grid.quad_weights, d, d))
+        np.subtract(a.velocity.comp1, b.velocity.comp1, out=d1)
+        np.subtract(a.velocity.comp2, b.velocity.comp2, out=d2)
+        vals.append(_dot(ns_traj.grid.quad_weights, (d1, d2), (d1, d2), acc, tmp))
     return ErrorSeries(nu=ns_traj.nu, times=t_ns, values=np.array(vals))
 
 
@@ -118,37 +119,55 @@ class EnergyBudget:
     residual: np.ndarray
 
 
-def _grad(grid, f):
-    """grad f of a component pair f, as (d1 f1, d2 f1, d1 f2, d2 f2)."""
-    return (*gradient(grid, f[0]), *gradient(grid, f[1]))
+def _grad(grid, f, dy):
+    """grad f of a component pair f, as (d1 f1, d2 f1, d1 f2, d2 f2); the
+    two d/dx2 derivatives are written into the pair `dy`."""
+    return (*gradient(grid, f[0], out=dy[0]), *gradient(grid, f[1], out=dy[1]))
 
 
-def _advect(a, g):
-    """(a . grad) f of a component pair a, with g = _grad of f; each
-    component sums into its first product, in place."""
-    c1, c2 = a[0] * g[0], a[0] * g[2]
-    c1 += a[1] * g[1]
-    c2 += a[1] * g[3]
-    return c1, c2
+def _advect(a, g, out, tmp):
+    """(a . grad) f of a component pair a, with g = _grad of f, into the
+    pair `out`; each component sums its second product, formed in `tmp`,
+    into its first."""
+    c1, c2 = out
+    np.multiply(a[0], g[0], out=c1)
+    c1 += np.multiply(a[1], g[1], out=tmp)
+    np.multiply(a[0], g[2], out=c2)
+    c2 += np.multiply(a[1], g[3], out=tmp)
 
 
-def _budget_row(w, nu, u, ubar, phi, dphi_dt, g_phi, grid):
+# Rows of the budget's workspace: the d/dx2 derivatives of u and ubar, e =
+# v - phi, (u . grad) phi, ((v - phi) . grad) ubar, the `_dot` accumulator
+# and its scratch, and the corrector's eight slots (see energy_budget).
+_ROW_SLOTS = (4, 2, 2, 2, 2, 8)
+
+
+def _budget_row(w, nu, u, ubar, grid, ws):
     """Pointwise integrands of one budget row; u is the viscous field,
-    ubar the inviscid one, phi the corrector with gradient g_phi (ordered as
-    `_grad`'s), v = u - ubar the gap."""
-    u, ubar, phi, dphi_dt = ((f.comp1, f.comp2) for f in (u, ubar, phi, dphi_dt))
-    g_u, g_bar = _grad(grid, u), _grad(grid, ubar)
-    e = (u[0] - ubar[0] - phi[0], u[1] - ubar[1] - phi[1])     # v - phi
-    adv_phi = _advect(u, g_phi)     # (u . grad) phi
-    gb_e = _advect(e, g_bar)        # ((v-phi) . grad) ubar
+    ubar the inviscid one, v = u - ubar the gap.  `ws` is the workspace
+    (`_ROW_SLOTS`) whose last eight rows hold the corrector phi, its time
+    derivative and its gradient (ordered as `_grad`'s)."""
+    dy, e, adv_phi, gb_e, sums, corr = np.split(ws, np.cumsum(_ROW_SLOTS)[:-1])
+    phi, dphi_dt, g_phi = corr[0:2], corr[2:4], corr[4:8]
+    u, ubar = (u.comp1, u.comp2), (ubar.comp1, ubar.comp2)
+    g_u, g_bar = _grad(grid, u, dy[0:2]), _grad(grid, ubar, dy[2:4])
+    for ek, uk, bk, pk in zip(e, u, ubar, phi):     # v - phi
+        np.subtract(uk, bk, out=ek)
+        ek -= pk
+    _advect(u, g_phi, adv_phi, sums[1])     # (u . grad) phi
+    _advect(e, g_bar, gb_e, sums[1])        # ((v-phi) . grad) ubar
+
+    def dot(a, b):
+        return _dot(w, a, b, *sums)
+
     # I2 = -int (u . grad phi) . u
     # R = nu int grad u : grad ubar - int (v-phi) . (grad ubar)(v-phi)
     #     - int phi . (grad ubar)(v-phi) + int (u . grad phi) . ubar
     #     - int d(phi)/dt . (v-phi)
-    r = (nu * _dot(w, g_u, g_bar) - _dot(w, gb_e, e) - _dot(w, gb_e, phi)
-         + _dot(w, adv_phi, ubar) - _dot(w, dphi_dt, e))
-    return (0.5 * _dot(w, e, e), nu * _dot(w, g_u, g_u), nu * _dot(w, g_u, g_phi),
-            -_dot(w, adv_phi, u), r)
+    r = (nu * dot(g_u, g_bar) - dot(gb_e, e) - dot(gb_e, phi)
+         + dot(adv_phi, ubar) - dot(dphi_dt, e))
+    return (0.5 * dot(e, e), nu * dot(g_u, g_u), nu * dot(g_u, g_phi),
+            -dot(adv_phi, u), r)
 
 
 def _series_rate(times, vals):
@@ -162,26 +181,28 @@ def _series_rate(times, vals):
 def energy_budget(ns_traj, euler_traj, corrector_provider=None) -> EnergyBudget:
     """Assemble the budget row by row along a paired run.
 
-    corrector_provider(i, t, euler_state) returns the tuple
-    (phi, dphi_dt, grad_phi) at output index i: the corrector and its time
-    derivative as VectorFields, and grad phi as the four arrays
-    (d1 phi1, d2 phi1, d1 phi2, d2 phi2).  By default the corrector is the
-    zero field (appropriate whenever the inviscid trace vanishes).  Each row
-    differentiates only u and ubar: 8 two-dimensional FFTs and 4
-    two-dimensional d/dx2 stencil passes.
+    corrector_provider(i, t, euler_state, out) writes the corrector at
+    output index i into the eight (nx, ny) rows of `out`, in the order
+    (phi1, phi2, d/dt phi1, d/dt phi2, d1 phi1, d2 phi1, d1 phi2, d2 phi2).
+    By default the corrector is the zero field (appropriate whenever the
+    inviscid trace vanishes).  Each row differentiates only u and ubar:
+    8 two-dimensional FFTs and 4 two-dimensional d/dx2 stencil passes.  The
+    rows share one workspace, allocated per call.
     The residual is lhs_rate + dissipation - (I1 + I2 + R); for an exact
     solution pair it vanishes, discretely it shrinks at the scheme order.
     """
     times = _paired_times(ns_traj, euler_traj)
     grid = ns_traj.grid
+    ws = np.empty((sum(_ROW_SLOTS), *grid.shape))
+    corrector = ws[-_ROW_SLOTS[-1]:]
     if corrector_provider is None:
-        zero_row = _zero_row(grid)
-        corrector_provider = lambda i, t, euler_state: zero_row
-    rows = [
-        _budget_row(grid.quad_weights, ns_traj.nu, s_ns.velocity, s_e.velocity,
-                    *corrector_provider(i, s_ns.t, s_e), grid)
-        for i, (s_ns, s_e) in enumerate(zip(ns_traj.states, euler_traj.states))
-    ]
+        corrector.fill(0.0)
+        corrector_provider = lambda i, t, euler_state, out: None
+    rows = []
+    for i, (s_ns, s_e) in enumerate(zip(ns_traj.states, euler_traj.states)):
+        corrector_provider(i, s_ns.t, s_e, corrector)
+        rows.append(_budget_row(grid.quad_weights, ns_traj.nu, s_ns.velocity,
+                                s_e.velocity, grid, ws))
     gap, diss, i1, i2, r = np.array(rows).T
     lhs = _series_rate(times, gap)
     residual = lhs + diss - (i1 + i2 + r)
@@ -197,35 +218,31 @@ def energy_budget(ns_traj, euler_traj, corrector_provider=None) -> EnergyBudget:
     )
 
 
-def _zero_row(grid):
-    """The provider tuple of a zero corrector: (phi, dphi_dt, grad_phi)."""
-    zero = _zero_field(grid)
-    return zero, zero, (zero.comp1,) * 4
-
-
 def trace_corrector_provider(euler_traj, alpha: float):
     """Corrector provider fed by the inviscid wall trace of a run.
 
-    The provider returns energy_budget's tuple (phi, dphi_dt, grad_phi).
-    The trace time derivative is a second-order difference of the
-    sampled trace; the corrector itself is the flat variant, and its
-    gradient comes from its 1-D factors (`correctors._flat_gradient`).
-    At t = 0 all three are zero.
+    The provider writes energy_budget's eight corrector rows.  The trace
+    time derivative is a second-order difference of the sampled trace; the
+    corrector itself is the flat variant, written by `flat_corrector` and
+    `corrector_time_derivative`, and its gradient comes from its 1-D
+    factors (`correctors._FlatFactors.gradient`).  At t = 0 all eight rows
+    are zero.
     """
     grid = euler_traj.grid
     times = euler_traj.times
     traces = np.stack([s.velocity.comp1[:, 0] for s in euler_traj.states])
     rates = _series_rate(times, traces.T).T
-    zero_row = _zero_row(grid)
 
-    def provider(i, t, euler_state):
+    def provider(i, t, euler_state, out):
         u = traces[i]
         trace = WallTrace(u=u, du_dx=x_derivative(grid, u))
         params = CorrectorParams(alpha=alpha, t=float(t), trace=trace)
         if t == 0.0:
-            return zero_row
-        dphi = corrector_time_derivative(params, grid, rates[i])
-        return flat_corrector(params, grid), dphi.field, _flat_gradient(params, grid)
+            out.fill(0.0)
+            return
+        flat_corrector(params, grid, out=out[0:2])
+        corrector_time_derivative(params, grid, rates[i], out=out[2:4])
+        _FlatFactors(params, grid).gradient(out[4:8])
 
     return provider
 

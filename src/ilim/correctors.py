@@ -198,48 +198,100 @@ def _zero_field(grid: Grid) -> VectorField:
     return VectorField(grid, z, z)
 
 
-def _flat_profiles(y, at, moll: Mollifier):
-    """y-profiles of the two components: f1 = E - at*psi, f2 = (1 - Psi) - E."""
-    e = np.exp(-y / at)
-    f1 = e - at * moll.value(y)
-    f2 = (1.0 - moll.antiderivative(y)) - e
-    return e, f1, f2
+@lru_cache(maxsize=2)  # one pair of 1-D profiles per recent grid
+def _wall_profiles(y_bytes):
+    """psi(y) and 1 - Psi(y) of the mollifier on the float64 y-grid whose
+    bytes are `y_bytes`, read-only: the factors of the flat corrector that
+    do not depend on time."""
+    y = np.frombuffer(y_bytes)
+    moll = make_mollifier()
+    profiles = moll.value(y), 1.0 - moll.antiderivative(y)
+    for p in profiles:
+        p.setflags(write=False)
+    return profiles
 
 
-def flat_corrector(params: CorrectorParams, grid: Grid) -> VectorField:
+class _FlatFactors:
+    """The 1-D factors of the flat corrector at one time t > 0: the trace,
+    at = alpha*tau and the y-profiles E = e^{-x2/at}, f1 = E - at psi and
+    f2 = (1 - Psi) - E.  Each method writes its outer products into `out`,
+    whose rows are (nx, ny) arrays."""
+
+    def __init__(self, params: CorrectorParams, grid: Grid):
+        self.params, self.grid = params, grid
+        self.psi, one_minus_psi = _wall_profiles(np.asarray(grid.y, dtype=float).tobytes())
+        self.at = params.alpha * params.tau
+        self.e = np.exp(-grid.y / self.at)
+        self.f1 = self.e - self.at * self.psi
+        self.f2 = one_minus_psi - self.e
+
+    def fields(self, out):
+        """(comp1, comp2) = (-U f1, at U' f2)."""
+        tr = self.params.trace
+        np.multiply(-tr.u[:, None], self.f1, out=out[0])
+        np.multiply(self.at * tr.du_dx[:, None], self.f2, out=out[1])
+
+    def rate(self, du_dt, out):
+        """d/dt of (comp1, comp2), given the trace's rate du_dt.  tau' is 1
+        up to t = 1 (the left derivative at the kink) and 0 after."""
+        tr, grid = self.params.trace, self.grid
+        alpha, t, tau = self.params.alpha, self.params.t, self.params.tau
+        tau_dot = 0.0 if t > 1.0 else 1.0
+        # d/dt e^{-y/at} = e * y tau'/(alpha tau^2)
+        de_dt = self.e * grid.y * tau_dot / (alpha * tau * tau)
+        df1_dt = de_dt - alpha * tau_dot * self.psi
+        df2_dt = -de_dt
+        d_du_dt_dx = x_derivative(grid, du_dt)
+        c1, c2 = out
+        scratch = np.empty(grid.shape)
+        np.multiply(-du_dt[:, None], self.f1, out=c1)
+        c1 -= np.multiply(tr.u[:, None], df1_dt, out=scratch)
+        np.multiply(alpha * tau_dot * tr.du_dx[:, None], self.f2, out=c2)
+        c2 += np.multiply(self.at * d_du_dt_dx[:, None], self.f2, out=scratch)
+        c2 += np.multiply(self.at * tr.du_dx[:, None], df2_dt, out=scratch)
+        return out
+
+    def gradient(self, out):
+        """grad of (comp1, comp2) from the 1-D factors, ordered as
+        (d1 comp1, d2 comp1, d1 comp2, d2 comp2) = (-U' f1, -U D f1,
+        at U'' f2, at U' D f2).  U'' is spectral and D is the d/dx2 stencil,
+        the derivatives `gradient` takes, so the result equals `gradient`
+        of each component at round-off, with no 2-D transform."""
+        tr, grid, at = self.params.trace, self.grid, self.at
+        d2u = x_derivative(grid, tr.du_dx)
+        np.multiply(-tr.du_dx[:, None], self.f1, out=out[0])
+        np.multiply(-tr.u[:, None], y_derivative(grid, self.f1), out=out[1])
+        np.multiply(at * d2u[:, None], self.f2, out=out[2])
+        np.multiply(at * tr.du_dx[:, None], y_derivative(grid, self.f2), out=out[3])
+
+
+def _pair_out(grid: Grid, out):
+    """`out` checked to be a (2, nx, ny) array, or a new one if None."""
+    if out is None:
+        return np.empty((2, *grid.shape))
+    if out.shape != (2, *grid.shape):
+        raise ValueError("out must have shape (2, nx, ny)")
+    return out
+
+
+def flat_corrector(params: CorrectorParams, grid: Grid, out=None) -> VectorField:
     """Flat-wall corrector (comp1, comp2) on the grid.
 
     comp1 = -U(x1) (e^{-x2/at} - at psi(x2)), at = alpha*tau;
     comp2 =  at dU/dx1 ((1 - int_0^{x2} psi) - e^{-x2/at}).
     At t = 0 the corrector is the zero field.  At wall nodes
-    comp1 = -U and comp2 = 0 exactly.
+    comp1 = -U and comp2 = 0 exactly.  `out`, if given, is a (2, nx, ny)
+    array that receives (comp1, comp2); the field's components view it.
     """
     tr = params.trace
     if tr.u.shape != (grid.nx,):
         raise ValueError("trace length must equal grid.nx")
+    out = _pair_out(grid, out)
     if params.t == 0.0:
-        return _zero_field(grid)
-    at = params.alpha * params.tau
-    _, f1, f2 = _flat_profiles(grid.y, at, make_mollifier())
-    comp1 = -tr.u[:, None] * f1[None, :]
-    comp2 = at * tr.du_dx[:, None] * f2[None, :]
-    return VectorField(grid, comp1, comp2)
-
-
-def _flat_gradient(params: CorrectorParams, grid: Grid):
-    """grad of `flat_corrector` at t > 0 from its 1-D factors, ordered as
-    (d1 comp1, d2 comp1, d1 comp2, d2 comp2):
-    -U' f1, -U D f1, at U'' f2 and at U' D f2.  U'' is spectral and D is the
-    d/dx2 stencil, the derivatives `gradient` takes, so the result equals
-    `gradient` of each component at round-off, with no 2-D transform."""
-    tr = params.trace
-    at = params.alpha * params.tau
-    _, f1, f2 = _flat_profiles(grid.y, at, make_mollifier())
-    d2u = x_derivative(grid, tr.du_dx)
-    return (-tr.du_dx[:, None] * f1[None, :],
-            -tr.u[:, None] * y_derivative(grid, f1)[None, :],
-            at * d2u[:, None] * f2[None, :],
-            at * tr.du_dx[:, None] * y_derivative(grid, f2)[None, :])
+        out.fill(0.0)
+    else:
+        _FlatFactors(params, grid).fields(out)
+    return VectorField(grid, *out)
 
 
 def flat_corrector_wall_gradient(params: CorrectorParams, grid: Grid) -> np.ndarray:
@@ -262,39 +314,23 @@ class CorrectorRate:
 
 
 def corrector_time_derivative(
-    params: CorrectorParams, grid: Grid, du_dt: np.ndarray
+    params: CorrectorParams, grid: Grid, du_dt: np.ndarray, out=None
 ) -> CorrectorRate:
     """Analytic d/dt of the flat corrector.
 
     du_dt holds the time derivative of the trace samples.  tau = min(t, 1)
     is not differentiable at t = 1; there the left derivative (tau' = 1)
-    is returned and the result is flagged one_sided_at_kink.
+    is returned and the result is flagged one_sided_at_kink.  `out` is as
+    for `flat_corrector`.
     """
     if params.t <= 0.0:
         raise ValueError("time derivative requires t > 0")
     du_dt = np.asarray(du_dt, dtype=float)
     if du_dt.shape != (grid.nx,):
         raise ValueError("du_dt length must equal grid.nx")
-    tr = params.trace
-    alpha, t = params.alpha, params.t
-    tau = params.tau
-    tau_dot = 0.0 if t > 1.0 else 1.0
-    at = alpha * tau
-    moll = make_mollifier()
-    e, f1, f2 = _flat_profiles(grid.y, at, moll)
-    # d/dt e^{-y/at} = e * y tau'/(alpha tau^2)
-    de_dt = e * grid.y * tau_dot / (alpha * tau * tau)
-    df1_dt = de_dt - alpha * tau_dot * moll.value(grid.y)
-    df2_dt = -de_dt
-    d_du_dt_dx = x_derivative(grid, du_dt)
-    comp1 = -du_dt[:, None] * f1[None, :] - tr.u[:, None] * df1_dt[None, :]
-    comp2 = (
-        alpha * tau_dot * tr.du_dx[:, None] * f2[None, :]
-        + at * d_du_dt_dx[:, None] * f2[None, :]
-        + at * tr.du_dx[:, None] * df2_dt[None, :]
-    )
+    out = _FlatFactors(params, grid).rate(du_dt, _pair_out(grid, out))
     return CorrectorRate(
-        field=VectorField(grid, comp1, comp2), one_sided_at_kink=(t == 1.0)
+        field=VectorField(grid, *out), one_sided_at_kink=(params.t == 1.0)
     )
 
 

@@ -85,6 +85,16 @@ class Grid:
         """`_d1_stencils` of `y`, built on first use."""
         return _d1_stencils(self.y)
 
+    @cached_property
+    def _ik(self):
+        """The d/dx1 multiplier i*k on the rfft modes, Nyquist mode dropped."""
+        k = self.wavenumbers()
+        if self.nx % 2 == 0:
+            k[-1] = 0.0
+        ik = 1j * k
+        ik.setflags(write=False)
+        return ik
+
     def wavenumbers(self) -> np.ndarray:
         """rfft wavenumbers 2*pi*m/Lx, m = 0..nx//2."""
         return 2.0 * np.pi / self.period * np.arange(self.nx // 2 + 1)
@@ -305,12 +315,7 @@ def integrate(grid: Grid, values: np.ndarray, region: Region | None = None) -> f
 def x_derivative(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Spectral d/dx1 along axis 0 (Nyquist mode dropped)."""
     vhat = np.fft.rfft(values, axis=0)
-    k = grid.wavenumbers()
-    if grid.nx % 2 == 0:
-        k = k.copy()
-        k[-1] = 0.0
-    shape = (len(k),) + (1,) * (values.ndim - 1)
-    vhat *= 1j * k.reshape(shape)
+    vhat *= grid._ik.reshape((-1,) + (1,) * (values.ndim - 1))
     return np.fft.irfft(vhat, n=grid.nx, axis=0)
 
 
@@ -347,11 +352,21 @@ def _check_stencils(y: np.ndarray) -> None:
         raise ValueError("height and ny give wall-normal spacings whose derivative stencils overflow or vanish")
 
 
-def _apply_d1(stencils, vals):
-    """Apply `_d1_stencils` coefficients along the last axis of `vals`."""
+def _apply_d1(stencils, vals, out=None):
+    """Apply `_d1_stencils` coefficients along the last axis of `vals`, into
+    `out` (a new array by default; it may not overlap `vals`).  The interior
+    sums (lo a + di b) + up c in place, through one scratch array, so it
+    rounds as the three-product expression does."""
     lo, di, up, _, top = stencils
-    out = np.empty_like(vals)
-    out[..., 1:-1] = lo * vals[..., :-2] + di * vals[..., 1:-1] + up * vals[..., 2:]
+    if out is None:
+        out = np.empty_like(vals)
+    elif out.shape != vals.shape or np.may_share_memory(out, vals):
+        raise ValueError("out must have the shape of vals and not overlap it")
+    inner = out[..., 1:-1]
+    np.multiply(lo, vals[..., :-2], out=inner)
+    scratch = np.multiply(di, vals[..., 1:-1])
+    inner += scratch
+    inner += np.multiply(up, vals[..., 2:], out=scratch)
     out[..., 0] = _wall_d1(stencils, vals)
     out[..., -1] = top[0] * vals[..., -1] + top[1] * vals[..., -2] + top[2] * vals[..., -3]
     return out
@@ -373,14 +388,16 @@ def _d2_interior(y: np.ndarray):
     return lo, di, up
 
 
-def y_derivative(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Finite-difference d/dx2 along axis 1 (works on real or complex data)."""
-    return _apply_d1(grid._d1, values)
+def y_derivative(grid: Grid, values: np.ndarray, out=None) -> np.ndarray:
+    """Finite-difference d/dx2 along axis 1 (works on real or complex data),
+    into `out` if given (see `_apply_d1`)."""
+    return _apply_d1(grid._d1, values, out=out)
 
 
-def gradient(grid: Grid, values: np.ndarray):
-    """(d/dx1, d/dx2) of a nodal sample array."""
-    return x_derivative(grid, values), y_derivative(grid, values)
+def gradient(grid: Grid, values: np.ndarray, out=None):
+    """(d/dx1, d/dx2) of a nodal sample array; d/dx2 goes into `out` if
+    given, d/dx1 is always a new array."""
+    return x_derivative(grid, values), y_derivative(grid, values, out=out)
 
 
 def curl2d(vel: VectorField) -> ScalarField:

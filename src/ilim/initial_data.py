@@ -136,13 +136,32 @@ def _seed(value):
     return value
 
 
+def _positive(value):
+    """`value`, if it is a finite positive number: the rule of the scale and
+    sigma options."""
+    if not (isinstance(value, numbers.Real) and _finite(value) > 0):
+        raise ValueError("must be positive")
+    return value
+
+
+def _positive_integer(value):
+    """`value`, if it is a positive integer: the rule of the modes option."""
+    if not (isinstance(value, numbers.Integral) and value > 0):
+        raise ValueError("must be a positive integer")
+    return value
+
+
+# The range rule of each preset option that has one, under every preset
+# that takes it; any other numeric option need only be finite.
+_OPTION_RULES = {"scale": _positive, "sigma": _positive, "modes": _positive_integer}
+
+
 def build_initial_data(preset: str, grid: Grid, amplitude: float = 1.0,
                        seed: int = 0, **options) -> VectorField:
     """`preset`'s velocity on `grid`; `options` are the preset's own keyword
     parameters.  Each ValueError names the argument at fault, as in
     `seed = -1: not a non-negative integer` or `preset = vortex: ...`."""
-    for key, value, rule in (("amplitude", amplitude, _finite), ("seed", seed, _seed),
-                             *((key, value, _finite) for key, value in options.items())):
+    for key, value, rule in (("amplitude", amplitude, _finite), ("seed", seed, _seed)):
         with _in_section(f"{key} = {value}:"):
             rule(value)
     with _in_section(f"preset = {preset}:"):
@@ -154,4 +173,8 @@ def build_initial_data(preset: str, grid: Grid, amplitude: float = 1.0,
         for key in options:
             if key not in takes:
                 raise ValueError(f"unknown option {key!r}; it takes {takes}")
+    for key, value in options.items():
+        with _in_section(f"{key} = {value}:"):
+            _OPTION_RULES.get(key, _finite)(value)
+    with _in_section(f"preset = {preset}:"):
         return builder(grid, amplitude, seed, **options)

@@ -170,8 +170,7 @@ class _ChannelOperators:
         self.nk = nx // 2 + 1
         k = grid.wavenumbers()
         self.k = k
-        self.ik = 1j * k.copy()
-        self.ik[-1] = 0.0  # drop the Nyquist mode in derivatives
+        self.ik = grid._ik
         self.dealias = np.arange(self.nk) <= nx // 3
         self.d1 = grid._d1
         self.d1_bottom = self.d1[3]

@@ -19,8 +19,23 @@ from ilim.analysis import (
     theorem_bounds,
     trace_corrector_provider,
 )
+from ilim.correctors import (
+    CorrectorParams,
+    WallTrace,
+    corrector_time_derivative,
+    flat_corrector,
+    make_mollifier,
+)
 from ilim.criteria import MSchedule
-from ilim.grid import ScalarField, VectorField, curl2d, make_channel_grid
+from ilim.grid import (
+    ScalarField,
+    VectorField,
+    curl2d,
+    gradient,
+    make_channel_grid,
+    x_derivative,
+    y_derivative,
+)
 from ilim.solvers import FlowState, SimulationConfig, Trajectory, run_simulation
 
 
@@ -165,11 +180,20 @@ def test_budget_rejects_unpaired_runs(unit_grid, case):
         energy_budget(ns, euler)
 
 
+def _provide(provider, i, t, state):
+    """The provider's eight corrector rows at output i, split as
+    (phi, dphi_dt, grad_phi); `out` starts as NaN, so every row is written."""
+    out = np.full((8, *state.grid.shape), np.nan)
+    assert provider(i, t, state, out) is None
+    return out[0:2], out[2:4], out[4:8]
+
+
 def test_trace_provider_zero_trace_gives_zero_corrector(shear_pair):
     provider = trace_corrector_provider(shear_pair.euler, alpha=0.5)
-    phi, dphi, grad_phi = provider(3, shear_pair.euler.times[3], shear_pair.euler.states[3])
-    assert np.abs(phi.comp1).max() == 0.0 and np.abs(phi.comp2).max() == 0.0
-    assert np.abs(dphi.comp1).max() == 0.0
+    phi, dphi, grad_phi = _provide(provider, 3, shear_pair.euler.times[3],
+                                   shear_pair.euler.states[3])
+    assert np.abs(phi[0]).max() == 0.0 and np.abs(phi[1]).max() == 0.0
+    assert np.abs(dphi[0]).max() == 0.0
     assert all(np.abs(g).max() == 0.0 for g in grad_phi)
 
 
@@ -187,16 +211,16 @@ def test_trace_provider_matches_wall_values():
     traj = Trajectory(grid=grid, scheme="euler", nu=0.0, dt=0.1, states=tuple(states))
     provider = trace_corrector_provider(traj, alpha=0.5)
 
-    phi0, dphi0, grad_phi0 = provider(0, 0.0, states[0])
-    assert np.abs(phi0.comp1).max() == 0.0 and np.abs(dphi0.comp1).max() == 0.0
+    phi0, dphi0, grad_phi0 = _provide(provider, 0, 0.0, states[0])
+    assert np.abs(phi0[0]).max() == 0.0 and np.abs(dphi0[0]).max() == 0.0
     assert all(np.abs(g).max() == 0.0 for g in grad_phi0)
 
-    phi, dphi, _ = provider(1, 0.1, states[1])
+    phi, dphi, _ = _provide(provider, 1, 0.1, states[1])
     # the corrector cancels the sampled trace at the wall
-    assert np.allclose(phi.comp1[:, 0], -1.05 * np.cos(grid.x), atol=1e-13)
+    assert np.allclose(phi[0][:, 0], -1.05 * np.cos(grid.x), atol=1e-13)
     # the sampled amplitude is linear in t, so the second-order rate is
     # exact: at the wall d(phi_1)/dt = -dU/dt
-    assert np.allclose(dphi.comp1[:, 0], -0.5 * np.cos(grid.x), atol=1e-10)
+    assert np.allclose(dphi[0][:, 0], -0.5 * np.cos(grid.x), atol=1e-10)
 
 
 def _dot_reference(w, a, b):
@@ -232,10 +256,12 @@ def test_in_place_sums_keep_the_bits_of_the_generator_sums(seed):
     grid = make_channel_grid(16, 33, 2.0 * np.pi, 6.0, clustering="tanh", strength=2.0)
     w = grid.quad_weights
     f = rng.standard_normal((8, *grid.shape)) * rng.uniform(0.1, 10.0, (8, 1, 1))
+    acc, tmp, *out = np.empty((4, *grid.shape))
     for n in (2, 4):
-        got = np.float64(analysis._dot(w, f[:n], f[4:4 + n]))
+        got = np.float64(analysis._dot(w, f[:n], f[4:4 + n], acc, tmp))
         assert got.tobytes() == np.float64(_dot_reference(w, f[:n], f[4:4 + n])).tobytes()
-    for got, want in zip(analysis._advect(f[:2], f[4:]), _advect_reference(f[:2], f[4:])):
+    analysis._advect(f[:2], f[4:], out, tmp)
+    for got, want in zip(out, _advect_reference(f[:2], f[4:])):
         assert got.tobytes() == want.tobytes()
     ns, euler = _random_pair(grid, rng, 4)
     want = []
@@ -273,11 +299,160 @@ def tanh_grid():
 def test_trace_provider_gradient_matches_the_2d_gradient(tanh_grid, i):
     _, euler = _trace_pair(tanh_grid, 4)
     provider = trace_corrector_provider(euler, alpha=0.5)
-    phi, _, grad_phi = provider(i, euler.times[i], euler.states[i])
-    want = analysis._grad(tanh_grid, (phi.comp1, phi.comp2))
+    phi, _, grad_phi = _provide(provider, i, euler.times[i], euler.states[i])
+    want = (*gradient(tanh_grid, phi[0]), *gradient(tanh_grid, phi[1]))
     for got, ref in zip(grad_phi, want):
         assert np.abs(ref).max() > 0.0
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def _flat_reference(params, grid, du_dt):
+    """The flat corrector, its rate and its gradient as allocating outer
+    products of the formulas, in the provider's row order: the reference
+    for the bits of the in-place helpers."""
+    moll, y, tr = make_mollifier(), grid.y, params.trace
+    alpha, tau = params.alpha, params.tau
+    tau_dot = 0.0 if params.t > 1.0 else 1.0
+    at = alpha * tau
+    e = np.exp(-y / at)
+    f1 = e - at * moll.value(y)
+    f2 = (1.0 - moll.antiderivative(y)) - e
+    de_dt = e * y * tau_dot / (alpha * tau * tau)
+    df1_dt = de_dt - alpha * tau_dot * moll.value(y)
+    d_du_dt_dx, d2u = x_derivative(grid, du_dt), x_derivative(grid, tr.du_dx)
+    u, du = tr.u[:, None], tr.du_dx[:, None]
+    return (
+        -u * f1[None, :],
+        at * du * f2[None, :],
+        -du_dt[:, None] * f1[None, :] - u * df1_dt[None, :],
+        alpha * tau_dot * du * f2[None, :] + at * d_du_dt_dx[:, None] * f2[None, :]
+        + at * du * -de_dt[None, :],
+        -du * f1[None, :],
+        -u * y_derivative(grid, f1)[None, :],
+        at * d2u[:, None] * f2[None, :],
+        at * du * y_derivative(grid, f2)[None, :],
+    )
+
+
+def _trace_reference(euler, alpha):
+    """`trace_corrector_provider` as a function of the output index that
+    returns `_flat_reference`'s eight arrays (zeros at t = 0)."""
+    grid = euler.grid
+    traces = np.stack([s.velocity.comp1[:, 0] for s in euler.states])
+    rates = analysis._series_rate(euler.times, traces.T).T
+
+    def corrector(i):
+        t = float(euler.times[i])
+        if t == 0.0:
+            return (np.zeros(grid.shape),) * 8
+        trace = WallTrace(u=traces[i], du_dx=x_derivative(grid, traces[i]))
+        return _flat_reference(CorrectorParams(alpha=alpha, t=t, trace=trace), grid,
+                               rates[i])
+
+    return corrector
+
+
+def _budget_reference(ns, euler, corrector):
+    """`energy_budget` as the allocating expressions of its integrands, given
+    the corrector's eight arrays per output index."""
+    grid, w, nu = ns.grid, ns.grid.quad_weights, ns.nu
+    rows = []
+    for i, (a, b) in enumerate(zip(ns.states, euler.states)):
+        phi1, phi2, dt1, dt2, *g_phi = corrector(i)
+        u, ubar = (a.velocity.comp1, a.velocity.comp2), (b.velocity.comp1, b.velocity.comp2)
+        g_u = (*gradient(grid, u[0]), *gradient(grid, u[1]))
+        g_bar = (*gradient(grid, ubar[0]), *gradient(grid, ubar[1]))
+        e = (u[0] - ubar[0] - phi1, u[1] - ubar[1] - phi2)
+        adv_phi, gb_e = _advect_reference(u, g_phi), _advect_reference(e, g_bar)
+
+        def dot(x, y):
+            return _dot_reference(w, x, y)
+
+        r = (nu * dot(g_u, g_bar) - dot(gb_e, e) - dot(gb_e, (phi1, phi2))
+             + dot(adv_phi, ubar) - dot((dt1, dt2), e))
+        rows.append((0.5 * dot(e, e), nu * dot(g_u, g_u), nu * dot(g_u, g_phi),
+                     -dot(adv_phi, u), r))
+    gap, diss, i1, i2, r = np.array(rows).T
+    lhs = analysis._series_rate(ns.times, gap)
+    return gap, lhs, diss, i1, i2, r, lhs + diss - (i1 + i2 + r)
+
+
+@pytest.mark.parametrize("corrector", ["trace", "zero"])
+@pytest.mark.parametrize("data", ["trace", "random"])
+def test_budget_workspace_keeps_the_bits_of_the_allocating_rows(tanh_grid, corrector, data):
+    if data == "trace":   # outputs at t = 0, 0.5, 1, 1.5: both sides of tau's kink
+        ns, euler = _trace_pair(tanh_grid, 4)
+    else:
+        ns, euler = _random_pair(tanh_grid, np.random.default_rng(7), 4)
+    if corrector == "trace":
+        got = energy_budget(ns, euler, trace_corrector_provider(euler, alpha=0.5))
+        want = _budget_reference(ns, euler, _trace_reference(euler, alpha=0.5))
+    else:
+        got = energy_budget(ns, euler)
+        want = _budget_reference(ns, euler, lambda i: (np.zeros(tanh_grid.shape),) * 8)
+    names = ("gap_energy", "lhs_rate", "dissipation", "i1", "i2", "r", "residual")
+    for name, ref in zip(names, want):
+        assert getattr(got, name).tobytes() == ref.tobytes(), name
+    if (corrector, data) == ("trace", "trace"):  # the random runs have no wall trace
+        assert np.abs(got.i1).max() > 0.0
+
+
+@pytest.mark.parametrize("i", [1, 2, 3], ids=["t<1", "t=1", "t>1"])
+def test_flat_corrector_helpers_keep_the_bits_of_the_outer_products(tanh_grid, i):
+    _, euler = _trace_pair(tanh_grid, 4)
+    corrector = _trace_reference(euler, alpha=0.5)(i)
+    provider = trace_corrector_provider(euler, alpha=0.5)
+    rows = np.concatenate(_provide(provider, i, euler.times[i], euler.states[i]))
+    for got, want in zip(rows, corrector):
+        assert got.tobytes() == want.tobytes()
+    # the public functions build the same products into fresh arrays
+    u = euler.states[i].velocity.comp1[:, 0]
+    params = CorrectorParams(alpha=0.5, t=float(euler.times[i]),
+                             trace=WallTrace(u=u, du_dx=x_derivative(tanh_grid, u)))
+    rate = analysis._series_rate(euler.times, np.stack(
+        [s.velocity.comp1[:, 0] for s in euler.states]).T).T[i]
+    phi = flat_corrector(params, tanh_grid)
+    dphi = corrector_time_derivative(params, tanh_grid, rate).field
+    for got, want in zip((phi.comp1, phi.comp2, dphi.comp1, dphi.comp2), corrector):
+        assert got.tobytes() == want.tobytes()
+    # and into a given `out`, whose rows the returned fields view
+    out = np.full((4, *tanh_grid.shape), np.nan)
+    phi = flat_corrector(params, tanh_grid, out=out[0:2])
+    dphi = corrector_time_derivative(params, tanh_grid, rate, out=out[2:4]).field
+    for k, (got, want) in enumerate(zip((phi.comp1, phi.comp2, dphi.comp1, dphi.comp2),
+                                        corrector)):
+        assert np.shares_memory(got, out[k])
+        assert out[k].tobytes() == want.tobytes()
+
+
+def test_flat_corrector_out_is_checked_and_zeroed_at_t0(tanh_grid):
+    u = np.cos(tanh_grid.x)
+    trace = WallTrace(u=u, du_dx=x_derivative(tanh_grid, u))
+    for t in (0.0, 0.5):
+        params = CorrectorParams(alpha=0.5, t=t, trace=trace)
+        with pytest.raises(ValueError, match="out must have shape"):
+            flat_corrector(params, tanh_grid, out=np.empty(tanh_grid.shape))
+    with pytest.raises(ValueError, match="out must have shape"):
+        corrector_time_derivative(params, tanh_grid, u, out=np.empty((3, *tanh_grid.shape)))
+    out = np.full((2, *tanh_grid.shape), np.nan)
+    phi = flat_corrector(CorrectorParams(alpha=0.5, t=0.0, trace=trace), tanh_grid, out=out)
+    assert not out.any() and not phi.comp1.any() and not phi.comp2.any()
+
+
+def test_trace_budget_goes_through_the_public_derivatives(monkeypatch, tanh_grid):
+    # grad u and grad ubar come from `gradient`, the corrector and its rate
+    # from `flat_corrector` and `corrector_time_derivative`: the names a
+    # profiler or tracer attributes the budget's time to
+    ns, euler = _trace_pair(tanh_grid, 4)
+    calls = Counter()
+    for name in ("gradient", "flat_corrector", "corrector_time_derivative"):
+        def counted(*args, _name=name, _func=getattr(analysis, name), **kwargs):
+            calls[_name] += 1
+            return _func(*args, **kwargs)
+        monkeypatch.setattr(analysis, name, counted)
+    energy_budget(ns, euler, trace_corrector_provider(euler, alpha=0.5))
+    # 4 rows, each 2 fields x 2 components; the row at t = 0 has no corrector
+    assert calls == {"gradient": 16, "flat_corrector": 3, "corrector_time_derivative": 3}
 
 
 def _budget_transforms(monkeypatch, grid, n_outputs):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from ilim import correctors
 from ilim.correctors import (
     CorrectorParams,
     WallTrace,
@@ -90,6 +91,17 @@ def test_mollifier_antiderivative_scalar_and_array_agree():
         assert isinstance(out, float)
         assert out == a
 
+
+
+def test_wall_profiles_are_the_mollifiers_and_read_only(layer_grid):
+    # one evaluation is shared by every flat-corrector call on a grid, so
+    # no caller may write into it
+    m, y = make_mollifier(), layer_grid.y
+    psi, one_minus_psi = correctors._wall_profiles(y.tobytes())
+    assert psi.tobytes() == m.value(y).tobytes()
+    assert one_minus_psi.tobytes() == (1.0 - m.antiderivative(y)).tobytes()
+    assert not psi.flags.writeable and not one_minus_psi.flags.writeable
+    assert correctors._wall_profiles(y.copy().tobytes())[0] is psi
 
 # ---------------------------------------------------------------------------
 # traces and parameters

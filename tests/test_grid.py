@@ -13,6 +13,7 @@ from ilim.grid import (
     VectorField,
     curl2d,
     divergence2d,
+    gradient,
     grids_compatible,
     integrate,
     layer_region,
@@ -256,6 +257,72 @@ def test_y_derivative_reuses_the_grid_stencil():
     assert first.tobytes() == _apply_d1(_d1_stencils(g.y), vals).tobytes()
     with pytest.raises(ValueError):  # a cached stencil still checks the width
         y_derivative(g, vals[:, :10])
+
+
+def _apply_d1_reference(stencils, vals):
+    """`_apply_d1` as three-product expressions, the reference for its bits."""
+    lo, di, up, bottom, top = stencils
+    out = np.empty_like(vals)
+    out[..., 1:-1] = lo * vals[..., :-2] + di * vals[..., 1:-1] + up * vals[..., 2:]
+    out[..., 0] = bottom[0] * vals[..., 0] + bottom[1] * vals[..., 1] + bottom[2] * vals[..., 2]
+    out[..., -1] = top[0] * vals[..., -1] + top[1] * vals[..., -2] + top[2] * vals[..., -3]
+    return out
+
+
+@pytest.mark.parametrize("clustering", ["uniform", "tanh"])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_apply_d1_keeps_the_bits_of_the_three_product_sum(clustering, dtype):
+    g = make_channel_grid(8, 17, 1.0, 2.0, clustering=clustering, strength=1.5)
+    rng = np.random.default_rng(1)
+    vals = rng.normal(size=g.shape) * rng.uniform(0.1, 10.0, g.ny)
+    if dtype is complex:
+        vals = vals + 1j * rng.normal(size=g.shape)
+    vals[:, 4] = 0.0     # zeros of both signs on a row, to catch a sign flip
+    vals[::2, 5] = -0.0
+    for v in (vals, vals[0]):    # (nx, ny) samples and one (ny,) row
+        want = _apply_d1_reference(g._d1, v).tobytes()
+        assert _apply_d1(g._d1, v).tobytes() == want
+        out = np.full_like(v, np.nan)
+        assert _apply_d1(g._d1, v, out=out) is out
+        assert out.tobytes() == want
+
+
+def test_apply_d1_rejects_a_wrong_width_or_an_overlapping_out():
+    g = make_channel_grid(8, 17, 1.0, 2.0, clustering="tanh", strength=1.5)
+    vals = np.random.default_rng(2).normal(size=g.shape)
+    for bad in (vals[:, :10], vals[:, :3]):
+        with pytest.raises(ValueError):
+            _apply_d1(g._d1, bad)
+        with pytest.raises(ValueError):
+            _apply_d1(g._d1, bad, out=np.empty_like(bad))
+    for out in (vals, vals[:, ::-1], np.empty((8, 16)), np.empty((2, *g.shape))):
+        with pytest.raises(ValueError):
+            _apply_d1(g._d1, vals, out=out)
+
+
+def test_gradient_writes_its_d2_into_out(small_grid):
+    g = small_grid
+    vals = np.random.default_rng(4).normal(size=g.shape)
+    want = gradient(g, vals)
+    out = np.full(g.shape, np.nan)
+    d1, d2 = gradient(g, vals, out=out)
+    assert d2 is out and out.tobytes() == want[1].tobytes()
+    assert d1.tobytes() == want[0].tobytes()
+    assert y_derivative(g, 2.0 * vals, out=out) is out
+    assert out.tobytes() == (2.0 * want[1]).tobytes()
+
+
+def test_x_derivative_and_the_stepper_share_one_wavenumber_rule(small_grid):
+    from ilim.solvers import _ChannelOperators
+
+    g = small_grid
+    k = g.wavenumbers()
+    k[-1] = 0.0   # the Nyquist mode is dropped
+    assert g._ik.tobytes() == (1j * k).tobytes() and not g._ik.flags.writeable
+    assert _ChannelOperators(g).ik is g._ik
+    vals = np.random.default_rng(3).normal(size=g.shape)
+    want = np.fft.irfft(np.fft.rfft(vals, axis=0) * (1j * k)[:, None], n=g.nx, axis=0)
+    assert x_derivative(g, vals).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

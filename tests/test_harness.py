@@ -176,6 +176,15 @@ def test_parse_config_rejects_bad_input(tmp_path, body, match):
     (("preset = shear", "preset = perturbed-shear\nsigma = 0.5"), [],
      "[data] preset = perturbed-shear: unknown option 'sigma'; it takes "
      "['epsilon', 'modes', 'profile', 'scale']"),
+    # each preset option with a range is held to it before any run
+    (("preset = shear", "preset = vortex\nsigma = 0"), [], "[data] sigma = 0: must be positive"),
+    (("seed = 0", "seed = 0\nscale = 0"), [], "[data] scale = 0: must be positive"),
+    (("preset = shear", "preset = adverse-shear\nscale = -1.0"), [],
+     "[data] scale = -1.0: must be positive"),
+    (("preset = shear", "preset = perturbed-shear\nmodes = 0"), [],
+     "[data] modes = 0: must be a positive integer"),
+    (("preset = shear", "preset = perturbed-shear\nmodes = 2.5"), [],
+     "[data] modes = 2.5: must be a positive integer"),
 ])
 def test_cli_rejects_bad_layer_value_before_running(tmp_path, capsys, edit,
                                                     flags, cause):

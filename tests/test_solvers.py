@@ -514,6 +514,17 @@ def _slipping(grid, amplitude, seed):
     ({"preset": "perturbed-shear", "preset_options": {"sigma": 0.5}},
      "[data] preset = perturbed-shear: unknown option 'sigma'; it takes "
      "['epsilon', 'modes', 'profile', 'scale']"),
+    # an option out of its range fails here, not inside the run
+    ({"preset": "vortex", "preset_options": {"sigma": 0}}, "[data] sigma = 0: must be positive"),
+    ({"preset": "shear", "preset_options": {"scale": 0}}, "[data] scale = 0: must be positive"),
+    ({"preset": "adverse-shear", "preset_options": {"scale": -1.0}},
+     "[data] scale = -1.0: must be positive"),
+    ({"preset": "perturbed-shear", "preset_options": {"modes": 0}},
+     "[data] modes = 0: must be a positive integer"),
+    # an option the preset does not take is named as such, whatever its value
+    ({"preset": "perturbed-shear", "preset_options": {"sigma": np.nan}},
+     "[data] preset = perturbed-shear: unknown option 'sigma'; it takes "
+     "['epsilon', 'modes', 'profile', 'scale']"),
 ])
 def test_run_simulation_names_the_section_at_fault(monkeypatch, edit, message):
     # run_simulation and validate share one set-up check, so one message
