@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ScalarField, _paired_times, layer_region, lp_norm, y_derivative
+from .grid import _lp_sum, _paired_times, _strip_rows, _y_derivative_rows
 
 __all__ = [
     "MSchedule",
@@ -131,26 +131,39 @@ def no_backflow_margin(euler_state) -> float:
 
 
 def _layer_pass(state, schedule: MSchedule, spec: LayerSpec):
-    """The layer at the state's time: its height, the grid rows inside the
-    strip, and (lhs, rhs) of the layer condition on it."""
+    """The layer at the state's time: its height, the number k of grid rows
+    inside the strip (rows 1..k), (lhs, rhs) of the layer condition on it,
+    and the wall-vorticity margin.  Only rows [0, k + 1) of the vorticity
+    (and of -d2 u1) are read."""
     if state.nu <= 0.0:
         raise ValueError("the layer condition applies to the viscous state")
     h = layer_height(state.nu, state.t, schedule, spec.C)
-    region = layer_region(state.grid, h.value)
+    k = _strip_rows(state.grid, h.value)
     m = schedule.value(state.nu, state.t)
+    omega = state._vorticity_rows(k + 1)
     if spec.use_du1dy:
-        base = -y_derivative(state.grid, state.velocity.comp1)
+        base = -_y_derivative_rows(state.grid, state.velocity.comp1, k + 1)
     else:
-        base = state.vorticity.values
-    defect = ScalarField(state.grid, np.abs(np.minimum(base + m / state.nu, 0.0)))
+        base = omega
+    defect = np.abs(np.minimum(base + m / state.nu, 0.0))
+    if not np.all(np.isfinite(defect)):
+        raise ValueError("field values must be finite")
+    # the strip's nodes in C order, as lp_norm over layer_region sums them
+    lp = _lp_sum(defect[:, 1:].ravel(), state.grid.quad_weights[:, 1:k + 1].ravel(),
+                 spec.r)
     if np.isinf(spec.r):
-        lhs = state.nu * lp_norm(defect, np.inf, region)
+        lhs = state.nu * lp
         rhs = m
     else:
         r = spec.r
-        lhs = state.nu ** ((r - 1.0) / r) * lp_norm(defect, r, region)
+        lhs = state.nu ** ((r - 1.0) / r) * lp
         rhs = min(state.t, 1.0) ** (1.0 / r) * m  # tau^{1/r} M
-    return h, int(np.count_nonzero(region.mask[0])), float(lhs), float(rhs)
+    return h, k, float(lhs), float(rhs), _wall_margin(omega, m, state.nu)
+
+
+def _wall_margin(omega_rows, m: float, nu: float) -> float:
+    """min over the wall row (row 0 of `omega_rows`) of omega + M/nu."""
+    return float((omega_rows[:, 0] + m / nu).min())
 
 
 def kato_condition(state, schedule: MSchedule, spec: LayerSpec):
@@ -160,16 +173,16 @@ def kato_condition(state, schedule: MSchedule, spec: LayerSpec):
     rhs = tau^{1/r} M; for r = inf the prefactor is nu and tau^{1/r} = 1.
     Empty layers give lhs = 0.
     """
-    return _layer_pass(state, schedule, spec)[2:]
+    return _layer_pass(state, schedule, spec)[2:4]
 
 
 def boundary_vorticity_condition(state, schedule: MSchedule) -> float:
     """min over wall nodes of omega + M/nu (>= 0 means the pointwise
-    wall-vorticity variant holds)."""
+    wall-vorticity variant holds); reads the wall row of omega only."""
     if state.nu <= 0.0:
         raise ValueError("the wall-vorticity condition applies to the viscous state")
-    m = schedule.value(state.nu, state.t)
-    return float((state.vorticity.values[:, 0] + m / state.nu).min())
+    return _wall_margin(state._vorticity_rows(1), schedule.value(state.nu, state.t),
+                        state.nu)
 
 
 # (criteria.csv column, CriterionReport field), in column order
@@ -241,16 +254,18 @@ def evaluate_criteria(ns_traj, euler_traj, schedule: MSchedule,
     """Evaluate all criteria at every shared output time of a paired run.
 
     A time is flagged under_resolved when the layer is nonempty but
-    covers fewer than 2 wall-normal grid rows.
+    covers fewer than 2 wall-normal grid rows.  Of each viscous state only
+    the wall row and the strip's rows are read: a stored vorticity is
+    sliced, and a derived one (a loaded state's) is computed for those
+    rows alone.
     """
     t_ns = _paired_times(ns_traj, euler_traj)
     rows = []
     for s_ns, s_e in zip(ns_traj.states, euler_traj.states):
-        h, rows_inside, lhs, rhs = _layer_pass(s_ns, schedule, spec)
+        h, rows_inside, lhs, rhs, wall = _layer_pass(s_ns, schedule, spec)
         # one value per CriterionReport field after nu and times, in order
         rows.append((h.value, h.clamped, no_backflow_margin(s_e), lhs, rhs,
-                     lhs <= rhs, boundary_vorticity_condition(s_ns, schedule),
-                     h.value > 0.0 and rows_inside < 2))
+                     lhs <= rhs, wall, h.value > 0.0 and rows_inside < 2))
     return CriterionReport(ns_traj.nu, t_ns, *map(np.array, zip(*rows)))
 
 

@@ -268,12 +268,19 @@ class Region:
         return not self.mask.any()
 
 
-def layer_region(grid: Grid, h: float) -> Region:
-    """Near-wall strip 0 < x2 <= h (wall nodes themselves excluded)."""
+def _strip_rows(grid: Grid, h: float) -> int:
+    """The number k of grid rows in the strip 0 < x2 <= h: rows 1..k, as y
+    rises from the wall row y = 0."""
     if h < 0.0:
         raise ValueError("layer height must be >= 0")
-    row = (grid.y > 0.0) & (grid.y <= h)
-    return Region(grid, np.broadcast_to(row, grid.shape).copy())
+    return int(np.count_nonzero((grid.y > 0.0) & (grid.y <= h)))
+
+
+def layer_region(grid: Grid, h: float) -> Region:
+    """Near-wall strip 0 < x2 <= h (wall nodes themselves excluded)."""
+    mask = np.zeros(grid.shape, dtype=bool)
+    mask[:, 1:_strip_rows(grid, h) + 1] = True
+    return Region(grid, mask)
 
 
 def lp_norm(field: ScalarField, p, region: Region | None = None) -> float:
@@ -284,24 +291,26 @@ def lp_norm(field: ScalarField, p, region: Region | None = None) -> float:
     """
     if region is not None and region.grid is not field.grid:
         raise ValueError("region and field live on different grids")
+    v, w = field.values, field.grid.quad_weights
+    if region is not None:
+        v, w = v[region.mask], w[region.mask]
+    return _lp_sum(v, w, p)
+
+
+def _lp_sum(v, w, p) -> float:
+    """(sum of w |v|^p)^(1/p) in the order of v's elements, or max |v| for
+    p = inf; 0 when v is empty.  `lp_norm` passes the region's nodes in C
+    order."""
     if np.isinf(p):
         if p < 0:
             raise ValueError("p must be >= 1")
-        v = np.abs(field.values)
-        if region is not None:
-            v = v[region.mask]
-        return float(v.max()) if v.size else 0.0
+        return float(np.abs(v).max()) if v.size else 0.0
     p = float(p)
     if p < 1.0:
         raise ValueError("p must be >= 1")
-    v = np.abs(field.values)
-    w = field.grid.quad_weights
-    if region is not None:
-        v = v[region.mask]
-        w = w[region.mask]
-        if v.size == 0:
-            return 0.0
-    return float(np.sum(w * v**p) ** (1.0 / p))
+    if v.size == 0:
+        return 0.0
+    return float(np.sum(w * np.abs(v) ** p) ** (1.0 / p))
 
 
 def integrate(grid: Grid, values: np.ndarray, region: Region | None = None) -> float:
@@ -394,16 +403,35 @@ def y_derivative(grid: Grid, values: np.ndarray, out=None) -> np.ndarray:
     return _apply_d1(grid._d1, values, out=out)
 
 
+def _y_derivative_rows(grid: Grid, values: np.ndarray, m: int) -> np.ndarray:
+    """The first m rows of `y_derivative(grid, values)`, bit for bit, from
+    rows [0, max(m + 1, 3)) of `values` and the matching stencil rows (the
+    last row of that block is differentiated one-sided and dropped)."""
+    n = min(max(m + 1, 3), grid.ny)
+    lo, di, up, bottom, top = grid._d1
+    stencils = (lo[:n - 2], di[:n - 2], up[:n - 2], bottom, top)
+    return _apply_d1(stencils, values[..., :n])[..., :m]
+
+
 def gradient(grid: Grid, values: np.ndarray, out=None):
     """(d/dx1, d/dx2) of a nodal sample array; d/dx2 goes into `out` if
     given, d/dx1 is always a new array."""
     return x_derivative(grid, values), y_derivative(grid, values, out=out)
 
 
-def curl2d(vel: VectorField) -> ScalarField:
-    """Scalar vorticity d1(comp2) - d2(comp1)."""
+def curl2d(vel: VectorField, rows: int | None = None) -> ScalarField | np.ndarray:
+    """Scalar vorticity d1(comp2) - d2(comp1).
+
+    With `rows=m` (1 <= m <= ny) only the first m wall-normal rows are
+    computed, and returned as an (nx, m) array equal bit for bit to
+    `curl2d(vel).values[:, :m]`.
+    """
     g = vel.grid
-    return ScalarField(g, x_derivative(g, vel.comp2) - y_derivative(g, vel.comp1))
+    if rows is None:
+        return ScalarField(g, x_derivative(g, vel.comp2) - y_derivative(g, vel.comp1))
+    if not (isinstance(rows, (int, np.integer)) and 1 <= rows <= g.ny):
+        raise ValueError(f"rows must be an integer in [1, {g.ny}], got {rows!r}")
+    return x_derivative(g, vel.comp2[:, :rows]) - _y_derivative_rows(g, vel.comp1, rows)
 
 
 def divergence2d(vel: VectorField) -> ScalarField:

@@ -6,7 +6,9 @@ components as row-major little-endian f64 arrays (u1 then u2).  Values
 round-trip bit-exactly.
 
 A trajectory directory holds numbered snapshot files plus a manifest.json
-describing the grid, the scheme, and the output times.
+describing the grid, the scheme, the viscosity and the output times.  A
+loaded state keeps its velocity only; its vorticity is derived from it
+where it is read.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import json
 import os
 import struct
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -125,9 +128,11 @@ def _write_json(path, obj) -> None:
 def load_trajectory(directory):
     """Rebuild a trajectory from a snapshot directory.
 
-    Velocities are restored bit-exactly; the vorticity of each state is
-    recomputed with the discrete curl (the format stores velocity only).
-    A snapshot whose grid or time disagrees with the manifest is rejected.
+    Velocities are restored bit-exactly.  The format stores velocity only,
+    so each state's vorticity is derived with the discrete curl
+    (`partial(curl2d, velocity)`): on the first read of `state.vorticity`,
+    or row by row for the criteria; loading runs no curl.  A snapshot whose
+    grid, time or viscosity disagrees with the manifest is rejected.
     """
     from .solvers import FlowState, Trajectory
 
@@ -146,15 +151,14 @@ def load_trajectory(directory):
     states = []
     for name, t in zip(names, times):
         snap = read_snapshot(directory / name)
-        got = (snap.nx, snap.ny, snap.period, snap.height, snap.t)
-        want = (grid.nx, grid.ny, grid.period, grid.height, t)
+        got = (snap.nx, snap.ny, snap.period, snap.height, snap.t, snap.nu)
+        want = (grid.nx, grid.ny, grid.period, grid.height, t, manifest["nu"])
         if got != want:
-            raise ValueError(f"{directory / name}: (nx, ny, period, height, t) = "
+            raise ValueError(f"{directory / name}: (nx, ny, period, height, t, nu) = "
                              f"{got!r} disagrees with the manifest's {want!r}")
         vel = VectorField(grid, snap.u1, snap.u2)
-        states.append(
-            FlowState(grid=grid, t=snap.t, nu=snap.nu, velocity=vel, vorticity=curl2d(vel))
-        )
+        states.append(FlowState(grid=grid, t=snap.t, nu=snap.nu, velocity=vel,
+                                vorticity=partial(curl2d, vel)))
     return Trajectory(
         grid=grid,
         scheme=manifest["scheme"],

@@ -65,7 +65,14 @@ class CFLError(RuntimeError):
 
 @dataclass(frozen=True)
 class FlowState:
-    """One velocity/vorticity snapshot; wall conditions hold exactly."""
+    """One velocity/vorticity snapshot; wall conditions hold exactly.
+
+    `vorticity` is given either as a stored field (the steppers' omega is
+    stepped, not the curl of their velocity) or as its derivation from the
+    velocity, a callable `f(rows=None)` such as `partial(curl2d, velocity)`.
+    A derived field is computed on the first read of `vorticity` and kept;
+    `_vorticity_rows` reads the wall rows without building it.
+    """
 
     grid: Grid
     t: float
@@ -74,9 +81,31 @@ class FlowState:
     vorticity: ScalarField
 
     def __post_init__(self):
-        if self.velocity.grid is not self.grid or self.vorticity.grid is not self.grid:
+        fields = [self.velocity]
+        if callable(self.vorticity):
+            # until the first read, `vorticity` resolves through __getattr__
+            object.__setattr__(self, "_derive", vars(self).pop("vorticity"))
+        else:
+            fields.append(self.vorticity)
+        if any(f.grid is not self.grid for f in fields):
             raise ValueError("state fields must live on the state grid")
         _check_walls(self.velocity, no_slip=self.nu > 0.0)
+
+    def __getattr__(self, name):
+        if name != "vorticity" or "_derive" not in vars(self):
+            raise AttributeError(name)
+        omega = self._derive()
+        object.__setattr__(self, "vorticity", omega)
+        return omega
+
+    def _vorticity_rows(self, m: int) -> np.ndarray:
+        """The first m wall-normal rows of the vorticity, (nx, m): a slice of
+        the field when it is stored or derived, else derived for those rows
+        alone."""
+        omega = vars(self).get("vorticity")
+        if omega is None:
+            return self._derive(rows=m)
+        return omega.values[:, :m]
 
 
 def _check_walls(velocity: VectorField, no_slip: bool) -> None:

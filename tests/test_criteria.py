@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from ilim import snapshots
 from ilim.criteria import (
     CRITERIA_CSV_HEADER,
     LayerSpec,
@@ -20,9 +21,12 @@ from ilim.criteria import (
 from ilim.grid import (
     ScalarField,
     VectorField,
+    curl2d,
     layer_region,
+    lp_norm,
     make_channel_grid,
     strength_for_min_spacing,
+    y_derivative,
 )
 from ilim.initial_data import build_initial_data
 from ilim.solvers import (
@@ -344,6 +348,72 @@ def test_evaluate_criteria_matches_per_state_functions(adverse_pair, r):
     assert report.cond_pass.dtype == bool and report.under_resolved.dtype == bool
     # the run has both resolved and under-resolved nonempty layers
     assert report.under_resolved.any() and not report.under_resolved[1:].all()
+
+
+def _full_field_reference(ns, sched, spec, omega_of):
+    """cond_lhs and wall_vort_margin from whole fields: the defect on every
+    node, then lp_norm over layer_region."""
+    lhs, wall = [], []
+    for s in ns.states:
+        g, m = s.grid, sched.value(s.nu, s.t)
+        omega = omega_of(s)
+        base = -y_derivative(g, s.velocity.comp1) if spec.use_du1dy else omega
+        defect = ScalarField(g, np.abs(np.minimum(base + m / s.nu, 0.0)))
+        region = layer_region(g, layer_height(s.nu, s.t, sched, spec.C).value)
+        r = spec.r
+        scale = s.nu if np.isinf(r) else s.nu ** ((r - 1.0) / r)
+        lhs.append(float(scale * lp_norm(defect, r, region)))
+        wall.append(float((omega[:, 0] + m / s.nu).min()))
+    return np.array(lhs), np.array(wall)
+
+
+def _save_and_load(pair, root):
+    for name, traj in (("ns", pair.ns), ("euler", pair.euler)):
+        snapshots.save_trajectory(traj, root / name)
+    return (snapshots.load_trajectory(root / "ns"),
+            snapshots.load_trajectory(root / "euler"))
+
+
+@pytest.mark.parametrize("use_du1dy", [False, True])
+@pytest.mark.parametrize("r", [1.0, 2.0, np.inf])
+def test_criteria_bits_match_a_full_field_reference(adverse_pair, tmp_path, r, use_du1dy):
+    # the stepped (stored) vorticity and a loaded pair's derived rows, on
+    # resolved layers and on layers an enormous M clamps to nothing
+    spec = LayerSpec(C=10.0, r=r, use_du1dy=use_du1dy)
+    runs = (((adverse_pair.ns, adverse_pair.euler), lambda s: s.vorticity.values),
+            (_save_and_load(adverse_pair, tmp_path), lambda s: curl2d(s.velocity).values))
+    for sched, resolved in ((MSchedule(form="power", c=1.0, a=0.5), True),
+                            (MSchedule(form="constant", c=1e6), False)):
+        for (ns, euler), omega_of in runs:
+            report = evaluate_criteria(ns, euler, sched, spec)
+            lhs, wall = _full_field_reference(ns, sched, spec, omega_of)
+            assert report.cond_lhs.tobytes() == lhs.tobytes()
+            assert report.wall_vort_margin.tobytes() == wall.tobytes()
+            assert (report.cond_lhs.max() > 0.0) == resolved
+            assert (report.layer_heights.max() > 0.0) == resolved
+
+
+def test_loaded_pair_criteria_derive_only_wall_rows(adverse_pair, tmp_path, monkeypatch):
+    rows_asked = []
+
+    def spy(vel, rows=None):
+        rows_asked.append(rows)
+        return curl2d(vel, rows=rows)
+
+    monkeypatch.setattr(snapshots, "curl2d", spy)
+    ns, euler = _save_and_load(adverse_pair, tmp_path)
+    assert rows_asked == []  # loading runs no curl
+    sched = MSchedule(form="power", c=1.0, a=0.5)
+    for r in (1.0, 2.0, np.inf):
+        evaluate_criteria(ns, euler, sched, LayerSpec(C=10.0, r=r))
+    assert rows_asked and None not in rows_asked and max(rows_asked) < ns.grid.ny // 4
+    states = ns.states + euler.states
+    assert not any("vorticity" in vars(s) for s in states)
+    for s in states:
+        omega = s.vorticity
+        assert omega.values.tobytes() == curl2d(s.velocity).values.tobytes()
+        assert s.vorticity is omega
+    assert rows_asked.count(None) == len(states)
 
 
 def test_evaluate_criteria_rejects_mismatched_runs():

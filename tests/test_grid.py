@@ -354,6 +354,21 @@ def test_curl_second_order_against_analytic():
     assert np.all(orders > 1.9)
 
 
+@pytest.mark.parametrize("clustering", ["uniform", "tanh"])
+def test_curl_rows_are_the_first_rows_of_the_full_curl(clustering):
+    g = make_channel_grid(16, 41, 2.0 * np.pi, 2.0, clustering=clustering, strength=2.5)
+    rng = np.random.default_rng(5)
+    vel = VectorField(g, rng.normal(size=g.shape), rng.normal(size=g.shape))
+    full = curl2d(vel).values
+    for m in (1, 2, 3, 20, g.ny - 1, g.ny, np.int64(4)):
+        part = curl2d(vel, rows=m)
+        assert part.shape == (g.nx, m)
+        assert part.tobytes() == full[:, :m].tobytes()
+    for bad in (0, -1, g.ny + 1, 1.5, "2"):
+        with pytest.raises(ValueError, match="rows"):
+            curl2d(vel, rows=bad)
+
+
 def test_divergence_of_shear_is_zero(small_grid):
     g = small_grid
     u = VectorField(g, np.broadcast_to(g.y, g.shape).copy(), np.zeros(g.shape))

@@ -582,6 +582,12 @@ def test_cli_simulate_and_criteria(tmp_path, capsys):
     assert lines[0] == CRITERIA_CSV_HEADER
     assert len(lines) == 12
 
+    # a manifest whose nu disagrees with its snapshots' is rejected
+    manifest = json.loads((out / "ns" / "manifest.json").read_text())
+    (out / "ns" / "manifest.json").write_text(json.dumps({**manifest, "nu": 0.5}))
+    assert cli_dispatch(["criteria", str(out)]) == 1
+    assert "snap_0000.bin" in capsys.readouterr().err
+
 
 def test_readme_config_example_runs(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

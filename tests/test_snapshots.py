@@ -161,11 +161,11 @@ def test_load_rejects_foreign_manifest(tmp_path):
         load_trajectory(tmp_path / "run")
 
 
-def _edit_times(change):
+def _edit_manifest(key, change):
     def corrupt(run):
         path = run / "manifest.json"
         manifest = json.loads(path.read_text())
-        manifest["times"] = change(manifest["times"])
+        manifest[key] = change(manifest[key])
         path.write_text(json.dumps(manifest))
     return corrupt
 
@@ -184,12 +184,15 @@ def _rewrite_snapshot(**grid_args):
     "corrupt, match",
     [
         (_rewrite_snapshot(nx=4, ny=5), r"snap_0001\.bin: .* disagrees"),
-        (_edit_times(lambda ts: ts[:1]), r"manifest\.json: 2 snapshots but 1 times"),
-        (_edit_times(lambda ts: [9.0 + t for t in ts]), r"snap_0000\.bin: .* disagrees"),
+        (_edit_manifest("times", lambda ts: ts[:1]),
+         r"manifest\.json: 2 snapshots but 1 times"),
+        (_edit_manifest("times", lambda ts: [9.0 + t for t in ts]),
+         r"snap_0000\.bin: .* disagrees"),
         (_rewrite_snapshot(period=1.0), r"snap_0001\.bin: .* disagrees"),
         (_rewrite_snapshot(height=3.0), r"snap_0001\.bin: .* disagrees"),
+        (_edit_manifest("nu", lambda nu: 0.5), r"snap_0000\.bin: .* disagrees"),
     ],
-    ids=["shape", "count", "times", "period", "height"],
+    ids=["shape", "count", "times", "period", "height", "nu"],
 )
 def test_load_rejects_shape_mismatch(tmp_path, corrupt, match):
     g = _grid()
