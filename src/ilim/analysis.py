@@ -230,7 +230,8 @@ def trace_corrector_provider(euler_traj, alpha: float):
     """
     grid = euler_traj.grid
     times = euler_traj.times
-    traces = np.stack([s.velocity.comp1[:, 0] for s in euler_traj.states])
+    # copied rows, so that no state's velocity outlives its own iteration
+    traces = np.stack([s.velocity.comp1[:, 0].copy() for s in euler_traj.states])
     rates = _series_rate(times, traces.T).T
 
     def provider(i, t, euler_state, out):

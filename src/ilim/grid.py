@@ -40,9 +40,11 @@ def _locked(a):
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Grid:
-    """Tensor-product channel grid with per-node quadrature weights."""
+    """Tensor-product channel grid with per-node quadrature weights.  Grids,
+    fields and regions compare by identity (`grids_compatible` compares
+    discretizations)."""
 
     nx: int
     ny: int
@@ -210,7 +212,7 @@ def _paired_times(a, b) -> np.ndarray:
     return t_a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScalarField:
     """Scalar samples on a grid, immutable once constructed."""
 
@@ -221,12 +223,12 @@ class ScalarField:
         v = np.asarray(self.values, dtype=float)
         if v.shape != self.grid.shape:
             raise ValueError(f"values shape {v.shape} != grid shape {self.grid.shape}")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ValueError("field values must be finite")
         object.__setattr__(self, "values", _locked(v))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VectorField:
     """Velocity-like pair of scalar components on a shared grid."""
 
@@ -239,12 +241,12 @@ class VectorField:
             v = np.asarray(getattr(self, name), dtype=float)
             if v.shape != self.grid.shape:
                 raise ValueError(f"{name} shape {v.shape} != grid shape {self.grid.shape}")
-            if not np.all(np.isfinite(v)):
+            if not np.isfinite(v).all():
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, _locked(v))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Region:
     """Boolean node mask over a grid."""
 

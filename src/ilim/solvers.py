@@ -24,6 +24,7 @@ mode is then solved in a single LAPACK call.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,14 +64,21 @@ class CFLError(RuntimeError):
     """Raised when the fixed step exceeds the advective CFL limit."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlowState:
     """One velocity/vorticity snapshot; wall conditions hold exactly.
 
+    `velocity` is given either as a field or as a reader, a callable
+    `read(check)` that returns the field after calling `check` on it (a
+    loaded snapshot's, which reads its payload and names its file in any
+    error).  A reader runs on the first access of `velocity`, and the field
+    it returns is kept; every velocity meets the same grid and wall checks
+    before it is used.
+
     `vorticity` is given either as a stored field (the steppers' omega is
     stepped, not the curl of their velocity) or as its derivation from the
-    velocity, a callable `f(rows=None)` such as `partial(curl2d, velocity)`.
-    A derived field is computed on the first read of `vorticity` and kept;
+    velocity, a callable `f(velocity, rows=None)` such as `curl2d`.  A
+    derived field is computed on the first read of `vorticity` and kept;
     `_vorticity_rows` reads the wall rows without building it.
     """
 
@@ -81,22 +89,31 @@ class FlowState:
     vorticity: ScalarField
 
     def __post_init__(self):
-        fields = [self.velocity]
-        if callable(self.vorticity):
-            # until the first read, `vorticity` resolves through __getattr__
-            object.__setattr__(self, "_derive", vars(self).pop("vorticity"))
+        # until their first read, callable fields resolve through __getattr__
+        if callable(self.velocity):
+            object.__setattr__(self, "_read", vars(self).pop("velocity"))
         else:
-            fields.append(self.vorticity)
-        if any(f.grid is not self.grid for f in fields):
+            self._check_velocity(self.velocity)
+        if callable(self.vorticity):
+            object.__setattr__(self, "_derive", vars(self).pop("vorticity"))
+        elif self.vorticity.grid is not self.grid:
             raise ValueError("state fields must live on the state grid")
-        _check_walls(self.velocity, no_slip=self.nu > 0.0)
 
     def __getattr__(self, name):
-        if name != "vorticity" or "_derive" not in vars(self):
+        known = vars(self)
+        if name == "velocity" and "_read" in known:
+            value = known["_read"](self._check_velocity)
+        elif name == "vorticity" and "_derive" in known:
+            value = known["_derive"](self.velocity)
+        else:
             raise AttributeError(name)
-        omega = self._derive()
-        object.__setattr__(self, "vorticity", omega)
-        return omega
+        object.__setattr__(self, name, value)
+        return value
+
+    def _check_velocity(self, velocity: VectorField) -> None:
+        if velocity.grid is not self.grid:
+            raise ValueError("state fields must live on the state grid")
+        _check_walls(velocity, no_slip=self.nu > 0.0)
 
     def _vorticity_rows(self, m: int) -> np.ndarray:
         """The first m wall-normal rows of the vorticity, (nx, m): a slice of
@@ -104,40 +121,50 @@ class FlowState:
         alone."""
         omega = vars(self).get("vorticity")
         if omega is None:
-            return self._derive(rows=m)
+            return self._derive(self.velocity, rows=m)
         return omega.values[:, :m]
 
 
 def _check_walls(velocity: VectorField, no_slip: bool) -> None:
     """Raise ValueError unless the velocity meets the wall conditions."""
-    if np.any(velocity.comp2[:, 0] != 0.0) or np.any(velocity.comp2[:, -1] != 0.0):
+    if velocity.comp2[:, 0].any() or velocity.comp2[:, -1].any():
         raise ValueError("wall-normal velocity must vanish exactly at walls")
-    if no_slip and np.any(velocity.comp1[:, 0] != 0.0):
+    if no_slip and velocity.comp1[:, 0].any():
         raise ValueError("no-slip wall requires comp1 = 0 at x2 = 0")
 
 
 @dataclass(frozen=True)
 class Trajectory:
+    """The output states of one run, in time order, on one grid.
+
+    `states` is a sequence: a tuple for a stepped run, or a loaded run's
+    snapshots (`snapshots.load_trajectory`), which hold one state at a time.
+    The checks here read only each state's grid and time, so they read no
+    snapshot payload; `times` returns the times they checked.
+    """
+
     grid: Grid
     scheme: str
     nu: float
     dt: float
-    states: tuple
+    states: Sequence
     step_energies: tuple | None = None
 
     def __post_init__(self):
         if not self.states:
             raise ValueError("trajectory needs at least one state")
-        ts = [s.t for s in self.states]
-        if any(b <= a for a, b in zip(ts, ts[1:])):
-            raise ValueError("state times must increase strictly")
+        ts = []
         for s in self.states:
             if s.grid is not self.grid:
                 raise ValueError("all states must share the trajectory grid")
+            ts.append(s.t)
+        if any(b <= a for a, b in zip(ts, ts[1:])):
+            raise ValueError("state times must increase strictly")
+        object.__setattr__(self, "_times", tuple(ts))
 
     @property
     def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.states])
+        return np.array(self._times)
 
 
 @dataclass(frozen=True)

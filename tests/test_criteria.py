@@ -407,7 +407,7 @@ def test_loaded_pair_criteria_derive_only_wall_rows(adverse_pair, tmp_path, monk
     for r in (1.0, 2.0, np.inf):
         evaluate_criteria(ns, euler, sched, LayerSpec(C=10.0, r=r))
     assert rows_asked and None not in rows_asked and max(rows_asked) < ns.grid.ny // 4
-    states = ns.states + euler.states
+    states = (*ns.states, *euler.states)
     assert not any("vorticity" in vars(s) for s in states)
     for s in states:
         omega = s.vorticity

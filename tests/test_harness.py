@@ -3,6 +3,7 @@
 import csv
 import json
 import multiprocessing
+import struct
 from dataclasses import fields
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ilim import solvers
+from ilim import cli, solvers
 from ilim.analysis import error_series
 from ilim.cli import cli_dispatch
 from ilim.criteria import CRITERIA_CSV_HEADER, CriterionReport, evaluate_criteria
@@ -587,6 +588,48 @@ def test_cli_simulate_and_criteria(tmp_path, capsys):
     (out / "ns" / "manifest.json").write_text(json.dumps({**manifest, "nu": 0.5}))
     assert cli_dispatch(["criteria", str(out)]) == 1
     assert "snap_0000.bin" in capsys.readouterr().err
+
+
+def _poke_u1(value, node):
+    """Overwrite u1 at `node` of the NS run's second snapshot (33 rows), header
+    kept."""
+    def poke(run, monkeypatch):
+        path = run / "ns" / "snap_0001.bin"
+        raw = bytearray(path.read_bytes())
+        offset = 56 + 8 * (node[0] * 33 + node[1])
+        raw[offset:offset + 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(raw))
+    return poke
+
+
+def _rewrite_after_load(run, monkeypatch):
+    """Make `ilim criteria` find the NS run's second snapshot rewritten (a
+    new time in its header) once it has loaded the run."""
+    def load(directory):
+        traj = load_trajectory(directory)
+        path = Path(directory) / "snap_0001.bin"
+        raw = bytearray(path.read_bytes())
+        raw[40:48] = struct.pack("<d", 1.0)  # t
+        path.write_bytes(bytes(raw))
+        return traj
+    monkeypatch.setattr(cli, "load_trajectory", load)
+
+
+@pytest.mark.parametrize("fault, match", [
+    (_poke_u1(float("nan"), (1, 5)), "comp1 must be finite"),
+    (_poke_u1(1e-3, (1, 0)), "no-slip wall"),
+    (_rewrite_after_load, "changed since the trajectory was loaded"),
+], ids=["nan", "wall-slip", "rewritten"])
+def test_cli_criteria_names_a_snapshot_whose_state_is_faulty(tmp_path, capsys,
+                                                             monkeypatch, fault, match):
+    out = tmp_path / "run"
+    assert cli_dispatch(["simulate", "--nx", "16", "--ny", "33", "--T", "0.05",
+                         "--dt", "0.005", "--nu", "1e-3", "--out", str(out)]) == 0
+    fault(out, monkeypatch)
+    capsys.readouterr()
+    assert cli_dispatch(["criteria", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{out / 'ns' / 'snap_0001.bin'}: " in err and match in err
 
 
 def test_readme_config_example_runs(tmp_path):

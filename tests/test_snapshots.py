@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from ilim import snapshots
+from ilim.criteria import LayerSpec, MSchedule, evaluate_criteria
 from ilim.grid import VectorField, curl2d, grids_compatible, make_channel_grid
 from ilim.snapshots import (
     MAGIC,
@@ -170,13 +173,14 @@ def _edit_manifest(key, change):
     return corrupt
 
 
-def _rewrite_snapshot(**grid_args):
+def _rewrite_snapshot(t=0.05, u1=None, **grid_args):
     def rewrite(run):
         other = make_channel_grid(**{"nx": 8, "ny": 9, "period": 2.0 * np.pi,
                                      "height": 2.0, "clustering": "uniform",
                                      **grid_args})
         zeros = np.zeros(other.shape)
-        write_snapshot(run / "snap_0001.bin", other, 0.05, 1e-3, zeros, zeros)
+        write_snapshot(run / "snap_0001.bin", other, t, 1e-3,
+                       zeros if u1 is None else u1, zeros)
     return rewrite
 
 
@@ -202,3 +206,137 @@ def test_load_rejects_shape_mismatch(tmp_path, corrupt, match):
     corrupt(tmp_path / "run")
     with pytest.raises(ValueError, match=match):
         load_trajectory(tmp_path / "run")
+
+
+# ---------------------------------------------------------------------------
+# a loaded trajectory holds one state at a time
+
+
+def _saved_run(root, n, grid=None, nu=1e-3):
+    g = grid or _grid()
+    states = tuple(_state(g, 0.05 * i, nu, i) for i in range(n))
+    save_trajectory(Trajectory(grid=g, scheme="ns", nu=nu, dt=0.05, states=states), root)
+    return states
+
+
+def _count_payload_reads(monkeypatch):
+    """Spy on both payload readers: a loaded state's and `read_snapshot`."""
+    reads = []
+    for name in ("_read_velocity", "read_snapshot"):
+        def spy(path, *args, _read=getattr(snapshots, name)):
+            reads.append(path.name)
+            return _read(path, *args)
+        monkeypatch.setattr(snapshots, name, spy)
+    return reads
+
+
+def test_load_and_trajectory_checks_read_no_payload(tmp_path, monkeypatch):
+    _saved_run(tmp_path / "run", 4)
+    reads = _count_payload_reads(monkeypatch)
+    traj = load_trajectory(tmp_path / "run")
+    times = [0.05 * i for i in range(4)]
+    assert traj.times.tolist() == times
+    Trajectory(grid=traj.grid, scheme=traj.scheme, nu=traj.nu, dt=traj.dt,
+               states=traj.states)  # the time-order and grid checks
+    tail = traj.states[1:]
+    assert len(tail) == 3 and [s.t for s in tail] == times[1:]
+    assert [s.t for s in traj.states[::-2]] == times[::-2]
+    assert reads == []
+    state = traj.states[-1]
+    state.velocity.comp1
+    state.velocity.comp2
+    assert reads == ["snap_0003.bin"]  # read once, then kept by the state
+
+
+def test_a_state_read_twice_gives_equal_bits_in_its_own_arrays(tmp_path):
+    saved = _saved_run(tmp_path / "run", 2)
+    traj = load_trajectory(tmp_path / "run")
+    a, b = traj.states[1], traj.states[1]
+    assert a is not b
+    for name in ("comp1", "comp2"):
+        x, y = getattr(a.velocity, name), getattr(b.velocity, name)
+        assert x.tobytes() == y.tobytes() == getattr(saved[1].velocity, name).tobytes()
+        assert not np.shares_memory(x, y)
+        assert not x.flags.writeable
+
+
+def _paired_run(root, n, grid):
+    """A hand-made NS/Euler pair of n outputs (no stepping), saved under root."""
+    rng = np.random.default_rng(n)
+    profile = np.sin(np.pi * grid.y / grid.height) ** 2
+    for scheme, nu in (("ns", 1e-3), ("euler", 0.0)):
+        states = []
+        for i in range(n):
+            u1 = (1.0 + 0.1 * rng.normal(size=grid.nx))[:, None] * profile[None, :]
+            if nu == 0.0:
+                u1 = u1 + 1.0  # the inviscid run slips at the wall
+            vel = VectorField(grid, u1, np.zeros(grid.shape))
+            states.append(FlowState(grid=grid, t=0.01 * i, nu=nu, velocity=vel,
+                                    vorticity=curl2d))
+        save_trajectory(Trajectory(grid=grid, scheme=scheme, nu=nu, dt=0.01,
+                                   states=tuple(states)), root / scheme)
+
+
+def _criteria_peak_bytes(root):
+    """tracemalloc's peak over evaluating the criteria of a loaded pair."""
+    ns, euler = load_trajectory(root / "ns"), load_trajectory(root / "euler")
+    tracemalloc.start()
+    try:
+        evaluate_criteria(ns, euler, MSchedule(form="power", c=1.0, a=0.5),
+                          LayerSpec(C=10.0, r=2.0))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_loaded_criteria_peak_is_a_few_states_whatever_the_output_count(tmp_path):
+    g = make_channel_grid(64, 97, 2.0 * np.pi, 2.0, clustering="tanh", strength=2.0)
+    state_bytes = 2 * g.nx * g.ny * 8
+    peaks = {}
+    for n in (20, 60):
+        _paired_run(tmp_path / str(n), n, g)
+        peaks[n] = _criteria_peak_bytes(tmp_path / str(n))
+    assert peaks[60] < 4 * state_bytes
+    assert peaks[60] - peaks[20] < state_bytes / 4
+
+
+def _u1_with(node, value):
+    u1 = np.zeros(_grid().shape)
+    u1[node] = value
+    return u1
+
+
+def _resized(change):
+    def resize(run):
+        path = run / "snap_0001.bin"
+        path.write_bytes(change(path.read_bytes()))
+    return resize
+
+
+def _deleted(run):
+    (run / "snap_0001.bin").unlink()
+
+
+# a snapshot whose header matches the manifest but whose payload breaks a
+# state's checks, or that changes after load: reading its state names it
+@pytest.mark.parametrize("fault, when, match", [
+    (_rewrite_snapshot(u1=_u1_with((3, 4), np.nan)), "before",
+     r"snap_0001\.bin: comp1 must be finite"),
+    (_rewrite_snapshot(u1=_u1_with((2, 0), 1e-3)), "before", r"snap_0001\.bin: no-slip wall"),
+    (_rewrite_snapshot(t=0.07), "after", r"snap_0001\.bin: changed since"),
+    (_resized(lambda raw: raw[:-8]), "after", r"snap_0001\.bin: changed since"),
+    (_resized(lambda raw: raw + bytes(8)), "after", r"snap_0001\.bin: changed since"),
+    (_deleted, "after", r"snap_0001\.bin: cannot be read"),
+], ids=["nan", "wall-slip", "rewritten", "truncated", "grown", "deleted"])
+def test_reading_a_faulty_state_names_its_file(tmp_path, fault, when, match):
+    _saved_run(tmp_path / "run", 3)
+    if when == "before":
+        fault(tmp_path / "run")
+    traj = load_trajectory(tmp_path / "run")  # reads headers only
+    if when == "after":
+        fault(tmp_path / "run")
+    traj.states[0].velocity
+    with pytest.raises(ValueError, match=match):
+        traj.states[1].velocity
+    with pytest.raises(ValueError, match=match):  # derived through the same read
+        traj.states[1].vorticity

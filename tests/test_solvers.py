@@ -1,5 +1,6 @@
 """Channel schemes, exact shear series, and paired runs."""
 
+import pickle
 from collections import Counter
 import weakref
 from dataclasses import replace
@@ -89,6 +90,15 @@ def test_trajectory_validation(channel):
         Trajectory(grid=channel, scheme="ns", nu=1e-3, dt=0.1, states=(s1, s0))
     traj = Trajectory(grid=channel, scheme="ns", nu=1e-3, dt=0.1, states=(s0, s1))
     assert np.array_equal(traj.times, np.array([0.0, 0.5]))
+
+
+def test_states_grids_and_fields_compare_by_identity(channel):
+    state = _shear_state(channel, 1e-3)
+    for obj in (state, channel, state.velocity, state.vorticity):
+        copy = pickle.loads(pickle.dumps(obj))
+        assert (obj == copy) is False and (obj != copy) is True
+        assert obj == obj
+        assert len({obj, obj, copy}) == 2
 
 
 def test_kinetic_energy_matches_direct_sum(channel):
