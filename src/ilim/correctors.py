@@ -26,7 +26,6 @@ __all__ = [
     "trace_from_callable",
     "CorrectorParams",
     "flat_corrector",
-    "flat_corrector_wall_gradient",
     "CorrectorRate",
     "corrector_time_derivative",
     "ScalingRow",
@@ -292,17 +291,6 @@ def flat_corrector(params: CorrectorParams, grid: Grid, out=None) -> VectorField
     else:
         _FlatFactors(params, grid).fields(out)
     return VectorField(grid, *out)
-
-
-def flat_corrector_wall_gradient(params: CorrectorParams, grid: Grid) -> np.ndarray:
-    """Analytic wall-normal gradient of comp1 at the wall: U/(alpha*tau).
-
-    Evaluated from the closed form (the mollifier terms vanish at the
-    wall), not by finite differences.
-    """
-    if params.tau <= 0.0:
-        raise ValueError("wall gradient requires tau > 0")
-    return params.trace.u / (params.alpha * params.tau)
 
 
 @dataclass(frozen=True)

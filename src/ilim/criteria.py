@@ -21,11 +21,8 @@ __all__ = [
     "LayerSpec",
     "LayerHeight",
     "CriterionReport",
-    "scales_from_trace",
     "layer_height",
     "no_backflow_margin",
-    "kato_condition",
-    "boundary_vorticity_condition",
     "evaluate_criteria",
     "CRITERIA_CSV_HEADER",
     "write_criteria_csv",
@@ -133,8 +130,13 @@ def no_backflow_margin(euler_state) -> float:
 def _layer_pass(state, schedule: MSchedule, spec: LayerSpec):
     """The layer at the state's time: its height, the number k of grid rows
     inside the strip (rows 1..k), (lhs, rhs) of the layer condition on it,
-    and the wall-vorticity margin.  Only rows [0, k + 1) of the vorticity
-    (and of -d2 u1) are read."""
+    and the wall-vorticity margin, min over the wall row of omega + M/nu.
+    Only rows [0, k + 1) of the vorticity (and of -d2 u1) are read.
+
+    lhs = nu^{(r-1)/r} || (omega + M/nu)_- ||_{L^r(layer)} and
+    rhs = tau^{1/r} M; for r = inf the prefactor is nu and tau^{1/r} = 1.
+    An empty layer gives lhs = 0.
+    """
     if state.nu <= 0.0:
         raise ValueError("the layer condition applies to the viscous state")
     h = layer_height(state.nu, state.t, schedule, spec.C)
@@ -158,31 +160,7 @@ def _layer_pass(state, schedule: MSchedule, spec: LayerSpec):
         r = spec.r
         lhs = state.nu ** ((r - 1.0) / r) * lp
         rhs = min(state.t, 1.0) ** (1.0 / r) * m  # tau^{1/r} M
-    return h, k, float(lhs), float(rhs), _wall_margin(omega, m, state.nu)
-
-
-def _wall_margin(omega_rows, m: float, nu: float) -> float:
-    """min over the wall row (row 0 of `omega_rows`) of omega + M/nu."""
-    return float((omega_rows[:, 0] + m / nu).min())
-
-
-def kato_condition(state, schedule: MSchedule, spec: LayerSpec):
-    """(lhs, rhs) of the layer condition at the state's time.
-
-    lhs = nu^{(r-1)/r} || (omega + M/nu)_- ||_{L^r(layer)},
-    rhs = tau^{1/r} M; for r = inf the prefactor is nu and tau^{1/r} = 1.
-    Empty layers give lhs = 0.
-    """
-    return _layer_pass(state, schedule, spec)[2:4]
-
-
-def boundary_vorticity_condition(state, schedule: MSchedule) -> float:
-    """min over wall nodes of omega + M/nu (>= 0 means the pointwise
-    wall-vorticity variant holds); reads the wall row of omega only."""
-    if state.nu <= 0.0:
-        raise ValueError("the wall-vorticity condition applies to the viscous state")
-    return _wall_margin(state._vorticity_rows(1), schedule.value(state.nu, state.t),
-                        state.nu)
+    return h, k, float(lhs), float(rhs), float((omega[:, 0] + m / state.nu).min())
 
 
 # (criteria.csv column, CriterionReport field), in column order
@@ -267,19 +245,3 @@ def evaluate_criteria(ns_traj, euler_traj, schedule: MSchedule,
         rows.append((h.value, h.clamped, no_backflow_margin(s_e), lhs, rhs,
                      lhs <= rhs, wall, h.value > 0.0 and rows_inside < 2))
     return CriterionReport(ns_traj.nu, t_ns, *map(np.array, zip(*rows)))
-
-
-def scales_from_trace(trace: np.ndarray, period: float):
-    """Length and time scales of an inviscid trace history.
-
-    trace has shape (n_times, nx).  L = sup_t ||U(t)||^2_{L^2} / ||U||^2_inf
-    and T = L / ||U||_inf; scaling U by c leaves L fixed and divides T by c.
-    """
-    u = np.atleast_2d(np.asarray(trace, dtype=float))
-    sup = float(np.max(np.abs(u)))
-    if sup == 0.0:
-        raise ValueError("trace is identically zero; scales are undefined")
-    dx = period / u.shape[1]
-    l2_sq = np.sum(u**2, axis=1) * dx
-    length = float(l2_sq.max()) / sup**2
-    return length, length / sup

@@ -25,7 +25,6 @@ __all__ = [
     "grids_compatible",
     "layer_region",
     "lp_norm",
-    "integrate",
     "x_derivative",
     "y_derivative",
     "gradient",
@@ -313,14 +312,6 @@ def _lp_sum(v, w, p) -> float:
     if v.size == 0:
         return 0.0
     return float(np.sum(w * np.abs(v) ** p) ** (1.0 / p))
-
-
-def integrate(grid: Grid, values: np.ndarray, region: Region | None = None) -> float:
-    """Quadrature of a nodal sample array, optionally over a region."""
-    w = grid.quad_weights
-    if region is not None:
-        return float(np.sum(w[region.mask] * values[region.mask]))
-    return float(np.sum(w * values))
 
 
 def x_derivative(grid: Grid, values: np.ndarray) -> np.ndarray:

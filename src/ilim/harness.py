@@ -276,11 +276,10 @@ def run_sweep(config: SweepConfig, jobs: int | None = None) -> SweepResult:
 
     The Euler run has no nu in it, so each worker steps it once for its
     share of the nu values (every `jobs`-th one) and pairs it with a
-    Navier-Stokes run per nu.  Worker count precedence: explicit `jobs`
-    argument (the --jobs flag), else the ILIM_JOBS environment variable,
-    else all available cores.  Results are ordered by the config's nu list
-    regardless of worker scheduling, so output is identical for any worker
-    count.  A grid, time or data fault raises `_initial_velocity`'s
+    Navier-Stokes run per nu.  The worker count is `jobs` (the --jobs
+    flag), else all available cores.  Results are ordered by the config's
+    nu list regardless of worker scheduling, so output is identical for any
+    worker count.  A grid, time or data fault raises `_initial_velocity`'s
     ValueError before any worker starts; a fault of one nu fails only its
     record.  Raises RuntimeError if every nu failed.
     """
@@ -288,8 +287,7 @@ def run_sweep(config: SweepConfig, jobs: int | None = None) -> SweepResult:
         raise ValueError("sweep needs at least one nu")
     _initial_velocity(config)
     if jobs is None:
-        env = os.environ.get("ILIM_JOBS")
-        jobs = int(env) if env is not None else (os.cpu_count() or 1)
+        jobs = os.cpu_count() or 1
     jobs = max(1, min(jobs, len(config.nu_values)))
     tasks = [(config, config.nu_values[i::jobs]) for i in range(jobs)]
     if jobs > 1:

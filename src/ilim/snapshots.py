@@ -19,6 +19,7 @@ import json
 import os
 import struct
 from collections.abc import Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -146,43 +147,69 @@ def load_trajectory(directory) -> Trajectory:
     """Open a trajectory directory, reading and checking every snapshot's
     header but no payload.
 
-    A manifest whose snapshot and time lists differ in length, or a snapshot
-    whose magic, size, grid, time or viscosity disagrees with the manifest,
-    is rejected, naming the file.  Each index of `states` gives a new
-    FlowState whose velocity is read from its file on first use, bit-exactly,
-    and checked then (`_read_velocity`).  Its vorticity is derived with
-    `curl2d`: on the first read of `state.vorticity`, or row by row for the
-    criteria.
+    A manifest that lacks a key or holds one of the wrong type, whose
+    snapshot and time lists differ in length, or a snapshot that cannot be
+    read or whose magic, size, grid, time or viscosity disagrees with the
+    manifest, is a ValueError naming the file (and the manifest key).  Each
+    index of `states` gives a new FlowState whose velocity is read from its
+    file on first use, bit-exactly, and checked then (`_read_velocity`).
+    Its vorticity is derived with `curl2d`: on the first read of
+    `state.vorticity`, or row by row for the criteria.
     """
     directory = Path(directory)
-    with open(directory / "manifest.json") as fh:
+    manifest_path = directory / "manifest.json"
+    with open(manifest_path) as fh:
         manifest = json.load(fh)
-    if manifest.get("format") != "ILIM1":
-        raise ValueError(f"{directory}: not an ILIM1 trajectory")
-    g = manifest["grid"]
-    grid = make_channel_grid(g["nx"], g["ny"], g["period"], g["height"],
-                             clustering=g["clustering"], strength=g["strength"])
-    names, times = manifest["snapshots"], manifest["times"]
-    if len(names) != len(times):
-        raise ValueError(f"{directory / 'manifest.json'}: {len(names)} snapshots "
+    if not isinstance(manifest, dict) or manifest.get("format") != "ILIM1":
+        raise ValueError(f"{manifest_path}: not an ILIM1 trajectory manifest")
+    entry = partial(_manifest_entry, manifest, manifest_path)
+    grid = entry("grid", lambda g: make_channel_grid(
+        g["nx"], g["ny"], g["period"], g["height"],
+        clustering=g["clustering"], strength=g["strength"]))
+    paths = entry("snapshots", lambda names: [directory / n for n in _list(names)])
+    times = entry("times", _list)
+    nu, scheme, dt = entry("nu"), entry("scheme"), entry("dt")
+    if len(paths) != len(times):
+        raise ValueError(f"{manifest_path}: {len(paths)} snapshots "
                          f"but {len(times)} times")
     files = []
-    for name, t in zip(names, times):
-        path = directory / name
-        with open(path, "rb", buffering=0) as fh:
+    for path, t in zip(paths, times):
+        with _reading(path), open(path, "rb", buffering=0) as fh:
             head = _read_header(fh, path)
-        want = (grid.nx, grid.ny, grid.period, grid.height, t, manifest["nu"])
+        want = (grid.nx, grid.ny, grid.period, grid.height, t, nu)
         if head != want:
             raise ValueError(f"{path}: (nx, ny, period, height, t, nu) = "
                              f"{head!r} disagrees with the manifest's {want!r}")
         files.append((path, head))
-    return Trajectory(
-        grid=grid,
-        scheme=manifest["scheme"],
-        nu=manifest["nu"],
-        dt=manifest["dt"],
-        states=_LoadedStates(grid, tuple(files)),
-    )
+    return Trajectory(grid=grid, scheme=scheme, nu=nu, dt=dt,
+                      states=_LoadedStates(grid, tuple(files)))
+
+
+def _manifest_entry(manifest, path, key, convert=lambda value: value):
+    """`convert(manifest[key])`, where a missing key, or a value `convert`
+    rejects, is a ValueError naming the manifest file `path` and the key."""
+    if key not in manifest:
+        raise ValueError(f"{path}: missing key {key!r}")
+    with _in_section(f"{path}: key {key!r}:"):
+        try:
+            return convert(manifest[key])
+        except KeyError as exc:
+            raise ValueError(f"missing {exc}") from None
+
+
+def _list(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {type(value).__name__}")
+    return value
+
+
+@contextmanager
+def _reading(path):
+    """Turn an OSError raised inside the block into a ValueError naming `path`."""
+    try:
+        yield
+    except OSError as exc:
+        raise ValueError(f"{path}: cannot be read ({exc.strerror})") from None
 
 
 class _LoadedStates(Sequence):
@@ -213,14 +240,12 @@ def _read_velocity(path, head, grid: Grid, check) -> VectorField:
     whose header or size is no longer the one checked at load."""
     raw = bytearray(_HEADER.size)
     u = np.empty((2, grid.nx, grid.ny), dtype="<f8")
-    try:
+    with _reading(path):
         fd = os.open(path, os.O_RDONLY)
         try:  # a trailing byte catches a file longer than its header says
             n = os.readv(fd, [raw, u, bytearray(1)])
         finally:
             os.close(fd)
-    except OSError as exc:
-        raise ValueError(f"{path}: cannot be read ({exc.strerror})") from None
     if n != len(raw) + u.nbytes or _HEADER.unpack(raw) != (MAGIC, *head):
         raise ValueError(f"{path}: changed since the trajectory was loaded")
     with _in_section(f"{path}:"):

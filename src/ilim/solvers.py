@@ -53,7 +53,6 @@ __all__ = [
     "EulerIntegrator",
     "kinetic_energy",
     "ShearFlow",
-    "shear_exact",
     "run_simulation",
 ]
 
@@ -180,6 +179,8 @@ def _energy(grid: Grid, u1, u2) -> float:
 
 
 def kinetic_energy(vel: VectorField) -> float:
+    """0.5 * the quadrature of |u|^2.  Kept public for the bench, whose
+    energy fingerprint reads it."""
     return _energy(vel.grid, vel.comp1, vel.comp2)
 
 
@@ -596,15 +597,6 @@ class ShearFlow:
         in the truncated series by eigenmode orthogonality)."""
         gap = self.coeffs * (1.0 - np.exp(-nu * self.lam**2 * t))
         return 0.5 * self.height * float(np.sum(gap**2))
-
-
-def shear_exact(v0, nu: float, t: float, grid_y, n_modes: int = 4096) -> np.ndarray:
-    """Exact shear profile w(grid_y, t) from initial profile v0 (v0(0) = 0)."""
-    y = np.asarray(grid_y, dtype=float)
-    if abs(float(np.asarray(v0(np.zeros(1))).ravel()[0])) > 1e-13:
-        raise ValueError("shear profile must vanish at the wall")
-    flow = ShearFlow(v0=v0, height=float(y[-1]), n_modes=n_modes)
-    return flow.profile(y, nu, t)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from ilim.correctors import (
     curved_gamma,
     default_eta,
     flat_corrector,
-    flat_corrector_wall_gradient,
     make_curved_chart,
     make_mollifier,
     plateau_eta,
@@ -169,15 +168,6 @@ def test_flat_corrector_rejects_foreign_trace(layer_grid):
     tr = WallTrace(np.zeros(8), np.zeros(8))
     with pytest.raises(ValueError):
         flat_corrector(CorrectorParams(0.5, 1.0, tr), layer_grid)
-
-
-def test_wall_gradient_closed_form(layer_grid):
-    tr = trace_from_callable(layer_grid, np.cos)
-    p = CorrectorParams(0.25, 0.5, tr)
-    grad = flat_corrector_wall_gradient(p, layer_grid)
-    assert np.array_equal(grad, tr.u / (0.25 * 0.5))
-    with pytest.raises(ValueError):
-        flat_corrector_wall_gradient(CorrectorParams(0.25, 0.0, tr), layer_grid)
 
 
 # ---------------------------------------------------------------------------

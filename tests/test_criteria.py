@@ -11,12 +11,9 @@ from ilim.criteria import (
     CRITERIA_CSV_HEADER,
     LayerSpec,
     MSchedule,
-    boundary_vorticity_condition,
     evaluate_criteria,
-    kato_condition,
     layer_height,
     no_backflow_margin,
-    scales_from_trace,
 )
 from ilim.grid import (
     ScalarField,
@@ -34,6 +31,7 @@ from ilim.solvers import (
     FlowState,
     NavierStokesIntegrator,
     SimulationConfig,
+    Trajectory,
     run_simulation,
 )
 
@@ -154,7 +152,19 @@ def test_no_backflow_margin_reads_wall_row():
     assert no_backflow_margin(state) == -0.25
 
 
-def test_kato_condition_constant_vorticity_oracle():
+def _one_state_report(state, sched, spec):
+    """evaluate_criteria on `state` paired with an inviscid state at rest at
+    its time, each the one state of its trajectory."""
+    g = state.grid
+    z = np.zeros(g.shape)
+    rest = FlowState(grid=g, t=state.t, nu=0.0, velocity=VectorField(g, z, z),
+                     vorticity=ScalarField(g, z))
+    ns, euler = (Trajectory(grid=g, scheme=scheme, nu=s.nu, dt=1.0, states=(s,))
+                 for scheme, s in (("ns", state), ("euler", rest)))
+    return evaluate_criteria(ns, euler, sched, spec)
+
+
+def test_layer_condition_constant_vorticity_oracle():
     nu, m_val, a = 1e-2, 1e-3, -5.0
     sched = MSchedule(form="constant", c=m_val)
     state = _uniform_state(nu, 1.0, a)
@@ -165,41 +175,46 @@ def test_kato_condition_constant_vorticity_oracle():
     wy = np.concatenate(([0.5 * dy[0]], 0.5 * (dy[:-1] + dy[1:]), [0.5 * dy[-1]]))
     area = g.nx * (g.period / g.nx) * wy[mask].sum()
     defect = abs(a + m_val / nu)
+    expect_lhs = {1.0: defect * area, 2.0: math.sqrt(nu) * defect * math.sqrt(area),
+                  np.inf: nu * defect}
+    rel = {1.0: 1e-13, 2.0: 1e-13, np.inf: 1e-14}
 
-    lhs, rhs = kato_condition(state, sched, LayerSpec(C=2.0, r=1.0))
-    assert lhs == pytest.approx(defect * area, rel=1e-13)
-    assert rhs == pytest.approx(m_val, rel=1e-14)
-
-    lhs, rhs = kato_condition(state, sched, LayerSpec(C=2.0, r=2.0))
-    assert lhs == pytest.approx(math.sqrt(nu) * defect * math.sqrt(area), rel=1e-13)
-    assert rhs == pytest.approx(m_val, rel=1e-14)
-
-    lhs, rhs = kato_condition(state, sched, LayerSpec(C=2.0, r=np.inf))
-    assert lhs == pytest.approx(nu * defect, rel=1e-14)
-    assert rhs == pytest.approx(m_val, rel=1e-14)
+    for r, lhs in expect_lhs.items():
+        report = _one_state_report(state, sched, LayerSpec(C=2.0, r=r))
+        assert report.cond_lhs[0] == pytest.approx(lhs, rel=rel[r])
+        assert report.cond_rhs[0] == pytest.approx(m_val, rel=1e-14)
 
 
-def test_kato_condition_positive_vorticity_passes():
+def test_layer_condition_positive_vorticity_passes():
     sched = MSchedule(form="constant", c=1e-3)
     state = _uniform_state(1e-2, 1.0, 3.0)
-    lhs, rhs = kato_condition(state, sched, LayerSpec(C=2.0, r=2.0))
-    assert lhs == 0.0 and rhs > 0.0
+    report = _one_state_report(state, sched, LayerSpec(C=2.0, r=2.0))
+    assert report.cond_lhs[0] == 0.0 and report.cond_rhs[0] > 0.0
+    assert report.all_pass
 
 
-def test_kato_condition_empty_layer_and_validation():
+def test_layer_condition_empty_layer_and_validation():
     sched = MSchedule(form="constant", c=1e-3)
     state = _uniform_state(1e-2, 0.0, -5.0)
-    lhs, rhs = kato_condition(state, sched, LayerSpec(C=2.0, r=2.0))
-    assert lhs == 0.0 and rhs == 0.0
+    report = _one_state_report(state, sched, LayerSpec(C=2.0, r=2.0))
+    assert report.cond_lhs[0] == 0.0 and report.cond_rhs[0] == 0.0
     g = make_channel_grid(8, 9, 1.0, 1.0, clustering="uniform")
     z = np.zeros(g.shape)
-    bad = FlowState(grid=g, t=1.0, nu=0.0, velocity=VectorField(g, z, z),
-                    vorticity=ScalarField(g, z))
-    with pytest.raises(ValueError):
-        kato_condition(bad, sched, LayerSpec(C=2.0, r=2.0))
+    inviscid = FlowState(grid=g, t=1.0, nu=0.0, velocity=VectorField(g, z, z),
+                         vorticity=ScalarField(g, z))
+    with pytest.raises(ValueError, match="viscous state"):
+        _one_state_report(inviscid, sched, LayerSpec(C=2.0, r=2.0))
 
 
-def test_kato_condition_du1dy_variant():
+def test_boundary_vorticity_condition():
+    # the pointwise wall variant: min over the wall of omega + M/nu
+    sched = MSchedule(form="constant", c=1e-3)
+    state = _uniform_state(1e-2, 1.0, -5.0)
+    report = _one_state_report(state, sched, LayerSpec(C=2.0, r=2.0))
+    assert report.wall_vort_margin[0] == pytest.approx(-4.9, rel=1e-14)
+
+
+def test_layer_condition_du1dy_variant():
     # u1 = s * x2 has -d2 u1 = -s; the stored vorticity field is zero, so
     # only the du1dy variant sees the defect
     s = 4.0
@@ -207,44 +222,12 @@ def test_kato_condition_du1dy_variant():
     state = _uniform_state(
         1e-2, 1.0, 0.0, u1=lambda g: np.broadcast_to(s * g.y, g.shape).copy()
     )
-    lhs_omega, _ = kato_condition(state, sched, LayerSpec(C=2.0, r=np.inf))
-    lhs_du, _ = kato_condition(
+    lhs_omega = _one_state_report(state, sched, LayerSpec(C=2.0, r=np.inf)).cond_lhs[0]
+    lhs_du = _one_state_report(
         state, sched, LayerSpec(C=2.0, r=np.inf, use_du1dy=True)
-    )
+    ).cond_lhs[0]
     assert lhs_omega == 0.0
     assert lhs_du == pytest.approx(1e-2 * abs(-s + 0.1), rel=1e-11)
-
-
-def test_boundary_vorticity_condition():
-    sched = MSchedule(form="constant", c=1e-3)
-    state = _uniform_state(1e-2, 1.0, -5.0)
-    assert boundary_vorticity_condition(state, sched) == pytest.approx(-4.9, rel=1e-14)
-    g = state.grid
-    z = np.zeros(g.shape)
-    inviscid = FlowState(grid=g, t=1.0, nu=0.0,
-                         velocity=VectorField(g, z, z), vorticity=ScalarField(g, z))
-    with pytest.raises(ValueError):
-        boundary_vorticity_condition(inviscid, sched)
-
-
-# ---------------------------------------------------------------------------
-# trace scales
-
-
-def test_scales_from_trace_cosine():
-    x = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
-    length, time_scale = scales_from_trace(np.cos(x)[None, :], 2.0 * np.pi)
-    assert length == pytest.approx(np.pi, rel=1e-14)
-    assert time_scale == pytest.approx(np.pi, rel=1e-14)
-    # scaling the trace leaves L fixed and divides T by the factor
-    length2, time2 = scales_from_trace(3.0 * np.cos(x)[None, :], 2.0 * np.pi)
-    assert length2 == pytest.approx(length, rel=1e-14)
-    assert time2 == pytest.approx(time_scale / 3.0, rel=1e-14)
-
-
-def test_scales_from_trace_rejects_zero():
-    with pytest.raises(ValueError):
-        scales_from_trace(np.zeros((2, 16)), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -334,15 +317,12 @@ def test_evaluate_criteria_matches_per_state_functions(adverse_pair, r):
     report = evaluate_criteria(ns, euler, sched, spec)
     for i, (s_ns, s_e) in enumerate(zip(ns.states, euler.states)):
         h = layer_height(s_ns.nu, s_ns.t, sched, spec.C)
-        lhs, rhs = kato_condition(s_ns, sched, spec)
         rows_inside = np.count_nonzero(layer_region(ns.grid, h.value).mask[0])
         assert report.times[i] == s_ns.t
         assert report.layer_heights[i] == h.value
         assert report.layer_clamped[i] == h.clamped
         assert report.backflow_margin[i] == no_backflow_margin(s_e)
-        assert report.cond_lhs[i] == lhs and report.cond_rhs[i] == rhs
-        assert report.cond_pass[i] == (lhs <= rhs)
-        assert report.wall_vort_margin[i] == boundary_vorticity_condition(s_ns, sched)
+        assert report.cond_pass[i] == (report.cond_lhs[i] <= report.cond_rhs[i])
         assert report.under_resolved[i] == (h.value > 0.0 and rows_inside < 2)
     assert report.layer_heights.dtype == np.float64
     assert report.cond_pass.dtype == bool and report.under_resolved.dtype == bool

@@ -15,7 +15,6 @@ from ilim.grid import (
     divergence2d,
     gradient,
     grids_compatible,
-    integrate,
     layer_region,
     lp_norm,
     make_channel_grid,
@@ -151,7 +150,7 @@ def test_lp_norm_constant_field_unit_area(unit_grid):
 
 def test_lp_norm_constant_on_region_is_area_times_c(unit_grid):
     region = layer_region(unit_grid, unit_grid.y[2])
-    area = integrate(unit_grid, np.ones(unit_grid.shape), region)
+    area = np.sum(unit_grid.quad_weights[region.mask])
     c = -3.5
     f = ScalarField(unit_grid, np.full(unit_grid.shape, c))
     assert lp_norm(f, 1.0, region) == pytest.approx(abs(c) * area, rel=1e-14)
@@ -213,10 +212,6 @@ def test_lp_norm_inf_is_region_max(unit_grid):
     f = ScalarField(unit_grid, vals)
     region = layer_region(unit_grid, 0.5)
     assert lp_norm(f, np.inf, region) == np.abs(vals[region.mask]).max()
-
-
-def test_integrate_full_domain(unit_grid):
-    assert integrate(unit_grid, np.ones(unit_grid.shape)) == pytest.approx(1.0, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------

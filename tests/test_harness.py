@@ -3,6 +3,8 @@
 import csv
 import json
 import multiprocessing
+import re
+import shutil
 import struct
 from dataclasses import fields
 from pathlib import Path
@@ -113,7 +115,7 @@ def test_parse_config_free_form_preset_options(tmp_path):
     [
         ("[plasma]\nfoo = 1\n", "unknown config section"),
         ("[grid]\nnz = 4\n", "unknown config key"),
-        # the worker count is a run option (--jobs, ILIM_JOBS), not a config key
+        # the worker count is a run option (--jobs, jobs=), not a config key
         ("[sweep]\njobs = 2\n", "unknown config key 'jobs' in \\[sweep\\]"),
         ("[sweep]\nnu = -1e-3\n", "positive"),
         ("[sweep]\nnu =\n", "at least one nu"),
@@ -290,16 +292,6 @@ def test_sweep_parallel_output_is_byte_identical(small_sweep_serial, tmp_path):
     assert names == names_p
     for name in names:
         assert (d_serial / name).read_bytes() == (d_parallel / name).read_bytes()
-
-
-def test_sweep_honors_jobs_env(small_sweep_serial, tmp_path, monkeypatch):
-    monkeypatch.setenv("ILIM_JOBS", "2")
-    result = run_sweep(SweepConfig(**SMALL))  # jobs resolved from the env
-    d_env, d_ref = tmp_path / "env", tmp_path / "ref"
-    emit_report(result, d_env)
-    emit_report(small_sweep_serial, d_ref)
-    for name in ("sweep.csv", "rates.json", "criteria.csv", "manifest.json"):
-        assert (d_env / name).read_bytes() == (d_ref / name).read_bytes()
 
 
 def test_sweep_isolates_failing_nu(tmp_path):
@@ -588,6 +580,40 @@ def test_cli_simulate_and_criteria(tmp_path, capsys):
     (out / "ns" / "manifest.json").write_text(json.dumps({**manifest, "nu": 0.5}))
     assert cli_dispatch(["criteria", str(out)]) == 1
     assert "snap_0000.bin" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def stored_pair(tmp_path_factory):
+    out = tmp_path_factory.mktemp("stored") / "run"
+    assert cli_dispatch(["simulate", "--nx", "16", "--ny", "33", "--T", "0.05",
+                         "--dt", "0.005", "--out", str(out)]) == 0
+    return out
+
+
+def _subdirectory_as_first_snapshot(run, manifest):
+    (run / "ns" / "sub").mkdir()
+    return {**manifest, "snapshots": ["sub", *manifest["snapshots"][1:]]}
+
+
+# a malformed manifest is a usage error naming the file and the key at fault
+@pytest.mark.parametrize("edit, match", [
+    (lambda run, m: {k: v for k, v in m.items() if k != "nu"},
+     r"ns/manifest\.json: missing key 'nu'"),
+    (lambda run, m: [m], r"ns/manifest\.json: not an ILIM1 trajectory manifest"),
+    (lambda run, m: {**m, "times": 3}, r"ns/manifest\.json: key 'times': expected a list"),
+    (lambda run, m: {**m, "grid": {**m["grid"], "nx": "8"}},
+     r"ns/manifest\.json: key 'grid': '<' not supported"),
+    (_subdirectory_as_first_snapshot, r"ns/sub: cannot be read \(Is a directory\)"),
+], ids=["nu-missing", "list", "times-int", "nx-string", "snapshot-directory"])
+def test_cli_criteria_names_a_malformed_manifest(stored_pair, tmp_path, capsys, edit, match):
+    run = tmp_path / "run"
+    shutil.copytree(stored_pair, run)
+    path = run / "ns" / "manifest.json"
+    path.write_text(json.dumps(edit(run, json.loads(path.read_text()))))
+    capsys.readouterr()
+    assert cli_dispatch(["criteria", str(run)]) == 1
+    assert re.search(match, capsys.readouterr().err)
+    assert not (run / "criteria.csv").exists()
 
 
 def _poke_u1(value, node):

@@ -1,6 +1,7 @@
 """The package's public surface: the names `import ilim` binds, and the
 modules it loads."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -15,6 +16,23 @@ import ilim
 # every public module but the command line is re-exported
 REEXPORTED = sorted(m.name for m in pkgutil.iter_modules(ilim.__path__)
                     if m.name != "cli" and not m.name.startswith("_"))
+
+# public names that no module and no bench script uses: reference
+# implementations that only tests run, each with the reason it is kept
+TEST_ONLY = (
+    ("gronwall_envelope", "acceptance criterion 8 checks it against its closed form"),
+    ("trace_from_callable", "builds the wall traces of acceptance criteria 1 and 3"),
+    ("make_curved_chart", "the curved corrector of acceptance criterion 3"),
+    ("plateau_eta", "the curved corrector's plateau cut-off, refined in its tests"),
+    ("curved_gamma", "the curved corrector of acceptance criterion 3"),
+    ("curved_corrector", "the curved corrector of acceptance criterion 3"),
+    ("curved_divergence", "the curved corrector's divergence identity, criterion 3"),
+    ("lp_norm", "the whole-field oracle of the criteria's strip sums"),
+    ("layer_region", "the whole-field oracle of the criteria's strip rows"),
+    ("divergence2d", "the oracle of the corrector's divergence identity"),
+    ("sweep_config_from_dict", "reads a report manifest's config back: the round trip"),
+    ("read_snapshot", "the reader of one snapshot file, the format's reference"),
+)
 
 
 def test_package_all_is_every_module_all_once():
@@ -40,3 +58,31 @@ def test_import_leaves_quadrature_and_fft_unloaded(module):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def _referenced_names(paths):
+    """Every name that a Name, an Attribute or an `from ... import` in the
+    sources `paths` refers to."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_public_name_is_used_or_a_listed_reference():
+    # a public name nothing runs is a second name for a quantity; delete it,
+    # or list it in TEST_ONLY with the reason it is kept
+    root = Path(ilim.__file__).resolve().parents[2]
+    sources = [*(root / "src" / "ilim").glob("*.py"), *(root / "bench").glob("*.py")]
+    assert any(p.parent.name == "bench" for p in sources)
+    test_only = dict(TEST_ONLY)
+    assert len(test_only) == len(TEST_ONLY) and set(test_only) <= set(ilim.__all__)
+    used = _referenced_names(sources)
+    assert sorted(set(ilim.__all__) - used - set(test_only)) == []
+    assert sorted(used & set(test_only)) == []

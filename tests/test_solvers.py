@@ -24,7 +24,6 @@ from ilim.solvers import (
     Trajectory,
     kinetic_energy,
     run_simulation,
-    shear_exact,
 )
 
 
@@ -377,7 +376,8 @@ def test_non_finite_transport_stops_the_run(monkeypatch, channel, scheme, error,
 def test_viscous_shear_matches_exact_series(channel):
     u0 = build_initial_data("shear", channel, amplitude=1.0)
     traj = NavierStokesIntegrator(channel, 1e-3, 5e-3).run(u0, 0.25, 5)
-    exact = shear_exact(lambda y: shear_profile_exp(y, 1.0, 1.0), 1e-3, 0.25, channel.y)
+    exact = ShearFlow(v0=lambda y: shear_profile_exp(y, 1.0, 1.0),
+                      height=channel.y[-1]).profile(channel.y, 1e-3, 0.25)
     last = traj.states[-1]
     assert np.abs(last.velocity.comp1 - exact[None, :]).max() <= 2e-3
     assert np.abs(last.velocity.comp2).max() <= 1e-12
@@ -451,17 +451,13 @@ def test_profiles_at_many_times_match_scalar_calls(flow):
             assert batch[:, j].tobytes() == single.tobytes()
 
 
-def test_shear_exact_on_eigenmode():
+def test_shear_flow_from_profile_on_eigenmode():
+    # the sine transform of an eigenmode's midpoint samples recovers it
     lam0 = 0.5 * np.pi / 2.0
     y = np.linspace(0.0, 2.0, 9)
-    out = shear_exact(lambda yy: np.sin(lam0 * np.asarray(yy)), 0.01, 0.7, y)
+    flow = ShearFlow(v0=lambda yy: np.sin(lam0 * np.asarray(yy)), height=y[-1])
     expect = np.exp(-0.01 * lam0**2 * 0.7) * np.sin(lam0 * y)
-    assert np.abs(out - expect).max() <= 1e-13
-
-
-def test_shear_exact_rejects_slipping_profile():
-    with pytest.raises(ValueError, match="vanish"):
-        shear_exact(lambda y: np.asarray(y) + 1.0, 1e-3, 0.1, np.linspace(0.0, 1.0, 5))
+    assert np.abs(flow.profile(y, 0.01, 0.7) - expect).max() <= 1e-13
 
 
 def test_shear_flow_requires_profile_or_coeffs():
