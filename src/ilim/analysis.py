@@ -181,7 +181,7 @@ def _series_rate(times, vals):
 def energy_budget(ns_traj, euler_traj, corrector_provider=None) -> EnergyBudget:
     """Assemble the budget row by row along a paired run.
 
-    corrector_provider(i, t, euler_state, out) writes the corrector at
+    corrector_provider(i, t, out) writes the corrector at
     output index i into the eight (nx, ny) rows of `out`, in the order
     (phi1, phi2, d/dt phi1, d/dt phi2, d1 phi1, d2 phi1, d1 phi2, d2 phi2).
     By default the corrector is the zero field (appropriate whenever the
@@ -197,10 +197,10 @@ def energy_budget(ns_traj, euler_traj, corrector_provider=None) -> EnergyBudget:
     corrector = ws[-_ROW_SLOTS[-1]:]
     if corrector_provider is None:
         corrector.fill(0.0)
-        corrector_provider = lambda i, t, euler_state, out: None
+        corrector_provider = lambda i, t, out: None
     rows = []
     for i, (s_ns, s_e) in enumerate(zip(ns_traj.states, euler_traj.states)):
-        corrector_provider(i, s_ns.t, s_e, corrector)
+        corrector_provider(i, s_ns.t, corrector)
         rows.append(_budget_row(grid.quad_weights, ns_traj.nu, s_ns.velocity,
                                 s_e.velocity, grid, ws))
     gap, diss, i1, i2, r = np.array(rows).T
@@ -234,7 +234,7 @@ def trace_corrector_provider(euler_traj, alpha: float):
     traces = np.stack([s.velocity.comp1[:, 0].copy() for s in euler_traj.states])
     rates = _series_rate(times, traces.T).T
 
-    def provider(i, t, euler_state, out):
+    def provider(i, t, out):
         u = traces[i]
         trace = WallTrace(u=u, du_dx=x_derivative(grid, u))
         params = CorrectorParams(alpha=alpha, t=float(t), trace=trace)
@@ -255,17 +255,15 @@ def trace_corrector_provider(euler_traj, alpha: float):
 def gronwall_envelope(times, rate_c: float, forcing) -> np.ndarray:
     """Envelope y(t) with y' = 2 c y + 2 f(t), y(0) = 0, at the given times.
 
-    forcing may be a callable f(t) or an array aligned with times
-    (interpolated linearly between samples).
+    forcing is a constant or an array aligned with times (interpolated
+    linearly between samples).
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1 or times[0] != 0.0:
         raise ValueError("times must start at 0")
     if np.any(np.diff(times) <= 0.0):
         raise ValueError("times must increase strictly")
-    if callable(forcing):
-        f = forcing
-    elif np.ndim(forcing) == 0:
+    if np.ndim(forcing) == 0:
         const = float(forcing)
         f = lambda t: const
     else:

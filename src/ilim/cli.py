@@ -17,7 +17,7 @@ import numpy as np
 
 from ._version import __version__
 from .correctors import verify_corrector_scalings
-from .criteria import MSchedule, evaluate_criteria
+from .criteria import MSchedule, evaluate_criteria, write_criteria_csv
 from .harness import (
     _CONFIG_SCHEMA,
     SweepConfig,
@@ -203,7 +203,7 @@ def _cmd_criteria(args) -> int:
     euler = load_trajectory(root / "euler")
     report = evaluate_criteria(ns, euler, cfg.schedule(), cfg.layer_spec())
     out = Path(args.out) if args.out is not None else root / "criteria.csv"
-    report.write_csv(out)
+    write_criteria_csv(out, (report,))
     print(f"criteria: {'pass' if report.all_pass else 'FAIL'} "
           f"({report.times.size} times, nu={report.nu!r})")
     print(f"wrote {out}")

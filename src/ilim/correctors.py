@@ -21,7 +21,6 @@ from .grid import Grid, ScalarField, VectorField, x_derivative, y_derivative
 
 __all__ = [
     "Mollifier",
-    "make_mollifier",
     "WallTrace",
     "trace_from_callable",
     "CorrectorParams",
@@ -140,10 +139,6 @@ class Mollifier(_Bump):
         return _exp_bump((z - 0.5) * (4.0 - z), 4.5 - 2.0 * z) / self._mass
 
 
-def make_mollifier() -> Mollifier:
-    return Mollifier()
-
-
 @dataclass(frozen=True)
 class WallTrace:
     """Tangential wall trace U and its tangential derivative, sampled on grid.x."""
@@ -203,7 +198,7 @@ def _wall_profiles(y_bytes):
     bytes are `y_bytes`, read-only: the factors of the flat corrector that
     do not depend on time."""
     y = np.frombuffer(y_bytes)
-    moll = make_mollifier()
+    moll = Mollifier()
     profiles = moll.value(y), 1.0 - moll.antiderivative(y)
     for p in profiles:
         p.setflags(write=False)
@@ -355,11 +350,6 @@ def _lp_samples(v, x, p):
     return float(np.trapezoid(v**p, x) ** (1.0 / p))
 
 
-def _period_norm(func, period, p, n=20001):
-    x = np.linspace(0.0, period, n)
-    return _lp_samples(np.asarray(func(x), dtype=float), x, p)
-
-
 def _strip_norm(profile, at, p, n=30001):
     """L^p(0, inf) of a wall profile via quadrature on a two-scale grid."""
     y = np.unique(
@@ -370,9 +360,9 @@ def _strip_norm(profile, at, p, n=30001):
     return _lp_samples(profile(y), y, p)
 
 
-def verify_corrector_scalings(p, alpha_tau, trace_funcs=None, period=2.0 * np.pi):
+def verify_corrector_scalings(p, alpha_tau):
     """Measure L^p norms of the corrector against the predicted powers of
-    alpha*tau.
+    alpha*tau, for the wall trace U = cos x1 over one period 2 pi.
 
     Norms are computed by numerical quadrature of the closed-form profiles
     (the x1 and x2 factors separate); exponents come from a log-log least
@@ -386,8 +376,6 @@ def verify_corrector_scalings(p, alpha_tau, trace_funcs=None, period=2.0 * np.pi
         Norm index (>= 1, inf allowed).
     alpha_tau : array_like
         At least 3 samples spanning >= 2 decades.
-    trace_funcs : (U, dU, d2U) callables, optional
-        Trace and its first two tangential derivatives; defaults to cos.
     """
     from .analysis import fit_rate
 
@@ -402,14 +390,11 @@ def verify_corrector_scalings(p, alpha_tau, trace_funcs=None, period=2.0 * np.pi
         raise ValueError("p must be >= 1")
     inv_p = 0.0 if np.isinf(p) else 1.0 / p
 
-    if trace_funcs is None:
-        trace_funcs = (np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x))
-    u_f, du_f, d2u_f = trace_funcs
-    xnorm_u = _period_norm(u_f, period, p)
-    xnorm_du = _period_norm(du_f, period, p)
-    xnorm_d2u = _period_norm(d2u_f, period, p)
+    # |dU| = |sin x1| and |d2U| = |U|
+    x = np.linspace(0.0, 2.0 * np.pi, 20001)
+    xnorm_u, xnorm_du = (_lp_samples(f(x), x, p) for f in (np.cos, np.sin))
 
-    moll = make_mollifier()
+    moll = Mollifier()
 
     def strip_norms(profile):
         return np.array([_strip_norm(lambda y: profile(y, a), a, p) for a in at])
@@ -423,7 +408,7 @@ def verify_corrector_scalings(p, alpha_tau, trace_funcs=None, period=2.0 * np.pi
         ("d1_comp1", xnorm_du * f1, inv_p),
         ("d2_comp1", xnorm_u * d2_f1, inv_p - 1.0),
         ("comp2", xnorm_du * f2, 1.0),
-        ("d1_comp2", xnorm_d2u * f2, 1.0),
+        ("d1_comp2", xnorm_u * f2, 1.0),
     )
     rows = []
     for name, norms, expected in quantities:

@@ -31,55 +31,29 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MSchedule:
-    """Modulus schedule M_nu(t): "constant" (c), "power" (c * nu^a), or a
-    tabulated (t, M) curve shared across nu."""
+    """Modulus schedule M_nu(t): "constant" (c) or "power" (c * nu^a)."""
 
     form: str = "power"
     c: float = 1.0
     a: float = 0.5
-    table: tuple | None = None
 
     def __post_init__(self):
-        if self.form not in ("constant", "power", "table"):
+        if self.form not in ("constant", "power"):
             raise ValueError(f"unknown schedule form {self.form!r}")
         # an infinite M clamps every layer to nothing: a vacuous pass
-        if self.form in ("constant", "power") and not 0.0 < self.c < np.inf:
+        if not 0.0 < self.c < np.inf:
             raise ValueError("schedule amplitude must be positive and finite")
         if not abs(self.a) < np.inf:
             raise ValueError("schedule power a must be finite")
-        if self.form == "table":
-            if self.table is None:
-                raise ValueError("table form needs (t, M) samples")
-            ts, ms = (np.asarray(v, dtype=float) for v in self.table)
-            if ts.ndim != 1 or ts.shape != ms.shape or ts.size < 2:
-                raise ValueError("table needs matching 1-d t and M samples")
-            if not np.all(np.diff(ts) > 0.0) or ts[0] != 0.0:
-                raise ValueError("table times must start at 0 and increase")
-            if not np.all((0.0 < ms) & (ms < np.inf)):
-                raise ValueError("table M values must be positive and finite")
-            object.__setattr__(self, "table", (ts, ms))
 
     def value(self, nu: float, t: float) -> float:
         if self.form == "constant":
             return self.c
-        if self.form == "power":
-            return self.c * nu**self.a
-        ts, ms = self.table
-        return float(np.interp(t, ts, ms))
+        return self.c * nu**self.a
 
     def integral(self, nu: float, t: float) -> float:
         """int_0^t M_nu(s) ds."""
-        if self.form in ("constant", "power"):
-            return self.value(nu, t) * t
-        ts, ms = self.table
-        if t <= 0.0:
-            return 0.0
-        grid_t = np.concatenate([ts[ts < t], [min(t, ts[-1])]])
-        vals = np.interp(grid_t, ts, ms)
-        out = float(np.trapezoid(vals, grid_t))
-        if t > ts[-1]:
-            out += ms[-1] * (t - ts[-1])
-        return float(out)
+        return self.value(nu, t) * t
 
 
 @dataclass(frozen=True)
@@ -196,9 +170,6 @@ class CriterionReport:
     def rows(self):
         return zip(*(np.broadcast_to(getattr(self, name), self.times.shape)
                      for _, name in _CRITERIA_COLUMNS))
-
-    def write_csv(self, path) -> None:
-        write_criteria_csv(path, (self,))
 
     @property
     def all_pass(self) -> bool:

@@ -53,7 +53,6 @@ class Grid:
     strength: float
     x: np.ndarray
     y: np.ndarray
-    weights_y: np.ndarray
     quad_weights: np.ndarray
 
     def __post_init__(self):
@@ -157,7 +156,6 @@ def make_channel_grid(nx, ny, period, height, clustering="uniform", strength=2.0
         strength=float(strength),
         x=_locked(x),
         y=_locked(y),
-        weights_y=_locked(wy),
         quad_weights=_locked(quad),
     )
 

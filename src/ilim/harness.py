@@ -266,7 +266,7 @@ def _sweep_worker(task) -> list:
     once for all of them; never raises.  Each nu's failure message is the
     one its own `run_simulation` would raise."""
     cfg, nus = task
-    runs = _paired_runs(cfg.simulation_config, nus)
+    runs = _paired_runs(cfg, nus)
     # each pair is a temporary, freed before the next nu's NS run
     return [_record(cfg, nu, next(runs)) for nu in nus]
 
@@ -279,16 +279,19 @@ def run_sweep(config: SweepConfig, jobs: int | None = None) -> SweepResult:
     Navier-Stokes run per nu.  The worker count is `jobs` (the --jobs
     flag), else all available cores.  Results are ordered by the config's
     nu list regardless of worker scheduling, so output is identical for any
-    worker count.  A grid, time or data fault raises `_initial_velocity`'s
-    ValueError before any worker starts; a fault of one nu fails only its
-    record.  Raises RuntimeError if every nu failed.
+    worker count.  A `jobs` below 1, or a grid, time or data fault
+    (`_initial_velocity`'s ValueError), raises before any worker starts; a
+    fault of one nu fails only its record.  Raises RuntimeError if every nu
+    failed.
     """
+    if jobs is None:
+        jobs = os.cpu_count() or 1
+    elif jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs!r}")
     if not config.nu_values:
         raise ValueError("sweep needs at least one nu")
     _initial_velocity(config)
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    jobs = max(1, min(jobs, len(config.nu_values)))
+    jobs = min(jobs, len(config.nu_values))
     tasks = [(config, config.nu_values[i::jobs]) for i in range(jobs)]
     if jobs > 1:
         import multiprocessing
@@ -544,7 +547,7 @@ def shear_limit_study(
         params={
             "t_final": t_final, "n_times": n_times, "period": period,
             "height": height, "nx": nx, "ny": ny, "n_modes": n_modes,
-            "schedule": {"form": schedule.form, "c": schedule.c, "a": schedule.a},
+            "schedule": asdict(schedule),
             "layer_c": layer_c,
             "r_values": [("inf" if np.isinf(r) else r) for r in r_values],
             "n_calibration": n_calibration,

@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .grid import Grid, VectorField, _in_section, curl2d, make_channel_grid
+from .initial_data import _positive
 from .solvers import FlowState, Trajectory
 
 __all__ = [
@@ -147,7 +148,8 @@ def load_trajectory(directory) -> Trajectory:
     """Open a trajectory directory, reading and checking every snapshot's
     header but no payload.
 
-    A manifest that lacks a key or holds one of the wrong type, whose
+    A manifest that lacks a key or holds one of the wrong type (a dt that
+    is not a finite positive number, a scheme that is not a string), whose
     snapshot and time lists differ in length, or a snapshot that cannot be
     read or whose magic, size, grid, time or viscosity disagrees with the
     manifest, is a ValueError naming the file (and the manifest key).  Each
@@ -166,9 +168,11 @@ def load_trajectory(directory) -> Trajectory:
     grid = entry("grid", lambda g: make_channel_grid(
         g["nx"], g["ny"], g["period"], g["height"],
         clustering=g["clustering"], strength=g["strength"]))
-    paths = entry("snapshots", lambda names: [directory / n for n in _list(names)])
-    times = entry("times", _list)
-    nu, scheme, dt = entry("nu"), entry("scheme"), entry("dt")
+    paths = entry("snapshots",
+                  lambda names: [directory / n for n in _of_type(list, names)])
+    times = entry("times", partial(_of_type, list))
+    nu, scheme = entry("nu"), entry("scheme", partial(_of_type, str))
+    dt = entry("dt", lambda v: float(_positive(v)))
     if len(paths) != len(times):
         raise ValueError(f"{manifest_path}: {len(paths)} snapshots "
                          f"but {len(times)} times")
@@ -197,9 +201,9 @@ def _manifest_entry(manifest, path, key, convert=lambda value: value):
             raise ValueError(f"missing {exc}") from None
 
 
-def _list(value) -> list:
-    if not isinstance(value, list):
-        raise TypeError(f"expected a list, got {type(value).__name__}")
+def _of_type(kind, value):
+    if not isinstance(value, kind):
+        raise TypeError(f"expected a {kind.__name__}, got {type(value).__name__}")
     return value
 
 

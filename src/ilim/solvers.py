@@ -630,14 +630,6 @@ class SimulationConfig(_RunFields):
 
     nu: float = 1e-3
 
-    def validate(self):
-        """Raise ValueError unless nu is positive and `_initial_velocity`
-        accepts the config; returns self."""
-        if not self.nu > 0.0:
-            raise ValueError("nu must be positive")
-        _initial_velocity(self)
-        return self
-
 
 def _initial_velocity(config: _RunFields) -> VectorField:
     """`config`'s initial velocity on its grid.  Every rule that joins run
@@ -659,25 +651,24 @@ def _initial_velocity(config: _RunFields) -> VectorField:
     return u0
 
 
-def _paired_runs(config_of, nu_values):
-    """Yield, for each nu in turn, what `run_simulation(config_of(nu))`
-    gives: its PairedRun, or the exception it raises.
+def _paired_runs(config: _RunFields, nu_values):
+    """Yield, for each nu in turn, what `run_simulation` of `config` at that
+    nu gives: its PairedRun, or the exception it raises.
 
-    The configs may differ only in nu, so one `_initial_velocity` serves
-    them all; nu's own rule is NavierStokesIntegrator's.  The Euler run has
-    no nu in it, so it is stepped once, after the first Navier-Stokes run
-    that succeeds, and paired with every NS run; if it fails, each NS run
-    that succeeds gets its exception, as `run_simulation` would raise it.
-    Nothing the generator holds outlives a yield, so the caller alone
-    decides when a pair is freed.
+    One `_initial_velocity` serves every nu; nu's own rule is
+    NavierStokesIntegrator's.  The Euler run has no nu in it, so it is
+    stepped once, after the first Navier-Stokes run that succeeds, and
+    paired with every NS run; if it fails, each NS run that succeeds gets
+    its exception, as `run_simulation` would raise it.  Nothing the
+    generator holds outlives a yield, so the caller alone decides when a
+    pair is freed.
     """
     u0 = euler = None
     for nu in nu_values:
         try:
-            config = config_of(nu)
             if u0 is None:
                 u0 = _initial_velocity(config)
-            ns = NavierStokesIntegrator(u0.grid, config.nu, config.dt).run(
+            ns = NavierStokesIntegrator(u0.grid, nu, config.dt).run(
                 u0, config.t_final, config.n_outputs
             )
             if euler is None:
@@ -703,7 +694,7 @@ def run_simulation(config: SimulationConfig) -> PairedRun:
     A config that breaks a grid, time or data rule raises the ValueError
     of `_initial_velocity`, which names the config section at fault.
     """
-    (outcome,) = _paired_runs(lambda nu: config, [config.nu])
+    (outcome,) = _paired_runs(config, [config.nu])
     if isinstance(outcome, Exception):
         raise outcome
     return outcome

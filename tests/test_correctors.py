@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from ilim import correctors
 from ilim.correctors import (
     CorrectorParams,
+    Mollifier,
     WallTrace,
     corrector_time_derivative,
     curved_corrector,
@@ -17,7 +18,6 @@ from ilim.correctors import (
     default_eta,
     flat_corrector,
     make_curved_chart,
-    make_mollifier,
     plateau_eta,
     trace_from_callable,
     verify_corrector_scalings,
@@ -45,20 +45,20 @@ def layer_grid():
 
 
 def test_mollifier_vanishes_outside_support():
-    m = make_mollifier()
+    m = Mollifier()
     z = np.array([-1.0, 0.0, 0.5, 4.0, 5.0])
     assert np.all(m.value(z) == 0.0)
     assert np.all(m.derivative(z) == 0.0)
 
 
 def test_mollifier_point_value_oracle():
-    m = make_mollifier()
+    m = Mollifier()
     expect = math.exp(-1.0 / (1.75 * 1.75)) / _bump_mass_oracle()
     assert m.value(2.25) == pytest.approx(expect, rel=1e-12)
 
 
 def test_mollifier_antiderivative_clamps_exactly():
-    m = make_mollifier()
+    m = Mollifier()
     assert m.antiderivative(0.2) == 0.0
     assert m.antiderivative(0.5) == 0.0
     assert m.antiderivative(4.0) == 1.0
@@ -67,13 +67,13 @@ def test_mollifier_antiderivative_clamps_exactly():
 
 @pytest.mark.parametrize("z", [0.8, 1.0, 2.0, 3.5, 3.9])
 def test_mollifier_antiderivative_matches_quadrature(z):
-    m = make_mollifier()
+    m = Mollifier()
     val, _ = quad(_bump_oracle, 0.5, z, epsabs=1e-14, epsrel=1e-13, limit=500)
     assert m.antiderivative(z) == pytest.approx(val / _bump_mass_oracle(), abs=1e-12)
 
 
 def test_mollifier_derivative_matches_finite_difference():
-    m = make_mollifier()
+    m = Mollifier()
     z = np.linspace(1.0, 3.0, 11)
     h = 1e-5
     fd = (m.value(z + h) - m.value(z - h)) / (2.0 * h)
@@ -81,7 +81,7 @@ def test_mollifier_derivative_matches_finite_difference():
 
 
 def test_mollifier_antiderivative_scalar_and_array_agree():
-    m = make_mollifier()
+    m = Mollifier()
     z = np.array([0.3, 1.7, 4.2])
     arr = m.antiderivative(z)
     assert arr.shape == z.shape
@@ -95,7 +95,7 @@ def test_mollifier_antiderivative_scalar_and_array_agree():
 def test_wall_profiles_are_the_mollifiers_and_read_only(layer_grid):
     # one evaluation is shared by every flat-corrector call on a grid, so
     # no caller may write into it
-    m, y = make_mollifier(), layer_grid.y
+    m, y = Mollifier(), layer_grid.y
     psi, one_minus_psi = correctors._wall_profiles(y.tobytes())
     assert psi.tobytes() == m.value(y).tobytes()
     assert one_minus_psi.tobytes() == (1.0 - m.antiderivative(y)).tobytes()

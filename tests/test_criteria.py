@@ -14,6 +14,7 @@ from ilim.criteria import (
     evaluate_criteria,
     layer_height,
     no_backflow_margin,
+    write_criteria_csv,
 )
 from ilim.grid import (
     ScalarField,
@@ -49,32 +50,20 @@ def test_schedule_forms_and_values():
     assert power.integral(1e-4, 5.0) == pytest.approx(0.1, rel=1e-14)
 
 
-def test_schedule_table_interpolation_and_integral():
-    sched = MSchedule(form="table", table=((0.0, 1.0, 2.0), (1.0, 2.0, 4.0)))
-    assert sched.value(0.0, 1.5) == 3.0
-    assert sched.integral(0.0, 0.0) == 0.0
-    # trapezoid 0->1 is 1.5, then (2+3)/2 * 0.5 = 1.25
-    assert sched.integral(0.0, 1.5) == pytest.approx(2.75, rel=1e-14)
-    # past the table end M extends as a constant
-    assert sched.integral(0.0, 3.0) == pytest.approx(4.5 + 4.0, rel=1e-14)
-    assert type(sched.integral(0.0, 1.5)) is float
-    assert type(sched.integral(0.0, 3.0)) is float
-
-
 @pytest.mark.parametrize(
     "kwargs",
     [
         dict(form="cubic"),
         dict(form="constant", c=0.0),
         dict(form="power", c=-1.0),
-        dict(form="table"),
-        dict(form="table", table=((0.0,), (1.0,))),
-        dict(form="table", table=((0.5, 1.0), (1.0, 1.0))),
-        dict(form="table", table=((0.0, 1.0, 0.5), (1.0, 1.0, 1.0))),
-        dict(form="table", table=((0.0, 1.0), (1.0, -1.0))),
-        dict(form="table", table=((0.0, np.nan), (1.0, 1.0))),
-        dict(form="table", table=((0.0, 1.0), (1.0, np.nan))),
-        dict(form="table", table=((0.0, 1.0), (1.0, np.inf))),
+        dict(form="table"),  # a tabulated M(t) is not a form
+        dict(form="Power"),  # form names are case-sensitive
+        dict(form="constant", c=np.nan),
+        dict(form="power", c=np.inf),
+        dict(form="constant", c=-np.inf),
+        dict(form="power", a=np.inf),
+        dict(form="power", a=-np.inf),
+        dict(form="constant", a=np.nan),  # a is checked under every form
         dict(form="power", c=np.nan),
         dict(form="constant", c=np.inf),  # M = inf would clamp every layer
         dict(form="power", a=np.nan),
@@ -290,7 +279,7 @@ def test_criteria_csv_format(adverse_pair, tmp_path):
         adverse_pair.ns, adverse_pair.euler, sched, LayerSpec(C=10.0, r=1.0)
     )
     path = tmp_path / "criteria.csv"
-    report.write_csv(path)
+    write_criteria_csv(path, (report,))
     lines = path.read_text().strip().split("\n")
     assert lines[0] == CRITERIA_CSV_HEADER
     assert lines[0] == (
@@ -303,7 +292,7 @@ def test_criteria_csv_format(adverse_pair, tmp_path):
     assert first[6] in ("True", "False")
     # a nu held as a numpy scalar is written as its Python value
     np_nu = dataclasses.replace(report, nu=np.float64(1e-3))
-    np_nu.write_csv(path)
+    write_criteria_csv(path, (np_nu,))
     cells = path.read_text().split("\n")[1].split(",")
     assert cells[1] == "0.001"
     assert cells[:1] + cells[2:] == first[:1] + first[2:]

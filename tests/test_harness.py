@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from ilim import cli, solvers
 from ilim.analysis import error_series
 from ilim.cli import cli_dispatch
-from ilim.criteria import CRITERIA_CSV_HEADER, CriterionReport, evaluate_criteria
+from ilim.criteria import CRITERIA_CSV_HEADER, CriterionReport, MSchedule, evaluate_criteria
 from ilim.harness import (
     SweepConfig,
     emit_report,
@@ -125,7 +125,8 @@ def test_parse_config_free_form_preset_options(tmp_path):
         ("[schedule]\nc = nan\n", r"^\[schedule\] c = nan: schedule amplitude must be"),
         ("[schedule]\nc = inf\n", r"^\[schedule\] c = inf: .* must be positive and finite"),
         ("[schedule]\nform = foo\n", r"^\[schedule\] form = foo: unknown schedule form"),
-        ("[schedule]\nform = table\n", r"^\[schedule\] form = table: table form needs"),
+        ("[schedule]\nform = table\n",
+         r"^\[schedule\] form = table: unknown schedule form 'table'$"),
         ("[data]\namplitude = abc\n", r"^\[data\] amplitude = abc: could not convert"),
         ("[data]\nseed = x\n", r"^\[data\] seed = x: invalid literal"),
         ("[data]\namplitude = nan\n", r"^\[data\] amplitude = nan: not a finite number"),
@@ -159,7 +160,8 @@ def test_parse_config_rejects_bad_input(tmp_path, body, match):
     (("seed = 0", "seed = 0\nsigma = 0.5"), [],
      "[data] preset = shear: unknown option 'sigma'; it takes ['profile', 'scale']"),
     (("c = 2.5", "c = nan"), [], "[schedule] c = nan: schedule amplitude must be positive"),
-    (("form = power", "form = table"), [], "[schedule] form = table: table form needs"),
+    (("form = power", "form = table"), [],
+     "[schedule] form = table: unknown schedule form 'table'"),
     (("a = 0.5", "a = inf"), [], "[schedule] a = inf: schedule power a must be finite"),
     (None, ["--M-form", "foo"], "--M-form foo: unknown schedule form 'foo'"),
     (("t_final = 0.05", "t_final = inf"), [],
@@ -323,6 +325,21 @@ def test_sweep_set_up_faults_raise_before_any_worker(monkeypatch, edit, message)
     with pytest.raises(ValueError) as info:
         run_sweep(SweepConfig(**{**SMALL, **edit}), jobs=2)
     assert str(info.value).startswith(message)
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_sweep_rejects_a_worker_count_below_one(monkeypatch, tmp_path, capsys, jobs):
+    monkeypatch.setattr(multiprocessing, "Pool", _NoPool)
+    cause = f"jobs must be at least 1, got {jobs}"
+    with pytest.raises(ValueError, match=f"^{cause}$"):
+        run_sweep(SweepConfig(**SMALL), jobs=jobs)
+    ini = tmp_path / "sweep.ini"
+    ini.write_text(FULL_INI)
+    out = tmp_path / "report"
+    assert cli_dispatch(["sweep", "--config", str(ini), f"--jobs={jobs}",
+                         "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {cause}\n"
+    assert not out.exists()
 
 
 def test_grid_builds_per_set_up(monkeypatch):
@@ -535,6 +552,8 @@ def test_shear_report_files(tmp_path):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["pipeline"] == "shear-verify"
     assert manifest["files"] == sorted(names)
+    # every field of the schedule is reported, so the run can be repeated
+    assert set(manifest["params"]["schedule"]) == {f.name for f in fields(MSchedule)}
     crit = (tmp_path / "criteria.csv").read_text().strip().split("\n")
     assert crit[0] == CRITERIA_CSV_HEADER
 
@@ -604,7 +623,14 @@ def _subdirectory_as_first_snapshot(run, manifest):
     (lambda run, m: {**m, "grid": {**m["grid"], "nx": "8"}},
      r"ns/manifest\.json: key 'grid': '<' not supported"),
     (_subdirectory_as_first_snapshot, r"ns/sub: cannot be read \(Is a directory\)"),
-], ids=["nu-missing", "list", "times-int", "nx-string", "snapshot-directory"])
+    (lambda run, m: {**m, "dt": "x"}, r"ns/manifest\.json: key 'dt': must be positive"),
+    (lambda run, m: {**m, "dt": 0.0}, r"ns/manifest\.json: key 'dt': must be positive"),
+    (lambda run, m: {**m, "dt": float("nan")},
+     r"ns/manifest\.json: key 'dt': not a finite number"),
+    (lambda run, m: {**m, "scheme": 7},
+     r"ns/manifest\.json: key 'scheme': expected a str, got int"),
+], ids=["nu-missing", "list", "times-int", "nx-string", "snapshot-directory",
+        "dt-string", "dt-zero", "dt-nan", "scheme-int"])
 def test_cli_criteria_names_a_malformed_manifest(stored_pair, tmp_path, capsys, edit, match):
     run = tmp_path / "run"
     shutil.copytree(stored_pair, run)

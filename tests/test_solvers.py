@@ -470,29 +470,29 @@ def test_shear_flow_requires_profile_or_coeffs():
 
 
 def test_simulation_config_validation():
+    # every fault is raised by run_simulation before any step
     with pytest.raises(ValueError):
-        SimulationConfig(nu=0.0).validate()
+        run_simulation(SimulationConfig(nu=0.0))
     with pytest.raises(ValueError, match="nu must be positive"):
-        SimulationConfig(nu=np.nan).validate()
+        run_simulation(SimulationConfig(nu=np.nan))
     # non-finite times are a ValueError, not an OverflowError or a NaN cast
     with pytest.raises(ValueError, match="finite and positive"):
-        SimulationConfig(t_final=np.inf).validate()
+        run_simulation(SimulationConfig(t_final=np.inf))
     with pytest.raises(ValueError, match="finite and positive"):
-        SimulationConfig(dt=np.nan).validate()
+        run_simulation(SimulationConfig(dt=np.nan))
     with pytest.raises(ValueError):
-        SimulationConfig(dt=-1e-3).validate()
+        run_simulation(SimulationConfig(dt=-1e-3))
     with pytest.raises(ValueError):
-        SimulationConfig(dt=2e-3, t_final=0.5001).validate()
+        run_simulation(SimulationConfig(dt=2e-3, t_final=0.5001))
     with pytest.raises(ValueError):
-        SimulationConfig(dt=2e-3, t_final=0.5, n_outputs=7).validate()
+        run_simulation(SimulationConfig(dt=2e-3, t_final=0.5, n_outputs=7))
     with pytest.raises(ValueError, match="unknown clustering 'foo'"):
-        SimulationConfig(clustering="foo").validate()
+        run_simulation(SimulationConfig(clustering="foo"))
     # the grid is checked by building it
     with pytest.raises(ValueError, match="nx must be an even integer"):
-        SimulationConfig(nx=7).validate()
+        run_simulation(SimulationConfig(nx=7))
     with pytest.raises(ValueError, match="requires strength > 0"):
-        SimulationConfig(strength=np.nan).validate()
-    assert SimulationConfig().validate() is not None
+        run_simulation(SimulationConfig(strength=np.nan))
 
 
 def _slipping(grid, amplitude, seed):
@@ -533,14 +533,11 @@ def _slipping(grid, amplitude, seed):
      "['epsilon', 'modes', 'profile', 'scale']"),
 ])
 def test_run_simulation_names_the_section_at_fault(monkeypatch, edit, message):
-    # run_simulation and validate share one set-up check, so one message
     monkeypatch.setitem(PRESETS, "slipping", _slipping)
     small = dict(nx=16, ny=33, dt=5e-3, t_final=0.05, n_outputs=5)
-    cfg = SimulationConfig(**{**small, **edit})
-    for check in (run_simulation, SimulationConfig.validate):
-        with pytest.raises(ValueError) as info:
-            check(cfg)
-        assert str(info.value) == message, check
+    with pytest.raises(ValueError) as info:
+        run_simulation(SimulationConfig(**{**small, **edit}))
+    assert str(info.value) == message
 
 
 def test_run_simulation_pairs_runs():
@@ -574,7 +571,7 @@ def test_paired_runs_step_euler_once_after_the_first_ns_success(monkeypatch):
 
     monkeypatch.setattr(NavierStokesIntegrator, "run", ns_run)
     monkeypatch.setattr(EulerIntegrator, "run", euler_run)
-    outcomes = list(solvers._paired_runs(lambda nu: replace(cfg, nu=nu), nus))
+    outcomes = list(solvers._paired_runs(cfg, nus))
     assert order == [1e-2, "euler", 1e-3, 1e-2]
     assert isinstance(outcomes[1], ValueError) and "nu must be positive" in str(outcomes[1])
     pairs = [outcomes[i] for i in (0, 2, 3)]
@@ -605,8 +602,7 @@ def test_paired_runs_raise_a_failed_euler_run_after_each_ns_run(monkeypatch):
 
     monkeypatch.setattr(NavierStokesIntegrator, "run", ns_run)
     monkeypatch.setattr(EulerIntegrator, "run", euler_run)
-    outcomes = list(solvers._paired_runs(lambda nu: replace(cfg, nu=nu),
-                                         (1e-2, 1e-3, 1e-4)))
+    outcomes = list(solvers._paired_runs(cfg, (1e-2, 1e-3, 1e-4)))
     assert [str(o) for o in outcomes] == ["NS run failed"] + ["Euler run failed"] * 2
     with pytest.raises(CFLError, match="Euler run failed"):
         run_simulation(cfg)
@@ -623,7 +619,7 @@ def test_paired_runs_hold_no_pair_past_its_yield(monkeypatch):
         return real_ns(self, *args, **kwargs)
 
     monkeypatch.setattr(NavierStokesIntegrator, "run", ns_run)
-    runs = solvers._paired_runs(lambda nu: replace(cfg, nu=nu), (1e-2, 1e-3, 1e-4))
+    runs = solvers._paired_runs(cfg, (1e-2, 1e-3, 1e-4))
     for _ in range(3):
         earlier.append(weakref.ref(next(runs).ns))
 
