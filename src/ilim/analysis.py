@@ -18,7 +18,6 @@ from .grid import _apply_d1, _d1_stencils, _paired_times, gradient, x_derivative
 __all__ = [
     "ErrorSeries",
     "error_series",
-    "BoundCurves",
     "theorem_bounds",
     "calibrate_bound_constant",
     "EnergyBudget",
@@ -65,26 +64,16 @@ def error_series(ns_traj, euler_traj) -> ErrorSeries:
     return ErrorSeries(nu=ns_traj.nu, times=t_ns, values=np.array(vals))
 
 
-@dataclass(frozen=True)
-class BoundCurves:
-    times: np.ndarray
-    linear: np.ndarray      # C nu t
-    layered: np.ndarray     # C (nu t + int_0^t M)
-
-
 def _layered(nu, t, schedule):
     """The layered bound without its constant: nu t + int_0^t M."""
     return nu * t + schedule.integral(nu, t)
 
 
-def theorem_bounds(series: ErrorSeries, schedule, c_fit: float) -> BoundCurves:
-    """Bound curves C nu t and C (nu t + int_0^t M) at the series times."""
+def theorem_bounds(series: ErrorSeries, schedule, c_fit: float) -> np.ndarray:
+    """The layered bound C (nu t + int_0^t M) at the series times."""
     if c_fit <= 0.0:
         raise ValueError("fitted constant must be positive")
-    nu = series.nu
-    lin = np.array([c_fit * nu * t for t in series.times])
-    lay = np.array([c_fit * _layered(nu, t, schedule) for t in series.times])
-    return BoundCurves(times=series.times, linear=lin, layered=lay)
+    return np.array([c_fit * _layered(series.nu, t, schedule) for t in series.times])
 
 
 def calibrate_bound_constant(series_list, schedule) -> float:

@@ -25,7 +25,6 @@ __all__ = [
     "trace_from_callable",
     "CorrectorParams",
     "flat_corrector",
-    "CorrectorRate",
     "corrector_time_derivative",
     "ScalingRow",
     "ScalingReport",
@@ -288,23 +287,14 @@ def flat_corrector(params: CorrectorParams, grid: Grid, out=None) -> VectorField
     return VectorField(grid, *out)
 
 
-@dataclass(frozen=True)
-class CorrectorRate:
-    """Time derivative of the corrector; flags the kink of tau at t = 1."""
-
-    field: VectorField
-    one_sided_at_kink: bool
-
-
 def corrector_time_derivative(
     params: CorrectorParams, grid: Grid, du_dt: np.ndarray, out=None
-) -> CorrectorRate:
+) -> VectorField:
     """Analytic d/dt of the flat corrector.
 
     du_dt holds the time derivative of the trace samples.  tau = min(t, 1)
     is not differentiable at t = 1; there the left derivative (tau' = 1)
-    is returned and the result is flagged one_sided_at_kink.  `out` is as
-    for `flat_corrector`.
+    is returned.  `out` is as for `flat_corrector`.
     """
     if params.t <= 0.0:
         raise ValueError("time derivative requires t > 0")
@@ -312,9 +302,7 @@ def corrector_time_derivative(
     if du_dt.shape != (grid.nx,):
         raise ValueError("du_dt length must equal grid.nx")
     out = _FlatFactors(params, grid).rate(du_dt, _pair_out(grid, out))
-    return CorrectorRate(
-        field=VectorField(grid, *out), one_sided_at_kink=(params.t == 1.0)
-    )
+    return VectorField(grid, *out)
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +320,6 @@ class ScalingRow:
 
 @dataclass(frozen=True)
 class ScalingReport:
-    p: float
-    alpha_tau: np.ndarray
     rows: tuple
 
     def write_csv(self, path) -> None:
@@ -422,7 +408,7 @@ def verify_corrector_scalings(p, alpha_tau):
                 residual=fit.residual,
             )
         )
-    return ScalingReport(p=float(p), alpha_tau=at, rows=tuple(rows))
+    return ScalingReport(rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------

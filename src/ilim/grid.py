@@ -258,14 +258,6 @@ class Region:
         m.setflags(write=False)
         object.__setattr__(self, "mask", m)
 
-    @property
-    def node_count(self) -> int:
-        return int(self.mask.sum())
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.mask.any()
-
 
 def _strip_rows(grid: Grid, h: float) -> int:
     """The number k of grid rows in the strip 0 < x2 <= h: rows 1..k, as y

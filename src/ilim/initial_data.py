@@ -49,9 +49,7 @@ def _poly_window_d(y, height):
     return 64.0 * 3.0 * u**2 * (1.0 - u) ** 2 * (1.0 - 2.0 * u) / height
 
 
-def _shear(grid, amplitude, seed, profile="exp", scale=1.0):
-    if profile != "exp":
-        raise ValueError(f"unknown shear profile {profile!r}")
+def _shear(grid, amplitude, seed, scale=1.0):
     v = shear_profile_exp(grid.y, amplitude, scale)
     u1 = np.broadcast_to(v, grid.shape).copy()
     return VectorField(grid, u1, np.zeros(grid.shape))
@@ -63,10 +61,9 @@ def _adverse_shear(grid, amplitude, seed, scale=0.1):
     return VectorField(grid, u1, np.zeros(grid.shape))
 
 
-def _perturbed_shear(grid, amplitude, seed, profile="exp", scale=1.0,
-                     epsilon=0.05, modes=3):
+def _perturbed_shear(grid, amplitude, seed, scale=1.0, epsilon=0.05, modes=3):
     """Shear plus the analytic curl of a windowed random-phase stream."""
-    base = _shear(grid, amplitude, seed, profile=profile, scale=scale)
+    base = _shear(grid, amplitude, seed, scale=scale)
     rng = np.random.default_rng(seed)
     amps = rng.uniform(0.5, 1.0, size=modes)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=modes)
@@ -120,10 +117,15 @@ PRESETS = {
 }
 
 
+def _number(value, kind=numbers.Real) -> bool:
+    """Whether `value` is a number of `kind`; a bool is not a number."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def _finite(value):
-    """`value`, unless it is a number that is not finite: the rule of the
-    amplitude and of every numeric preset option."""
-    if isinstance(value, numbers.Real) and not np.isfinite(value):
+    """`value`, if it is a finite number: the rule of the amplitude and of
+    every preset option without a range rule."""
+    if not (_number(value) and np.isfinite(value)):
         raise ValueError("not a finite number")
     return value
 
@@ -131,7 +133,7 @@ def _finite(value):
 def _seed(value):
     """`value`, if it is a non-negative integer: the rule of the seed,
     checked under every preset, whether it draws random numbers or not."""
-    if not (isinstance(value, numbers.Integral) and value >= 0):
+    if not (_number(value, numbers.Integral) and value >= 0):
         raise ValueError("not a non-negative integer")
     return value
 
@@ -139,14 +141,21 @@ def _seed(value):
 def _positive(value):
     """`value`, if it is a finite positive number: the rule of the scale and
     sigma options."""
-    if not (isinstance(value, numbers.Real) and _finite(value) > 0):
+    if not (_number(value) and _finite(value) > 0):
         raise ValueError("must be positive")
+    return value
+
+
+def _non_negative(value):
+    """`value`, if it is a finite number >= 0: the rule of a stored run's nu."""
+    if not (_number(value) and _finite(value) >= 0):
+        raise ValueError("must be a non-negative number")
     return value
 
 
 def _positive_integer(value):
     """`value`, if it is a positive integer: the rule of the modes option."""
-    if not (isinstance(value, numbers.Integral) and value > 0):
+    if not (_number(value, numbers.Integral) and value > 0):
         raise ValueError("must be a positive integer")
     return value
 

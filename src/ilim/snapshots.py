@@ -26,8 +26,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import Grid, VectorField, _in_section, curl2d, make_channel_grid
-from .initial_data import _positive
+from .grid import Grid, VectorField, _in_section, make_channel_grid
+from .grid import curl2d  # noqa: F401 - bench/tests reads ilim.snapshots.curl2d
+from .initial_data import _non_negative, _positive
 from .solvers import FlowState, Trajectory
 
 __all__ = [
@@ -149,7 +150,8 @@ def load_trajectory(directory) -> Trajectory:
     header but no payload.
 
     A manifest that lacks a key or holds one of the wrong type (a dt that
-    is not a finite positive number, a scheme that is not a string), whose
+    is not a finite positive number, a nu that is not a finite non-negative
+    one, a scheme that is not a string), whose
     snapshot and time lists differ in length, or a snapshot that cannot be
     read or whose magic, size, grid, time or viscosity disagrees with the
     manifest, is a ValueError naming the file (and the manifest key).  Each
@@ -171,7 +173,8 @@ def load_trajectory(directory) -> Trajectory:
     paths = entry("snapshots",
                   lambda names: [directory / n for n in _of_type(list, names)])
     times = entry("times", partial(_of_type, list))
-    nu, scheme = entry("nu"), entry("scheme", partial(_of_type, str))
+    nu = entry("nu", lambda v: float(_non_negative(v)))
+    scheme = entry("scheme", partial(_of_type, str))
     dt = entry("dt", lambda v: float(_positive(v)))
     if len(paths) != len(times):
         raise ValueError(f"{manifest_path}: {len(paths)} snapshots "
@@ -234,7 +237,7 @@ class _LoadedStates(Sequence):
         path, head = self._files[i]
         return FlowState(grid=self._grid, t=head[4], nu=head[5],
                          velocity=partial(_read_velocity, path, head, self._grid),
-                         vorticity=curl2d)
+                         vorticity=None)
 
 
 def _read_velocity(path, head, grid: Grid, check) -> VectorField:

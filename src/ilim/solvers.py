@@ -42,6 +42,7 @@ from .grid import (
     curl2d,
     make_channel_grid,
 )
+from .initial_data import build_initial_data
 
 __all__ = [
     "CFLError",
@@ -74,27 +75,28 @@ class FlowState:
     it returns is kept; every velocity meets the same grid and wall checks
     before it is used.
 
-    `vorticity` is given either as a stored field (the steppers' omega is
-    stepped, not the curl of their velocity) or as its derivation from the
-    velocity, a callable `f(velocity, rows=None)` such as `curl2d`.  A
-    derived field is computed on the first read of `vorticity` and kept;
-    `_vorticity_rows` reads the wall rows without building it.
+    `vorticity` is either a stored field (the steppers' omega is stepped,
+    not the curl of their velocity) or None, which stands for the curl of
+    the velocity: `curl2d` computes it on the first read of `vorticity`, and
+    the field is kept; `_vorticity_rows` reads the wall rows without
+    building it.
     """
 
     grid: Grid
     t: float
     nu: float
     velocity: VectorField
-    vorticity: ScalarField
+    vorticity: ScalarField | None
 
     def __post_init__(self):
-        # until their first read, callable fields resolve through __getattr__
+        # until their first read, the reader's velocity and the derived
+        # vorticity resolve through __getattr__
         if callable(self.velocity):
             object.__setattr__(self, "_read", vars(self).pop("velocity"))
         else:
             self._check_velocity(self.velocity)
-        if callable(self.vorticity):
-            object.__setattr__(self, "_derive", vars(self).pop("vorticity"))
+        if self.vorticity is None:
+            del vars(self)["vorticity"]
         elif self.vorticity.grid is not self.grid:
             raise ValueError("state fields must live on the state grid")
 
@@ -102,8 +104,8 @@ class FlowState:
         known = vars(self)
         if name == "velocity" and "_read" in known:
             value = known["_read"](self._check_velocity)
-        elif name == "vorticity" and "_derive" in known:
-            value = known["_derive"](self.velocity)
+        elif name == "vorticity":  # None at construction
+            value = curl2d(self.velocity)
         else:
             raise AttributeError(name)
         object.__setattr__(self, name, value)
@@ -120,7 +122,7 @@ class FlowState:
         alone."""
         omega = vars(self).get("vorticity")
         if omega is None:
-            return self._derive(self.velocity, rows=m)
+            return curl2d(self.velocity, rows=m)
         return omega.values[:, :m]
 
 
@@ -560,15 +562,6 @@ class ShearFlow:
         self.coeffs = b
         self.lam = (np.arange(b.size) + 0.5) * np.pi / self.height
 
-    @classmethod
-    def from_modes(cls, height, amplitudes: dict):
-        """Exact finite series: {mode index m: amplitude}."""
-        n = max(amplitudes) + 1
-        b = np.zeros(n)
-        for m, a in amplitudes.items():
-            b[m] = a
-        return cls(height=height, coeffs=b)
-
     def _decay(self, nu, t):
         return self.coeffs * np.exp(-nu * self.lam**2 * t)
 
@@ -587,10 +580,6 @@ class ShearFlow:
         return self._series(
             np.cos, y, t, lambda ti: self.lam * self._decay(nu, ti)
         )
-
-    def wall_vorticity(self, nu, t) -> float:
-        """omega(x2 = 0, t) = -dw/dx2(0, t)."""
-        return -float(np.sum(self.lam * self._decay(nu, t)))
 
     def l2_error_sq(self, nu, t) -> float:
         """||w(., t) - w(., 0)||^2 on (0, Ly), per unit x1 length (exact
@@ -636,8 +625,6 @@ def _initial_velocity(config: _RunFields) -> VectorField:
     fields is checked here, each ValueError naming its config section: the
     grid, the time partition, and the preset data with both wall conditions
     (no-slip and impermeability), so the two runs genuinely share them."""
-    from .initial_data import build_initial_data
-
     with _in_section("[grid]"):
         grid = make_channel_grid(config.nx, config.ny, config.period, config.height,
                                  clustering=config.clustering, strength=config.strength)

@@ -201,16 +201,26 @@ def test_time_derivative_matches_finite_difference(layer_grid, t0):
     )
     fd1 = (plus.comp1 - minus.comp1) / (2.0 * eps)
     fd2 = (plus.comp2 - minus.comp2) / (2.0 * eps)
-    assert np.abs(fd1 - rate.field.comp1).max() <= 1e-8
-    assert np.abs(fd2 - rate.field.comp2).max() <= 1e-8
-    assert not rate.one_sided_at_kink
+    assert np.abs(fd1 - rate.comp1).max() <= 1e-8
+    assert np.abs(fd2 - rate.comp2).max() <= 1e-8
 
 
-def test_time_derivative_flags_kink_and_validates(layer_grid):
+def test_time_derivative_at_kink_is_the_left_derivative_and_validates(layer_grid):
     tr = trace_from_callable(layer_grid, np.cos)
     du_dt = np.zeros(layer_grid.nx)
     rate = corrector_time_derivative(CorrectorParams(0.5, 1.0, tr), layer_grid, du_dt)
-    assert rate.one_sided_at_kink
+
+    # tau = min(t, 1): at t = 1 the rate is the second-order backward
+    # difference, not the forward one (tau' = 0 after the kink)
+    eps = 1e-5
+    fields = [flat_corrector(CorrectorParams(0.5, 1.0 + k * eps, tr), layer_grid)
+              for k in (-2, -1, 0, 1, 2)]
+    for name in ("comp1", "comp2"):
+        c = [getattr(f, name) for f in fields]
+        backward = (3.0 * c[2] - 4.0 * c[1] + c[0]) / (2.0 * eps)
+        forward = (-3.0 * c[2] + 4.0 * c[3] - c[4]) / (2.0 * eps)
+        assert np.abs(backward - getattr(rate, name)).max() <= 1e-8
+        assert np.abs(forward - getattr(rate, name)).max() > 1e-3
     with pytest.raises(ValueError):
         corrector_time_derivative(CorrectorParams(0.5, 0.0, tr), layer_grid, du_dt)
     with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ilim import snapshots
+from ilim import snapshots, solvers
 from ilim.criteria import (
     CRITERIA_CSV_HEADER,
     LayerSpec,
@@ -369,7 +369,7 @@ def test_loaded_pair_criteria_derive_only_wall_rows(adverse_pair, tmp_path, monk
         rows_asked.append(rows)
         return curl2d(vel, rows=rows)
 
-    monkeypatch.setattr(snapshots, "curl2d", spy)
+    monkeypatch.setattr(solvers, "curl2d", spy)
     ns, euler = _save_and_load(adverse_pair, tmp_path)
     assert rows_asked == []  # loading runs no curl
     sched = MSchedule(form="power", c=1.0, a=0.5)

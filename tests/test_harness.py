@@ -158,7 +158,7 @@ def test_parse_config_rejects_bad_input(tmp_path, body, match):
     (("preset = shear", "preset = plume"), [],
      "[data] preset = plume: unknown preset 'plume'"),
     (("seed = 0", "seed = 0\nsigma = 0.5"), [],
-     "[data] preset = shear: unknown option 'sigma'; it takes ['profile', 'scale']"),
+     "[data] preset = shear: unknown option 'sigma'; it takes ['scale']"),
     (("c = 2.5", "c = nan"), [], "[schedule] c = nan: schedule amplitude must be positive"),
     (("form = power", "form = table"), [],
      "[schedule] form = table: unknown schedule form 'table'"),
@@ -180,7 +180,7 @@ def test_parse_config_rejects_bad_input(tmp_path, body, match):
      "[data] seed = -1: not a non-negative integer"),
     (("preset = shear", "preset = perturbed-shear\nsigma = 0.5"), [],
      "[data] preset = perturbed-shear: unknown option 'sigma'; it takes "
-     "['epsilon', 'modes', 'profile', 'scale']"),
+     "['epsilon', 'modes', 'scale']"),
     # each preset option with a range is held to it before any run
     (("preset = shear", "preset = vortex\nsigma = 0"), [], "[data] sigma = 0: must be positive"),
     (("seed = 0", "seed = 0\nscale = 0"), [], "[data] scale = 0: must be positive"),
@@ -190,6 +190,9 @@ def test_parse_config_rejects_bad_input(tmp_path, body, match):
      "[data] modes = 0: must be a positive integer"),
     (("preset = shear", "preset = perturbed-shear\nmodes = 2.5"), [],
      "[data] modes = 2.5: must be a positive integer"),
+    # the shear presets take no profile option: their profile is always exp
+    (("seed = 0", "seed = 0\nprofile = exp"), [],
+     "[data] preset = shear: unknown option 'profile'; it takes ['scale']"),
 ])
 def test_cli_rejects_bad_layer_value_before_running(tmp_path, capsys, edit,
                                                     flags, cause):
@@ -629,8 +632,12 @@ def _subdirectory_as_first_snapshot(run, manifest):
      r"ns/manifest\.json: key 'dt': not a finite number"),
     (lambda run, m: {**m, "scheme": 7},
      r"ns/manifest\.json: key 'scheme': expected a str, got int"),
+    # a bool is not a number
+    (lambda run, m: {**m, "nu": True},
+     r"ns/manifest\.json: key 'nu': must be a non-negative number"),
+    (lambda run, m: {**m, "dt": True}, r"ns/manifest\.json: key 'dt': must be positive"),
 ], ids=["nu-missing", "list", "times-int", "nx-string", "snapshot-directory",
-        "dt-string", "dt-zero", "dt-nan", "scheme-int"])
+        "dt-string", "dt-zero", "dt-nan", "scheme-int", "nu-true", "dt-true"])
 def test_cli_criteria_names_a_malformed_manifest(stored_pair, tmp_path, capsys, edit, match):
     run = tmp_path / "run"
     shutil.copytree(stored_pair, run)
@@ -758,8 +765,12 @@ def test_cli_corrector_check(tmp_path, capsys):
     assert len(lines) == 6
 
 
-def test_cli_corrector_check_validation(tmp_path):
-    assert cli_dispatch(["corrector-check", "--samples", "2"]) == 1
+def test_cli_corrector_check_validation(tmp_path, capsys):
+    # the sample-count rule is verify_corrector_scalings'
+    assert cli_dispatch(["corrector-check", "--samples", "2",
+                         "--out", str(tmp_path / "few")]) == 1
+    assert "need at least 3 alpha*tau samples" in capsys.readouterr().err
+    assert not (tmp_path / "few").exists()
     assert cli_dispatch(["corrector-check", "--min", "1.0", "--max", "0.1"]) == 1
     # a NaN p is rejected, not written as an all-NaN report that passes
     out = tmp_path / "corr"

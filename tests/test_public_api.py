@@ -2,6 +2,7 @@
 modules it loads."""
 
 import ast
+import dataclasses
 import importlib
 import os
 import pkgutil
@@ -33,6 +34,10 @@ TEST_ONLY = (
     ("sweep_config_from_dict", "reads a report manifest's config back: the round trip"),
     ("read_snapshot", "the reader of one snapshot file, the format's reference"),
 )
+
+# public members of the classes above that no module and no bench script
+# uses, as "Class.member", each with the reason it is kept
+TEST_ONLY_MEMBERS = ()
 
 
 def test_package_all_is_every_module_all_once():
@@ -75,14 +80,48 @@ def _referenced_names(paths):
     return names
 
 
-def test_every_public_name_is_used_or_a_listed_reference():
-    # a public name nothing runs is a second name for a quantity; delete it,
-    # or list it in TEST_ONLY with the reason it is kept
+def _sources():
+    """The package's modules and the bench scripts."""
     root = Path(ilim.__file__).resolve().parents[2]
     sources = [*(root / "src" / "ilim").glob("*.py"), *(root / "bench").glob("*.py")]
     assert any(p.parent.name == "bench" for p in sources)
+    return sources
+
+
+def test_every_public_name_is_used_or_a_listed_reference():
+    # a public name nothing runs is a second name for a quantity; delete it,
+    # or list it in TEST_ONLY with the reason it is kept
     test_only = dict(TEST_ONLY)
     assert len(test_only) == len(TEST_ONLY) and set(test_only) <= set(ilim.__all__)
-    used = _referenced_names(sources)
+    used = _referenced_names(_sources())
     assert sorted(set(ilim.__all__) - used - set(test_only)) == []
     assert sorted(used & set(test_only)) == []
+
+
+def _public_members():
+    """Each public method, property and class attribute of the classes in
+    ilim.__all__, their package bases' included, as "Class.member".
+    Dataclass fields are left out: each one's own declaration is a Name, so
+    the scan would always find it."""
+    members = set()
+    for cls in (getattr(ilim, n) for n in ilim.__all__):
+        if not isinstance(cls, type):
+            continue
+        own = {f.name for f in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else set()
+        for base in cls.__mro__:
+            if base.__module__.startswith("ilim."):
+                members.update(f"{cls.__name__}.{m}" for m in vars(base)
+                               if not m.startswith("_") and m not in own)
+    return members
+
+
+def test_every_public_member_is_used_or_a_listed_reference():
+    # a member only tests call is a second name for a quantity, as a public
+    # name is; delete it, or list it in TEST_ONLY_MEMBERS with its reason
+    test_only = dict(TEST_ONLY_MEMBERS)
+    members = _public_members()
+    assert len(test_only) == len(TEST_ONLY_MEMBERS) and set(test_only) <= members
+    used = _referenced_names(_sources())
+    unused = {m for m in members if m.split(".")[1] not in used}
+    assert sorted(unused - set(test_only)) == []
+    assert sorted(unused & set(test_only)) == sorted(test_only)

@@ -272,7 +272,7 @@ def _paired_run(root, n, grid):
                 u1 = u1 + 1.0  # the inviscid run slips at the wall
             vel = VectorField(grid, u1, np.zeros(grid.shape))
             states.append(FlowState(grid=grid, t=0.01 * i, nu=nu, velocity=vel,
-                                    vorticity=curl2d))
+                                    vorticity=None))
         save_trajectory(Trajectory(grid=grid, scheme=scheme, nu=nu, dt=0.01,
                                    states=tuple(states)), root / scheme)
 

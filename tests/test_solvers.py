@@ -407,18 +407,19 @@ def test_viscous_energy_decays_every_step():
 
 def test_single_mode_closed_form():
     height = 2.0
-    flow = ShearFlow.from_modes(height, {0: 1.3})
+    flow = ShearFlow(height=height, coeffs=[1.3])
     lam0 = 0.5 * np.pi / height
     y = np.linspace(0.0, height, 9)
     decay = np.exp(-0.01 * lam0**2 * 0.7)
     assert np.abs(flow.profile(y, 0.01, 0.7) - 1.3 * decay * np.sin(lam0 * y)).max() == 0.0
-    assert flow.wall_vorticity(0.01, 0.7) == pytest.approx(-1.3 * lam0 * decay, rel=1e-14)
+    # the wall vorticity -dw/dx2(0, t)
+    assert -flow.dprofile(0.0, 0.01, 0.7) == pytest.approx(-1.3 * lam0 * decay, rel=1e-14)
     gap = 1.3 * (1.0 - decay)
     assert flow.l2_error_sq(0.01, 0.7) == pytest.approx(0.5 * height * gap**2, rel=1e-14)
 
 
 def test_dprofile_is_profile_derivative():
-    flow = ShearFlow.from_modes(3.0, {0: 1.0, 2: -0.4, 5: 0.1})
+    flow = ShearFlow(height=3.0, coeffs=[1.0, 0.0, -0.4, 0.0, 0.0, 0.1])
     y = np.linspace(0.1, 2.9, 7)
     h = 1e-6
     fd = (flow.profile(y + h, 1e-2, 0.3) - flow.profile(y - h, 1e-2, 0.3)) / (2.0 * h)
@@ -426,7 +427,7 @@ def test_dprofile_is_profile_derivative():
 
 
 def test_l2_error_matches_quadrature():
-    flow = ShearFlow.from_modes(2.0, {0: 0.7, 3: 0.2})
+    flow = ShearFlow(height=2.0, coeffs=[0.7, 0.0, 0.0, 0.2])
     nu, t = 5e-3, 1.4
     y = np.linspace(0.0, 2.0, 20001)
     gap = flow.profile(y, nu, t) - flow.profile(y, nu, 0.0)
@@ -435,9 +436,9 @@ def test_l2_error_matches_quadrature():
 
 
 @pytest.mark.parametrize("flow", [
-    ShearFlow.from_modes(3.0, {0: 1.0, 2: -0.4, 5: 0.1}),
+    ShearFlow(height=3.0, coeffs=[1.0, 0.0, -0.4, 0.0, 0.0, 0.1]),
     ShearFlow(v0=shear_profile_exp, height=6.0),
-], ids=["from_modes", "shear_profile_exp"])
+], ids=["coeffs", "shear_profile_exp"])
 def test_profiles_at_many_times_match_scalar_calls(flow):
     y = make_channel_grid(8, 97, 2.0 * np.pi, flow.height,
                           clustering="tanh", strength=2.0).y
@@ -519,7 +520,7 @@ def _slipping(grid, amplitude, seed):
     ({"amplitude": np.nan}, "[data] amplitude = nan: not a finite number"),
     ({"preset": "perturbed-shear", "preset_options": {"sigma": 0.5}},
      "[data] preset = perturbed-shear: unknown option 'sigma'; it takes "
-     "['epsilon', 'modes', 'profile', 'scale']"),
+     "['epsilon', 'modes', 'scale']"),
     # an option out of its range fails here, not inside the run
     ({"preset": "vortex", "preset_options": {"sigma": 0}}, "[data] sigma = 0: must be positive"),
     ({"preset": "shear", "preset_options": {"scale": 0}}, "[data] scale = 0: must be positive"),
@@ -530,7 +531,13 @@ def _slipping(grid, amplitude, seed):
     # an option the preset does not take is named as such, whatever its value
     ({"preset": "perturbed-shear", "preset_options": {"sigma": np.nan}},
      "[data] preset = perturbed-shear: unknown option 'sigma'; it takes "
-     "['epsilon', 'modes', 'profile', 'scale']"),
+     "['epsilon', 'modes', 'scale']"),
+    # a bool is not a number
+    ({"preset": "perturbed-shear", "seed": True}, "[data] seed = True: not a non-negative integer"),
+    ({"amplitude": True}, "[data] amplitude = True: not a finite number"),
+    ({"preset_options": {"scale": True}}, "[data] scale = True: must be positive"),
+    ({"preset": "perturbed-shear", "preset_options": {"modes": True}},
+     "[data] modes = True: must be a positive integer"),
 ])
 def test_run_simulation_names_the_section_at_fault(monkeypatch, edit, message):
     monkeypatch.setitem(PRESETS, "slipping", _slipping)
