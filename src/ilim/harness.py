@@ -34,7 +34,7 @@ from .criteria import (
     layer_height,
     write_criteria_csv,
 )
-from .grid import _in_section, make_channel_grid, strength_for_min_spacing
+from .grid import _check_ny, _in_section, make_channel_grid, strength_for_min_spacing
 from .initial_data import _finite, _seed, shear_profile_exp
 from .snapshots import _write_json
 from .solvers import (
@@ -42,6 +42,7 @@ from .solvers import (
     SimulationConfig,
     Trajectory,
     _initial_velocity,
+    _lapack,
     _paired_runs,
     _RunFields,
     _state,
@@ -296,6 +297,7 @@ def run_sweep(config: SweepConfig, jobs: int | None = None) -> SweepResult:
     if jobs > 1:
         import multiprocessing
 
+        _lapack()  # imported once here, not once per forked worker
         with multiprocessing.Pool(jobs) as pool:
             shares = pool.map(_sweep_worker, tasks)
     else:
@@ -493,6 +495,7 @@ def shear_limit_study(
     two nu values and checked on the rest.
     """
     nu_values = _parse_nu_list(nu_values)
+    _check_ny(ny)
     if schedule is None:
         schedule = MSchedule(form="power", c=1.0, a=0.5)
     # one period of the channel; the pair is x1-independent, so 8 nodes carry it

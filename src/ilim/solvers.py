@@ -19,7 +19,9 @@ Velocity is reconstructed from vorticity through banded streamfunction
 solves, so the discrete divergence vanishes by construction.  Each banded
 operator (streamfunction, and Crank-Nicolson per (nu, dt)) is stacked over
 the Fourier modes as one block-diagonal band and LU-factored once; every
-mode is then solved in a single LAPACK call.
+mode is then solved in a single LAPACK call.  scipy's LAPACK wrappers are
+imported on the first factorization (`_lapack`), so importing this module,
+or running a command that steps no solver, leaves `scipy.linalg` unloaded.
 """
 
 from __future__ import annotations
@@ -28,8 +30,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, zgbtrf, zgbtrs, zgttrs
 
 from .grid import (
     Grid,
@@ -192,9 +192,18 @@ def _finite(a):
     return a
 
 
+def _lapack():
+    """scipy.linalg.lapack, imported by the first factorization or solve,
+    so a process that steps no solver never loads scipy.linalg."""
+    from scipy.linalg import lapack
+
+    return lapack
+
+
 def _check_info(info, routine):
     if info > 0:
-        raise LinAlgError("singular matrix")
+        # numpy's class, which scipy.linalg re-exports as its own
+        raise np.linalg.LinAlgError("singular matrix")
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of {routine}")
 
@@ -205,7 +214,8 @@ def _factor_band(band):
     right-hand sides will be solved with."""
     ab = np.zeros((5, band.shape[1] * band.shape[2]), dtype=band.dtype)
     ab[1:] = _finite(band).reshape(4, -1)  # ?gbtrf needs kl fill-in rows on top
-    trf = zgbtrf if np.iscomplexobj(ab) else dgbtrf
+    lapack = _lapack()
+    trf = lapack.zgbtrf if np.iscomplexobj(ab) else lapack.dgbtrf
     lu, piv, info = trf(ab, 1, 2, overwrite_ab=1)
     _check_info(info, trf.__name__)
     return lu, piv
@@ -214,7 +224,8 @@ def _factor_band(band):
 def _solve_band(lu, piv, rhs):
     """Solve every block of a `_factor_band` factorization in one ?gbtrs
     call; `rhs` is (modes, ny) in the factorization's dtype."""
-    trs = zgbtrs if np.iscomplexobj(lu) else dgbtrs
+    lapack = _lapack()
+    trs = lapack.zgbtrs if np.iscomplexobj(lu) else lapack.dgbtrs
     x, info = trs(lu, 1, 2, _finite(rhs).reshape(-1, 1), piv)
     _check_info(info, trs.__name__)
     return x.reshape(rhs.shape)
@@ -248,7 +259,7 @@ class _ChannelOperators:
         ab[1, :, 1:-1] = d2di - k[1:, None] ** 2
         ab[0, :, 2:] = d2up
         up, di, lo = _finite(ab).reshape(3, -1)
-        *factors, ipiv, info = dgttrf(lo[:-1], di, up[1:])
+        *factors, ipiv, info = _lapack().dgttrf(lo[:-1], di, up[1:])
         _check_info(info, "dgttrf")
         self.poisson_lu = (*(f.astype(complex) for f in factors), ipiv)
 
@@ -267,7 +278,7 @@ class _ChannelOperators:
         """
         rhs[:, 0] = 0.0
         rhs[:, -1] = 0.0
-        x, info = zgttrs(*self.poisson_lu, _finite(rhs).reshape(-1, 1))
+        x, info = _lapack().zgttrs(*self.poisson_lu, _finite(rhs).reshape(-1, 1))
         _check_info(info, "zgttrs")
         return x.reshape(rhs.shape)
 

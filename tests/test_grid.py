@@ -8,6 +8,7 @@ import pytest
 from ilim.grid import (
     _apply_d1,
     _d1_stencils,
+    _tanh_points,
     Region,
     ScalarField,
     VectorField,
@@ -85,6 +86,42 @@ def test_strength_for_min_spacing_hits_target():
 def test_strength_for_min_spacing_rejects_coarse_target():
     with pytest.raises(ValueError):
         strength_for_min_spacing(65, 2.0, 2.0 / 64)
+
+
+@pytest.mark.parametrize("ny", [0, 1, 2])
+def test_strength_for_min_spacing_applies_the_grid_ny_rule(ny):
+    with pytest.raises(ValueError, match=r"^ny must be >= 3$"):
+        strength_for_min_spacing(ny, 2.0, 1e-3)
+
+
+def _brentq_strength(ny, height, target):
+    from scipy.optimize import brentq
+
+    def first_gap(s):
+        return _tanh_points(ny, height, s)[1] - target
+
+    return float(brentq(first_gap, 1e-8, 60.0, xtol=1e-12, rtol=1e-14))
+
+
+def test_strength_for_min_spacing_is_brentq_bit_for_bit(monkeypatch):
+    # the shear study's own targets, then a grid of fractions of the gap
+    from ilim import harness
+
+    cases = []
+
+    def recording(ny, height, target):
+        cases.append((ny, height, target))
+        return strength_for_min_spacing(ny, height, target)
+
+    monkeypatch.setattr(harness, "strength_for_min_spacing", recording)
+    harness.shear_limit_study(n_modes=64)
+    assert len(cases) == 4
+    for ny in (33, 65, 193, 1025):
+        for height in (1.0, 6.0):
+            cases += [(ny, height, f * height / (ny - 1))
+                      for f in np.geomspace(1e-6, 0.999, 25)]
+    for case in cases:
+        assert strength_for_min_spacing(*case).hex() == _brentq_strength(*case).hex(), case
 
 
 def test_grids_compatible_on_rebuild():

@@ -401,6 +401,22 @@ def test_sweep_steps_euler_once_per_worker(monkeypatch, jobs):
     assert all(r.ok for r in result.records)
 
 
+def test_sweep_loads_lapack_before_the_pool_forks(run_python):
+    # else every forked worker imports scipy.linalg for itself
+    code = (
+        "import multiprocessing, sys\n"
+        "from ilim.harness import SweepConfig, run_sweep\n"
+        "real, seen = multiprocessing.Pool, []\n"
+        "def pool(*args, **kwargs):\n"
+        "    seen.append('scipy.linalg.lapack' in sys.modules)\n"
+        "    return real(*args, **kwargs)\n"
+        "multiprocessing.Pool = pool\n"
+        f"run_sweep(SweepConfig(**{SMALL!r}), jobs=2)\n"
+        "print(seen)\n"
+    )
+    assert run_python(code) == "[True]"
+
+
 @pytest.mark.parametrize("nus", [(1e-2, 1e-3, 1e-4), (1e-3, 1e-2, 1e-3)])
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_sweep_records_equal_run_simulation_bitwise(jobs, nus):
@@ -798,6 +814,16 @@ def test_cli_shear_verify_defaults_are_the_study_defaults(tmp_path):
     assert sorted(p.name for p in (tmp_path / "cli").iterdir()) == names
     for name in names:
         assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "api" / name).read_bytes()
+
+
+@pytest.mark.parametrize("ny", [0, 1, 2])
+def test_shear_verify_applies_the_grid_ny_rule_first(ny, tmp_path, capsys):
+    with pytest.raises(ValueError, match=r"^ny must be >= 3$"):
+        shear_limit_study(ny=ny)
+    out = tmp_path / "shear"
+    assert cli_dispatch(["shear-verify", "--ny", str(ny), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: ny must be >= 3\n"
+    assert not out.exists()
 
 
 def test_cli_shear_verify_has_no_du1dy_flag(tmp_path, capsys):

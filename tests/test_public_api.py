@@ -4,10 +4,7 @@ modules it loads."""
 import ast
 import dataclasses
 import importlib
-import os
 import pkgutil
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -53,16 +50,41 @@ def test_package_all_is_every_module_all_once():
         assert getattr(ilim, attr) is getattr(module, attr), attr
 
 
+def _loaded(modules):
+    """Code that prints which of `modules` the interpreter has imported."""
+    return f"print(sorted(m for m in {modules!r} if m in sys.modules))"
+
+
 @pytest.mark.parametrize("module", ["ilim", "ilim.cli"])
-def test_import_leaves_quadrature_and_fft_unloaded(module):
-    src = str(Path(ilim.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = (f"import sys, {module}; "
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.fft') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "[]"
+def test_import_leaves_quadrature_and_fft_unloaded(module, run_python):
+    # each is imported by the code path that uses it, if it runs
+    deferred = ("scipy.integrate", "scipy.fft", "scipy.linalg", "scipy.optimize")
+    assert run_python(f"import sys, {module}; {_loaded(deferred)}") == "[]"
+
+
+_SHEAR_STUDY = ("from ilim.harness import emit_shear_report, shear_limit_study; "
+                "emit_shear_report(shear_limit_study(nu_values=(1e-2, 1e-3), "
+                "t_final=0.5, n_times=4, ny=65, n_modes=256), sys.argv[1])")
+_CLI = "from ilim.cli import cli_dispatch; assert cli_dispatch(sys.argv[1:]) == 0"
+
+
+@pytest.mark.parametrize("command, args", [
+    (_SHEAR_STUDY, []),
+    (_CLI, ["criteria"]),
+    (_CLI, ["corrector-check", "--out"]),
+], ids=["shear-study", "criteria", "corrector-check"])
+def test_solver_free_commands_leave_linalg_and_optimize_unloaded(
+        command, args, run_python, tmp_path):
+    # they step no solver and find no root; each writes into `out`, its last argument
+    out = tmp_path / "out"
+    if args == ["criteria"]:
+        # the stored pair is made here; only the criteria run is watched
+        from ilim.cli import cli_dispatch
+        assert cli_dispatch(["simulate", "--nx", "16", "--ny", "33", "--T", "0.05",
+                             "--dt", "5e-3", "--out", str(out)]) == 0
+    code = f"import sys; {command}; {_loaded(('scipy.linalg', 'scipy.optimize'))}"
+    assert run_python(code, *args, out) == "[]"
+    assert any(out.iterdir())
 
 
 def _referenced_names(paths):
