@@ -73,7 +73,7 @@ def _unit_bump_raw(v):
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 
 
-@lru_cache(maxsize=2)  # one table per bump kernel
+@lru_cache(maxsize=2)  # one table per bump kernel; others call __wrapped__
 def _cumulative_table(func, lo: float, hi: float, n: int = 2048):
     """Knots on [lo, hi] plus cumulative integrals of func at each knot."""
     knots = np.linspace(lo, hi, n + 1)
@@ -446,13 +446,6 @@ def plateau_eta(delta: float):
     return eta
 
 
-def _psi_delta_pair(delta: float):
-    """Unit-mass bump on (delta/2, delta) plus its exact-clamp antiderivative."""
-    half = 0.5 * delta
-    bump = _Bump(_unit_bump_raw, 0.0, 1.0, shift=half, scale=half)
-    return bump.value, bump.antiderivative
-
-
 @dataclass(frozen=True)
 class CurvedChart:
     """Wall-fitted chart: strip height delta, metric factor h(xi1, xi2),
@@ -477,34 +470,32 @@ def make_curved_chart(delta: float = 1.0, h=None, eta=None, eta_support=None) ->
         eta_support = 0.5 * delta
     elif eta_support is None:
         eta_support = 0.5 * delta
-    psi, anti = _psi_delta_pair(delta)
+    psi = _Bump(_unit_bump_raw, 0.0, 1.0, shift=0.5 * delta, scale=0.5 * delta)
     return CurvedChart(
         delta=float(delta),
         h=h,
         eta=eta,
         eta_support=float(eta_support),
-        psi_delta=psi,
-        psi_delta_antiderivative=anti,
+        psi_delta=psi.value,
+        psi_delta_antiderivative=psi.antiderivative,
     )
 
 
-def _weighted_eta(chart: CurvedChart, at, za, zb, limit, epsrel) -> float:
-    """at * int_za^zb e^{-z} eta(z at) dz by quadrature, with zb cut off at
-    _EXP_CAP; 0 when the cut interval is empty."""
-    from scipy.integrate import quad
-
-    zb = min(zb, _EXP_CAP)
-    if za >= zb:
-        return 0.0
-    val, _ = quad(
-        lambda z: np.exp(-z) * float(chart.eta(np.array(z * at))),
-        za,
-        zb,
-        limit=limit,
-        epsrel=epsrel,
-        epsabs=0.0,
-    )
-    return at * val
+def _weighted_eta(y, at, chart: CurvedChart):
+    """P(y) = int_0^y e^{-s/at} eta(s) ds at each y, and gamma, its value at
+    the eta support, from one cumulative table of e^{-z} eta(z at) in
+    z = s/at on [0, min(eta_support/at, _EXP_CAP)]: gamma is the table's
+    last entry, and every y at or beyond the table's end gets gamma itself,
+    so P - gamma Q is exactly gamma (1 - Q) beyond the eta support."""
+    func = lambda z: np.exp(-z) * chart.eta(z * at)
+    # uncached: a per-call table must not evict the bumps' tables
+    knots, cum = _cumulative_table.__wrapped__(func, 0.0, min(chart.eta_support / at, _EXP_CAP))
+    gamma = at * float(cum[-1])
+    z = np.asarray(y, dtype=float) / at
+    inside = z < knots[-1]
+    p = np.full_like(z, gamma)
+    p[inside] = at * _cumulative_eval(knots, cum, func, z[inside])
+    return p, gamma
 
 
 def curved_gamma(alpha: float, tau: float, chart: CurvedChart) -> float:
@@ -513,33 +504,7 @@ def curved_gamma(alpha: float, tau: float, chart: CurvedChart) -> float:
     at = alpha * tau
     if at <= 0.0:
         raise ValueError("curved_gamma requires alpha*tau > 0")
-    return _weighted_eta(chart, at, 0.0, chart.eta_support / at, limit=300, epsrel=1e-13)
-
-
-def _cumulative_weighted_eta(ybins, at, chart: CurvedChart):
-    """P(y_j) = int_0^{y_j} e^{-s/at} eta(s) ds per node, and gamma.
-
-    Nodes at or beyond the eta support all receive the identical full
-    integral, so (P - gamma Q) vanishes exactly there.
-    """
-    cut = chart.eta_support
-
-    def seg(a, b):
-        return _weighted_eta(chart, at, a / at, min(b, cut) / at, limit=200, epsrel=1e-12)
-
-    p = np.zeros_like(ybins)
-    acc = 0.0
-    prev = 0.0
-    for j, yj in enumerate(ybins):
-        if yj <= 0.0:
-            p[j] = 0.0
-            continue
-        acc += seg(prev, yj)
-        prev = min(yj, cut)
-        p[j] = acc
-    gamma = acc + seg(prev, cut)
-    p[ybins >= cut] = gamma
-    return p, gamma
+    return _weighted_eta((), at, chart)[1]
 
 
 def _chart_metric(chart: CurvedChart, grid: Grid) -> np.ndarray:
@@ -575,9 +540,7 @@ def curved_corrector(
     eta_v = chart.eta(y)
     psi_v = chart.psi_delta(y)
     q_v = chart.psi_delta_antiderivative(y)
-    # gamma is the sum of P's own quadrature segments, not curved_gamma:
-    # only then is P - gamma Q exactly zero beyond the eta support.
-    p_v, gamma = _cumulative_weighted_eta(y, at, chart)
+    p_v, gamma = _weighted_eta(y, at, chart)
     comp1 = -trace.u[:, None] * (e * eta_v)[None, :] + gamma * trace.u[:, None] * psi_v[None, :]
     comp2 = trace.du_dx[:, None] * (p_v - gamma * q_v)[None, :] / hvals
     return VectorField(grid, comp1, comp2)

@@ -49,7 +49,14 @@ class MSchedule:
     def value(self, nu: float, t: float) -> float:
         if self.form == "constant":
             return self.c
-        return self.c * nu**self.a
+        nu = float(nu)
+        try:
+            m = self.c * nu**self.a
+        except OverflowError:  # float ** float overflows by raising
+            m = np.inf
+        if not 0.0 < m < np.inf:
+            raise ValueError(f"schedule value c * nu^a at nu = {nu!r} is not positive and finite")
+        return m
 
     def integral(self, nu: float, t: float) -> float:
         """int_0^t M_nu(s) ds."""
@@ -66,8 +73,9 @@ class LayerSpec:
     use_du1dy: bool = False
 
     def __post_init__(self):
-        if not self.C > 1.0:
-            raise ValueError("layer constant C must exceed 1")
+        # an infinite C makes every layer height NaN: a vacuous pass
+        if not 1.0 < self.C < np.inf:
+            raise ValueError("layer constant C must exceed 1 and be finite")
         if not self.r >= 1.0:
             raise ValueError("r must be >= 1 (inf allowed)")
 

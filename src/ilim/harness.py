@@ -115,14 +115,14 @@ def _json_value(value):
 
 def _parse_nu_list(value) -> tuple:
     """Viscosities separated by commas or spaces, or a sequence of them;
-    at least one, all > 0."""
+    at least one, all positive and finite."""
     if isinstance(value, str):
         value = value.replace(",", " ").split()
     nus = tuple(float(v) for v in value)
     if not nus:
         raise ValueError("at least one nu value is required")
-    if not all(nu > 0.0 for nu in nus):
-        raise ValueError("nu values must be positive")
+    if not all(0.0 < nu < np.inf for nu in nus):
+        raise ValueError("nu values must be positive and finite")
     return nus
 
 
@@ -496,6 +496,10 @@ def shear_limit_study(
     """
     nu_values = _parse_nu_list(nu_values)
     _check_ny(ny)
+    if not 0.0 < t_final < np.inf:
+        raise ValueError("t_final must be positive and finite")
+    if not n_times >= 1:
+        raise ValueError("n_times must be >= 1")
     if schedule is None:
         schedule = MSchedule(form="power", c=1.0, a=0.5)
     # one period of the channel; the pair is x1-independent, so 8 nodes carry it

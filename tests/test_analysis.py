@@ -495,15 +495,32 @@ def test_budget_transforms_per_row(monkeypatch, tanh_grid):
 def test_gronwall_envelope_exponential_oracle():
     times = np.linspace(0.0, 1.0, 11)
     out = gronwall_envelope(times, 1.0, 1.0)
-    assert np.abs(out - (np.exp(2.0 * times) - 1.0)).max() <= 1e-8
+    assert np.abs(out - np.expm1(2.0 * times)).max() <= 1e-14
 
 
 def test_gronwall_envelope_forcing_variants():
     times = np.linspace(0.0, 1.0, 6)
-    expect = times**2
     # with c = 0 and f(t) = t the envelope is exactly t^2
-    np.testing.assert_allclose(gronwall_envelope(times, 0.0, times), expect,
-                               atol=1e-10)
+    assert np.array_equal(gronwall_envelope(times, 0.0, times), times**2)
+
+
+@pytest.mark.parametrize("rate_c", [0.0, 1e-9, 0.03, -0.03, 7.0, -7.0])
+def test_gronwall_envelope_matches_duhamel_quadrature(rate_c):
+    # y(t) = 2 int_0^t e^{2c(t - s)} f(s) ds, summed over the forcing's
+    # linear pieces by adaptive quadrature; steps with |2 c h| < 1 take
+    # phi2's series, and at |c| = 7 some steps take its closed form
+    from scipy.integrate import quad
+
+    rng = np.random.default_rng(17)
+    times = np.concatenate(([0.0], np.cumsum(rng.uniform(0.01, 0.2, 15))))
+    forcing = rng.uniform(0.1, 2.0, times.size)
+    out = gronwall_envelope(times, rate_c, forcing)
+    assert out[0] == 0.0
+    for n in range(1, times.size):
+        pieces = [quad(lambda s: math.exp(2.0 * rate_c * (times[n] - s))
+                       * np.interp(s, times, forcing), a, b, epsabs=0.0, epsrel=2e-14)[0]
+                  for a, b in zip(times[:n], times[1:n + 1])]
+        assert out[n] == pytest.approx(2.0 * math.fsum(pieces), rel=1e-10)
 
 
 def test_gronwall_envelope_validation():

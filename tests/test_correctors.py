@@ -334,10 +334,11 @@ def test_curved_gamma_constant_eta_closed_form():
         curved_gamma(0.5, 0.0, chart)
 
 
-def _eta_quad(chart, at, za, zb, limit, epsrel):
-    """at * int_za^zb e^{-z} eta(z at) dz with quad's own settings given."""
+def _eta_quad(chart, at, zb):
+    """at * int_0^zb e^{-z} eta(z at) dz by a tight adaptive quadrature,
+    with zb cut off where e^{-z} underflows, as the table is."""
     val, _ = quad(lambda z: np.exp(-z) * float(chart.eta(np.array(z * at))),
-                  za, zb, limit=limit, epsrel=epsrel, epsabs=0.0)
+                  0.0, min(zb, correctors._EXP_CAP), limit=500, epsrel=2e-14, epsabs=0.0)
     return at * val
 
 
@@ -347,10 +348,25 @@ def test_curved_gamma_cubic_defect():
     at = 1e-2
     gap = at - curved_gamma(1.0, at, chart)
     assert gap / (16.0 * at**3) == pytest.approx(1.0, abs=0.01)
-    # one quadrature over the support, at limit 300 and epsrel 1e-13 (at
-    # 5e-2, epsrel 1e-12 would give other bits)
     for at in (1e-2, 5e-2):
-        assert curved_gamma(1.0, at, chart) == _eta_quad(chart, at, 0.0, 0.5 / at, 300, 1e-13)
+        assert curved_gamma(1.0, at, chart) == pytest.approx(_eta_quad(chart, at, 0.5 / at),
+                                                             rel=1e-13)
+
+
+@pytest.mark.parametrize("eta_args", [{}, {"eta": plateau_eta(1.0), "eta_support": 0.5}],
+                         ids=["default", "plateau"])
+def test_curved_gamma_and_p_match_quadrature(eta_args):
+    chart = make_curved_chart(delta=1.0, **eta_args)
+    y = np.linspace(0.0, 0.6, 25)
+    for at in np.geomspace(1e-4, 0.5, 7):
+        gamma = curved_gamma(1.0, at, chart)
+        assert gamma == pytest.approx(_eta_quad(chart, at, 0.5 / at), rel=1e-13)
+        p, gamma_p = correctors._weighted_eta(y, at, chart)
+        # one gamma: P's own closing value is curved_gamma's
+        assert gamma_p == gamma and p[0] == 0.0
+        assert np.all(p[y >= 0.5] == gamma)
+        expect = [_eta_quad(chart, at, yj / at) for yj in y[1:]]
+        np.testing.assert_allclose(p[1:], expect, rtol=1e-13, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -382,15 +398,13 @@ def test_curved_corrector_wall_and_support(curved_grid):
     beyond = curved_grid.y >= 1.0
     assert np.all(f.comp1[:, beyond] == 0.0)
     assert np.all(f.comp2[:, beyond] == 0.0)
-    # P sums one quadrature per node gap inside the eta support, at limit
-    # 200 and epsrel 1e-12, and gamma closes it at the support's edge
-    y, at, cut = curved_grid.y, 0.05, chart.eta_support
-    ends = np.append(np.minimum(y, cut), cut)
-    segs = [_eta_quad(chart, at, a / at, b / at, 200, 1e-12) if b > a else 0.0
-            for a, b in zip(ends[:-1], ends[1:])]
-    p = np.cumsum([0.0, *segs])
-    gamma = p[-1]
-    p = np.where(y >= cut, gamma, p[:-1])
+    # one gamma: beyond the eta support comp1 is curved_gamma's U psi_delta
+    y, at = curved_grid.y, 0.05
+    gamma = curved_gamma(1.0, at, chart)
+    outside = y >= chart.eta_support
+    assert np.array_equal(f.comp1[:, outside],
+                          (gamma * u[:, None] * chart.psi_delta(y)[None, :])[:, outside])
+    p, _ = correctors._weighted_eta(y, at, chart)
     e = np.exp(-y / at)
     comp1 = -u[:, None] * (e * chart.eta(y))[None, :] + gamma * u[:, None] * chart.psi_delta(y)[None, :]
     comp2 = tr.du_dx[:, None] * (p - gamma * chart.psi_delta_antiderivative(y))[None, :] / (1.0 + y)

@@ -83,7 +83,19 @@ def test_layer_spec_validation():
         LayerSpec(C=np.nan)
     with pytest.raises(ValueError):
         LayerSpec(r=np.nan)
+    # an infinite C would make every layer height NaN: a vacuous pass
+    with pytest.raises(ValueError, match="C must exceed 1 and be finite"):
+        LayerSpec(C=np.inf)
     assert np.isinf(LayerSpec(r=np.inf).r)
+
+
+@pytest.mark.parametrize("a", [1000.0, -1000.0])
+def test_schedule_value_that_underflows_or_overflows_names_nu(a):
+    sched = MSchedule(form="power", c=1.0, a=a)
+    with pytest.raises(ValueError, match=r"c \* nu\^a at nu = 0\.01 is not positive and finite"):
+        sched.value(1e-2, 0.5)
+    with pytest.raises(ValueError, match="at nu = 0.01"):
+        sched.integral(np.float64(1e-2), 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,10 @@ def test_strength_for_min_spacing_is_brentq_bit_for_bit(monkeypatch):
         for height in (1.0, 6.0):
             cases += [(ny, height, f * height / (ny - 1))
                       for f in np.geomspace(1e-6, 0.999, 25)]
+    # here the 8th interpolation step is within delta of the step test's
+    # 3|sbis| bound, so only its "- delta" term sends the step to bisection;
+    # without that term the root moves by 81 ulps
+    cases.append((1025, 1.0, 8.357835686588258e-05))
     for case in cases:
         assert strength_for_min_spacing(*case).hex() == _brentq_strength(*case).hex(), case
 

@@ -121,6 +121,9 @@ def test_parse_config_free_form_preset_options(tmp_path):
         ("[sweep]\nnu =\n", "at least one nu"),
         ("[layer]\nr = 0.5\n", r"^\[layer\] r = 0.5: r must be >= 1"),
         ("[layer]\nC = 0.5\n", r"^\[layer\] C = 0.5: layer constant C must exceed 1"),
+        ("[layer]\nC = inf\n", r"^\[layer\] C = inf: layer constant C must exceed 1 and be finite"),
+        ("[sweep]\nnu = 1e-2, inf\n",
+         r"^\[sweep\] nu = 1e-2, inf: nu values must be positive and finite"),
         ("[layer]\nr = nan\n", r"^\[layer\] r = nan: r must be >= 1"),
         ("[schedule]\nc = nan\n", r"^\[schedule\] c = nan: schedule amplitude must be"),
         ("[schedule]\nc = inf\n", r"^\[schedule\] c = inf: .* must be positive and finite"),
@@ -193,6 +196,9 @@ def test_parse_config_rejects_bad_input(tmp_path, body, match):
     # the shear presets take no profile option: their profile is always exp
     (("seed = 0", "seed = 0\nprofile = exp"), [],
      "[data] preset = shear: unknown option 'profile'; it takes ['scale']"),
+    # an infinite C or nu is out of range
+    (None, ["--C", "inf"], "--C inf: layer constant C must exceed 1 and be finite"),
+    (None, ["--nu", "1e-2,inf"], "--nu 1e-2,inf: nu values must be positive and finite"),
 ])
 def test_cli_rejects_bad_layer_value_before_running(tmp_path, capsys, edit,
                                                     flags, cause):
@@ -559,6 +565,10 @@ def test_shear_study_validation():
         shear_limit_study(nu_values=(1e-3, 0.0))
     with pytest.raises(ValueError, match="nu values must be positive"):
         shear_limit_study(nu_values=(1e-3, np.nan))
+    with pytest.raises(ValueError, match="nu values must be positive and finite"):
+        shear_limit_study(nu_values=(1e-3, np.inf))
+    with pytest.raises(ValueError, match=r"^n_times must be >= 1$"):
+        shear_limit_study(n_times=0)
 
 
 def test_shear_report_files(tmp_path):
@@ -823,6 +833,40 @@ def test_shear_verify_applies_the_grid_ny_rule_first(ny, tmp_path, capsys):
     out = tmp_path / "shear"
     assert cli_dispatch(["shear-verify", "--ny", str(ny), "--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: ny must be >= 3\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("t_final", ["nan", "inf", "0", "-1"])
+def test_shear_verify_checks_t_final_first(t_final, tmp_path, capsys):
+    with pytest.raises(ValueError, match=r"^t_final must be positive and finite$"):
+        shear_limit_study(t_final=float(t_final))
+    out = tmp_path / "shear"
+    assert cli_dispatch(["shear-verify", "--T", t_final, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: t_final must be positive and finite\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, cause", [
+    (["--nu", "1e-2,inf,1e-4"], "--nu 1e-2,inf,1e-4: nu values must be positive and finite"),
+    (["--C", "inf"], "--C inf: layer constant C must exceed 1 and be finite"),
+    (["--M-a", "-1000"], "error: schedule value c * nu^a at nu = 0.01 is not positive"),
+    (["--M-a", "1000"], "error: schedule value c * nu^a at nu = 0.01 is not positive"),
+])
+def test_cli_shear_verify_rejects_out_of_range_values(flags, cause, tmp_path, capsys):
+    out = tmp_path / "shear"
+    assert cli_dispatch(["shear-verify", *flags, "--out", str(out)]) == 1
+    assert cause in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, cause", [
+    (["--M-a", "1000"], "error: schedule value c * nu^a at nu = 0.01 is not positive"),
+    (["--C", "inf"], "--C inf: layer constant C must exceed 1 and be finite"),
+])
+def test_cli_criteria_rejects_out_of_range_values(stored_pair, flags, cause, tmp_path, capsys):
+    out = tmp_path / "criteria.csv"
+    assert cli_dispatch(["criteria", str(stored_pair), *flags, "--out", str(out)]) == 1
+    assert cause in capsys.readouterr().err
     assert not out.exists()
 
 

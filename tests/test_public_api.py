@@ -87,6 +87,23 @@ def test_solver_free_commands_leave_linalg_and_optimize_unloaded(
     assert any(out.iterdir())
 
 
+def test_curved_corrector_and_envelope_leave_quadrature_unloaded(run_python):
+    # both integrate in closed form or by the package's own Gauss-Legendre
+    # table, so nothing in the package imports scipy.integrate
+    code = ("import sys, numpy as np; "
+            "from ilim.analysis import gronwall_envelope; "
+            "from ilim.correctors import (curved_corrector, curved_gamma, "
+            "make_curved_chart, trace_from_callable); "
+            "from ilim.grid import make_channel_grid; "
+            "g = make_channel_grid(8, 33, 2 * np.pi, 1.5, clustering='uniform'); "
+            "chart = make_curved_chart(delta=1.0); "
+            "curved_corrector(trace_from_callable(g, np.cos), 1.0, 0.05, chart, g); "
+            "curved_gamma(1.0, 0.05, chart); "
+            "t = np.linspace(0.0, 1.0, 5); gronwall_envelope(t, 1.0, t); "
+            f"{_loaded(('scipy.integrate',))}")
+    assert run_python(code) == "[]"
+
+
 def _referenced_names(paths):
     """Every name that a Name, an Attribute or an `from ... import` in the
     sources `paths` refers to."""
