@@ -73,7 +73,6 @@ def _unit_bump_raw(v):
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 
 
-@lru_cache(maxsize=2)  # one table per bump kernel; others call __wrapped__
 def _cumulative_table(func, lo: float, hi: float, n: int = 2048):
     """Knots on [lo, hi] plus cumulative integrals of func at each knot."""
     knots = np.linspace(lo, hi, n + 1)
@@ -183,12 +182,6 @@ class CorrectorParams:
     @property
     def tau(self) -> float:
         return min(self.t, 1.0)
-
-
-def _zero_field(grid: Grid) -> VectorField:
-    """The corrector (or its rate) where the layer has no thickness yet."""
-    z = np.zeros(grid.shape)
-    return VectorField(grid, z, z)
 
 
 @lru_cache(maxsize=2)  # one pair of 1-D profiles per recent grid
@@ -488,8 +481,7 @@ def _weighted_eta(y, at, chart: CurvedChart):
     last entry, and every y at or beyond the table's end gets gamma itself,
     so P - gamma Q is exactly gamma (1 - Q) beyond the eta support."""
     func = lambda z: np.exp(-z) * chart.eta(z * at)
-    # uncached: a per-call table must not evict the bumps' tables
-    knots, cum = _cumulative_table.__wrapped__(func, 0.0, min(chart.eta_support / at, _EXP_CAP))
+    knots, cum = _cumulative_table(func, 0.0, min(chart.eta_support / at, _EXP_CAP))
     gamma = at * float(cum[-1])
     z = np.asarray(y, dtype=float) / at
     inside = z < knots[-1]
@@ -531,8 +523,9 @@ def curved_corrector(
         raise ValueError("trace length must equal grid.nx")
     if tau < 0.0:
         raise ValueError("tau must be >= 0")
-    if tau == 0.0:
-        return _zero_field(grid)
+    if tau == 0.0:  # the layer has no thickness yet
+        z = np.zeros(grid.shape)
+        return VectorField(grid, z, z)
     at = alpha * tau
     hvals = _chart_metric(chart, grid)
     y = grid.y

@@ -167,8 +167,8 @@ def make_channel_grid(nx, ny, period, height, clustering="uniform", strength=2.0
 def strength_for_min_spacing(ny, height, target):
     """Tanh strength whose first wall-normal spacing is `target`.
 
-    Solves y_1(s) = target for s in [1e-8, 60] by Brent's method; used to
-    match a grid's near-wall resolution to a known layer thickness.
+    Solves y_1(s) = target for s in [1e-8, 60] by bisection; used to match
+    a grid's near-wall resolution to a known layer thickness.
     """
     _check_ny(ny)
     if not 0.0 < target < height / (ny - 1):
@@ -177,48 +177,15 @@ def strength_for_min_spacing(ny, height, target):
     def first_gap(s):
         return _tanh_points(ny, height, s)[1] - target
 
-    return float(_brent_root(first_gap, 1e-8, 60.0, xtol=1e-12, rtol=1e-14))
-
-
-def _brent_root(f, a, b, xtol, rtol):
-    """Root of f in [a, b] by Brent's method (Brent 1973, Algorithms for
-    Minimization Without Derivatives, ch. 4), taking scipy.optimize.brentq's
-    steps operation for operation, so it returns the same float without
-    importing scipy.optimize."""
-    xpre, xcur = a, b
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0 or fcur == 0:
-        return xpre if fpre == 0 else xcur
-    if fpre * fcur > 0:
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(100):  # brentq's default maxiter
-        if fpre * fcur < 0:  # the root is in [xpre, xcur]: restart the bracket
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):  # make xcur the best iterate
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        stry = None
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic interpolation
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-        if stry is not None and 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-            spre, scur = scur, stry
-        else:  # bisect
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-    raise RuntimeError("Brent iteration did not converge in 100 steps")
+    # y_1 falls as s grows.  The width tolerance exceeds the spacing of
+    # doubles below 60 (7e-15), so halving always reaches it.
+    lo, hi = 1e-8, 60.0
+    if not first_gap(lo) > 0.0 >= first_gap(hi):
+        raise ValueError("strengths 1e-8 to 60 do not bracket the target spacing")
+    while hi - lo > 1e-12 + 1e-14 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if first_gap(mid) > 0.0 else (lo, mid)
+    return 0.5 * (lo + hi)
 
 
 def grids_compatible(a: "Grid", b: "Grid") -> bool:

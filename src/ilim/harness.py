@@ -272,6 +272,21 @@ def _sweep_worker(task) -> list:
     return [_record(cfg, nu, next(runs)) for nu in nus]
 
 
+def _check_schedule(config: SweepConfig) -> None:
+    """Raise the first nu's schedule fault, prefixed `[schedule]`, if the
+    schedule fails at every nu with 0 < nu < inf (else records fail alone)."""
+    schedule, first = config.schedule(), None
+    for nu in config.nu_values:
+        if 0.0 < nu < np.inf:
+            try:
+                schedule.value(nu, config.t_final)
+                return
+            except ValueError as exc:
+                first = first or exc
+    if first is not None:
+        raise ValueError(f"[schedule] {first}") from first
+
+
 def run_sweep(config: SweepConfig, jobs: int | None = None) -> SweepResult:
     """Run the sweep, one isolated paired run per nu.
 
@@ -280,10 +295,10 @@ def run_sweep(config: SweepConfig, jobs: int | None = None) -> SweepResult:
     Navier-Stokes run per nu.  The worker count is `jobs` (the --jobs
     flag), else all available cores.  Results are ordered by the config's
     nu list regardless of worker scheduling, so output is identical for any
-    worker count.  A `jobs` below 1, or a grid, time or data fault
-    (`_initial_velocity`'s ValueError), raises before any worker starts; a
-    fault of one nu fails only its record.  Raises RuntimeError if every nu
-    failed.
+    worker count.  A `jobs` below 1, a grid, time or data fault
+    (`_initial_velocity`) or a schedule that fails at every nu raises
+    before any worker starts; a fault of one nu fails only its record.
+    Raises RuntimeError if every nu failed.
     """
     if jobs is None:
         jobs = os.cpu_count() or 1
@@ -292,6 +307,7 @@ def run_sweep(config: SweepConfig, jobs: int | None = None) -> SweepResult:
     if not config.nu_values:
         raise ValueError("sweep needs at least one nu")
     _initial_velocity(config)
+    _check_schedule(config)
     jobs = min(jobs, len(config.nu_values))
     tasks = [(config, config.nu_values[i::jobs]) for i in range(jobs)]
     if jobs > 1:

@@ -288,24 +288,17 @@ class _ChannelOperators:
         psi[1:] = self.poisson_modes(-omega_hat[1:])
         return psi
 
-    def cumtrapz_y(self, row):
-        out = np.empty_like(row)
-        out[0] = 0.0
-        np.cumsum(0.5 * (row[1:] + row[:-1]) * self.dy, out=out[1:])
-        return out
-
-    def mean_mode_u1(self, omega_hat0, wall_mean):
-        """Mean tangential profile from the mean vorticity row."""
-        mean_omega = omega_hat0.real / self.grid.nx
-        return wall_mean - self.cumtrapz_y(mean_omega)
-
     def velocity_from_omega_hat(self, omega_hat, wall_mean, slip, psi_hat=None):
         nx = self.grid.nx
         if psi_hat is None:
             psi_hat = self.solve_poisson(omega_hat)
         u1_hat = _apply_d1(self.d1, psi_hat)
         u2_hat = -self.ik[:, None] * psi_hat
-        u1_hat[0, :] = nx * self.mean_mode_u1(omega_hat[0], wall_mean)
+        # mean tangential profile: wall_mean - trapezoidal x2-integral of mean omega
+        mean_omega = omega_hat[0].real / nx
+        cum = np.zeros_like(mean_omega)
+        np.cumsum(0.5 * (mean_omega[1:] + mean_omega[:-1]) * self.dy, out=cum[1:])
+        u1_hat[0, :] = nx * (wall_mean - cum)
         u2_hat[0, :] = 0.0
         u1 = np.fft.irfft(u1_hat, n=nx, axis=0)
         u2 = np.fft.irfft(u2_hat, n=nx, axis=0)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ilim import grid as grid_module
 from ilim.grid import (
     _apply_d1,
     _d1_stencils,
@@ -94,16 +95,7 @@ def test_strength_for_min_spacing_applies_the_grid_ny_rule(ny):
         strength_for_min_spacing(ny, 2.0, 1e-3)
 
 
-def _brentq_strength(ny, height, target):
-    from scipy.optimize import brentq
-
-    def first_gap(s):
-        return _tanh_points(ny, height, s)[1] - target
-
-    return float(brentq(first_gap, 1e-8, 60.0, xtol=1e-12, rtol=1e-14))
-
-
-def test_strength_for_min_spacing_is_brentq_bit_for_bit(monkeypatch):
+def test_strength_for_min_spacing_meets_its_target(monkeypatch):
     # the shear study's own targets, then a grid of fractions of the gap
     from ilim import harness
 
@@ -120,12 +112,23 @@ def test_strength_for_min_spacing_is_brentq_bit_for_bit(monkeypatch):
         for height in (1.0, 6.0):
             cases += [(ny, height, f * height / (ny - 1))
                       for f in np.geomspace(1e-6, 0.999, 25)]
-    # here the 8th interpolation step is within delta of the step test's
-    # 3|sbis| bound, so only its "- delta" term sends the step to bisection;
-    # without that term the root moves by 81 ulps
     cases.append((1025, 1.0, 8.357835686588258e-05))
-    for case in cases:
-        assert strength_for_min_spacing(*case).hex() == _brentq_strength(*case).hex(), case
+    # y_1(s) cancels against the height, so round-off is relative to it
+    eps = np.finfo(float).eps
+    for ny, height, target in cases:
+        s = strength_for_min_spacing(ny, height, target)
+        assert 1e-8 <= s <= 60.0, (ny, height, target)
+        y1 = _tanh_points(ny, height, s)[1]
+        assert abs(y1 - target) <= 32 * eps * height, (ny, height, target)
+
+
+def test_strength_for_min_spacing_needs_a_bracket(monkeypatch):
+    # a finite height always brackets: y_1 is the uniform gap at s = 1e-8
+    # and 0 at s = 60; a gap that never changes sign does not
+    monkeypatch.setattr(grid_module, "_tanh_points",
+                        lambda ny, height, s: np.array([0.0, 1.0, height]))
+    with pytest.raises(ValueError, match="do not bracket the target spacing"):
+        strength_for_min_spacing(65, 2.0, 1e-3)
 
 
 def test_grids_compatible_on_rebuild():

@@ -351,6 +351,40 @@ def test_sweep_rejects_a_worker_count_below_one(monkeypatch, tmp_path, capsys, j
     assert not out.exists()
 
 
+_SCHEDULE_FAULT = "[schedule] schedule value c * nu^a at nu = 0.01 is not positive and finite"
+
+
+@pytest.mark.parametrize("nus", [(1e-2, 1e-3, 1e-4), (-1.0, 1e-2, 1e-4)])
+def test_sweep_schedule_failing_at_every_nu_raises_before_any_worker(monkeypatch, nus):
+    # the first valid nu's fault; an invalid nu is left to its own record
+    monkeypatch.setattr(multiprocessing, "Pool", _NoPool)
+    with pytest.raises(ValueError) as info:
+        run_sweep(SweepConfig(**{**SMALL, "nu_values": nus, "m_a": 1000.0}), jobs=2)
+    assert str(info.value) == _SCHEDULE_FAULT
+
+
+def test_cli_sweep_schedule_failing_at_every_nu_exits_1(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(multiprocessing, "Pool", _NoPool)
+    ini = tmp_path / "sweep.ini"
+    ini.write_text(FULL_INI)
+    out = tmp_path / "report"
+    assert cli_dispatch(["sweep", "--config", str(ini), "--M-a", "1000", "--jobs", "2",
+                         "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {_SCHEDULE_FAULT}\n"
+    assert not out.exists()
+
+
+def test_cli_sweep_schedule_failing_at_some_nu_fails_their_records(tmp_path, capsys):
+    ini = tmp_path / "sweep.ini"
+    ini.write_text(FULL_INI)
+    out = tmp_path / "report"
+    assert cli_dispatch(["sweep", "--config", str(ini), "--nu", "1e-2,1e-4",
+                         "--M-a", "100", "--jobs", "1", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == (
+        "nu=0.0001: failed (schedule value c * nu^a at nu = 0.0001 is not positive and finite)")
+    assert json.loads((out / "rates.json").read_text())["failed_nu"] == [1e-4]
+
+
 def test_grid_builds_per_set_up(monkeypatch):
     real, calls = solvers.make_channel_grid, []
 
