@@ -171,6 +171,8 @@ def strength_for_min_spacing(ny, height, target):
     a grid's near-wall resolution to a known layer thickness.
     """
     _check_ny(ny)
+    if not 0.0 < height < np.inf:
+        raise ValueError(f"height must be positive and finite, got {height!r}")
     if not 0.0 < target < height / (ny - 1):
         raise ValueError("target spacing must be below the uniform spacing")
 
@@ -303,13 +305,11 @@ def _lp_sum(v, w, p) -> float:
     """(sum of w |v|^p)^(1/p) in the order of v's elements, or max |v| for
     p = inf; 0 when v is empty.  `lp_norm` passes the region's nodes in C
     order."""
+    if not p >= 1.0:
+        raise ValueError("p must be >= 1")
     if np.isinf(p):
-        if p < 0:
-            raise ValueError("p must be >= 1")
         return float(np.abs(v).max()) if v.size else 0.0
     p = float(p)
-    if p < 1.0:
-        raise ValueError("p must be >= 1")
     if v.size == 0:
         return 0.0
     return float(np.sum(w * np.abs(v) ** p) ** (1.0 / p))

@@ -45,6 +45,7 @@ from .solvers import (
     _lapack,
     _paired_runs,
     _RunFields,
+    _sine_coefficients,
     _state,
 )
 
@@ -192,10 +193,15 @@ def _preset_option(text):
 
 
 def parse_config(path) -> SweepConfig:
-    """Read an INI sweep config, rejecting unknown sections and keys."""
-    cp = configparser.ConfigParser()
+    """Read an INI sweep config, values as written (no `%` interpolation),
+    rejecting unknown sections and keys; a file that does not parse is a
+    ValueError naming it."""
+    cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str  # keys are case-sensitive ([layer] C vs [schedule] c)
-    read = cp.read(path)
+    try:
+        read = cp.read(path)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ValueError(f"config file {path!r}: {exc}") from None
     if not read:
         raise ValueError(f"config file {path!r} not found or unreadable")
     cfg = SweepConfig()
@@ -520,7 +526,7 @@ def shear_limit_study(
         schedule = MSchedule(form="power", c=1.0, a=0.5)
     # one period of the channel; the pair is x1-independent, so 8 nodes carry it
     period, height, nx = 2.0 * np.pi, 6.0, 8
-    flow = ShearFlow(v0=shear_profile_exp, height=height, n_modes=n_modes)
+    flow = ShearFlow(_sine_coefficients(shear_profile_exp, height, n_modes), height)
     times = np.linspace(0.0, t_final, n_times + 1)
     err_sq = np.zeros((len(nu_values), times.size))
     reports_by_r = {r: [] for r in r_values}

@@ -149,9 +149,9 @@ def load_trajectory(directory) -> Trajectory:
     """Open a trajectory directory, reading and checking every snapshot's
     header but no payload.
 
-    A manifest that lacks a key or holds one of the wrong type (a dt that
-    is not a finite positive number, a nu that is not a finite non-negative
-    one, a scheme that is not a string), whose
+    A manifest that cannot be read or parsed, lacks a key or holds one of
+    the wrong type (a dt that is not a finite positive number, a nu that is
+    not a finite non-negative one, a scheme that is not a string), or whose
     snapshot and time lists differ in length, or a snapshot that cannot be
     read or whose magic, size, grid, time or viscosity disagrees with the
     manifest, is a ValueError naming the file (and the manifest key).  Each
@@ -162,7 +162,8 @@ def load_trajectory(directory) -> Trajectory:
     """
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
-    with open(manifest_path) as fh:
+    with (_reading(manifest_path), _in_section(f"{manifest_path}:"),
+          open(manifest_path) as fh):
         manifest = json.load(fh)
     if not isinstance(manifest, dict) or manifest.get("format") != "ILIM1":
         raise ValueError(f"{manifest_path}: not an ILIM1 trajectory manifest")

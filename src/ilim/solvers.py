@@ -484,10 +484,10 @@ class NavierStokesIntegrator:
     slip = False
 
     def __init__(self, grid: Grid, nu: float, dt: float):
-        if not nu > 0.0:
-            raise ValueError("nu must be positive")
-        if not dt > 0.0:
-            raise ValueError("dt must be positive")
+        if not 0.0 < nu < np.inf:
+            raise ValueError("nu must be positive and finite")
+        if not 0.0 < dt < np.inf:
+            raise ValueError("dt must be positive and finite")
         self.grid = grid
         self.nu = nu
         self.dt = dt
@@ -512,8 +512,8 @@ class EulerIntegrator:
     nu = 0.0
 
     def __init__(self, grid: Grid, dt: float):
-        if not dt > 0.0:
-            raise ValueError("dt must be positive")
+        if not 0.0 < dt < np.inf:
+            raise ValueError("dt must be positive and finite")
         self.grid = grid
         self.dt = dt
         self.ops = _ChannelOperators(grid)
@@ -534,15 +534,24 @@ class EulerIntegrator:
 # Exact shear solution
 
 
+def _sine_coefficients(v0, height, n_modes):
+    """The first n = `n_modes` sine coefficients of the profile `v0` on
+    (0, height): the type-4 DST of its midpoint samples x_k, over n (exact
+    for band-limited profiles).  As lam_m y_k = pi (2m+1)(2k+1) / 4n, b_m
+    is 16 Im of entry 2m+1 of the 8n-point inverse FFT of x at entries 2k+1."""
+    n = int(n_modes)
+    z = np.zeros(8 * n, dtype=complex)
+    z[1:2 * n:2] = v0((np.arange(n) + 0.5) * (height / n))
+    return 16.0 * np.fft.ifft(z)[1:2 * n:2].imag
+
+
 class ShearFlow:
     """Parallel shear flow (w(x2, t), 0) by mixed sine eigenseries.
 
     The profile solves the heat equation with w = 0 at the wall and
     dw/dx2 = 0 at the top, matching the channel scheme's wall/top
-    conditions; eigenmodes are sin(lam_m x2), lam_m = (m + 1/2) pi / Ly.
-    Coefficients of an arbitrary profile come from a type-4 discrete sine
-    transform of midpoint samples (exact for band-limited profiles,
-    aliasing-level error otherwise).
+    conditions; eigenmodes are sin(lam_m x2), lam_m = (m + 1/2) pi / Ly,
+    and `coeffs` are the profile's coefficients on them at t = 0.
 
     `profile` and `dprofile` take a scalar time, which gives the 1-D
     profile on `y`, or a 1-D array of times, which gives one column per
@@ -551,20 +560,10 @@ class ShearFlow:
     a scalar call makes, so both forms agree bit for bit.
     """
 
-    def __init__(self, v0=None, height=1.0, n_modes=4096, coeffs=None):
+    def __init__(self, coeffs, height=1.0):
         self.height = float(height)
-        if coeffs is not None:
-            b = np.asarray(coeffs, dtype=float)
-        else:
-            if v0 is None:
-                raise ValueError("provide a profile callable or coefficients")
-            from scipy.fft import dst
-
-            n = int(n_modes)
-            y_mid = (np.arange(n) + 0.5) * (self.height / n)
-            b = dst(np.asarray(v0(y_mid), dtype=float), type=4) / n
-        self.coeffs = b
-        self.lam = (np.arange(b.size) + 0.5) * np.pi / self.height
+        self.coeffs = np.asarray(coeffs, dtype=float)
+        self.lam = (np.arange(self.coeffs.size) + 0.5) * np.pi / self.height
 
     def _decay(self, nu, t):
         return self.coeffs * np.exp(-nu * self.lam**2 * t)

@@ -95,6 +95,13 @@ def test_strength_for_min_spacing_applies_the_grid_ny_rule(ny):
         strength_for_min_spacing(ny, 2.0, 1e-3)
 
 
+@pytest.mark.parametrize("height", [np.inf, np.nan, 0.0, -2.0])
+def test_strength_for_min_spacing_rejects_a_bad_height(height):
+    # checked before any arithmetic on it (warnings are errors here)
+    with pytest.raises(ValueError, match=r"^height must be positive and finite, got "):
+        strength_for_min_spacing(65, height, 1e-3)
+
+
 def test_strength_for_min_spacing_meets_its_target(monkeypatch):
     # the shear study's own targets, then a grid of fractions of the gap
     from ilim import harness
@@ -202,8 +209,9 @@ def test_lp_norm_constant_on_region_is_area_times_c(unit_grid):
 
 def test_lp_norm_validation_and_empty_region(unit_grid):
     f = ScalarField(unit_grid, np.ones(unit_grid.shape))
-    with pytest.raises(ValueError):
-        lp_norm(f, 0.5)
+    for p in (0.5, -np.inf, np.nan):
+        with pytest.raises(ValueError, match=r"^p must be >= 1$"):
+            lp_norm(f, p)
     assert lp_norm(f, 2.0, layer_region(unit_grid, 0.0)) == 0.0
     other = make_channel_grid(8, 9, 1.0, 1.0, clustering="uniform")
     with pytest.raises(ValueError):

@@ -211,6 +211,33 @@ def test_cli_rejects_bad_layer_value_before_running(tmp_path, capsys, edit,
     assert not out.exists()
 
 
+# a config file that does not parse is a usage error naming the file
+@pytest.mark.parametrize("command", ["sweep", "simulate"])
+@pytest.mark.parametrize("raw, cause", [
+    (FULL_INI.replace("ny = 33", "nx = 16").encode(),
+     "option 'nx' in section 'grid' already exists"),
+    (b"nx = 16\n" + FULL_INI.encode(), "File contains no section headers"),
+    (FULL_INI.replace("preset = shear", "preset = sh\xe9ar").encode("latin-1"),
+     "can't decode byte 0xe9"),
+    # no interpolation: a '%' is part of the value, which the row then rejects
+    (FULL_INI.replace("amplitude = 1.0", "amplitude = 5%").encode(),
+     "[data] amplitude = 5%: could not convert"),
+], ids=["duplicate-key", "no-section", "not-utf8", "percent"])
+def test_cli_names_a_config_file_that_does_not_parse(tmp_path, capsys, command,
+                                                     raw, cause):
+    ini = tmp_path / "sweep.ini"
+    ini.write_bytes(raw)
+    out = tmp_path / "report"
+    capsys.readouterr()
+    assert cli_dispatch([command, "--config", str(ini), "--nu", "1e-2",
+                         "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert cause in err
+    if "%" not in cause:  # that cause names its section and key instead
+        assert f"config file {str(ini)!r}: " in err
+    assert not out.exists()
+
+
 def test_parse_config_missing_file(tmp_path):
     with pytest.raises(ValueError, match="not found"):
         parse_config(tmp_path / "nope.ini")
@@ -677,6 +704,12 @@ def _subdirectory_as_first_snapshot(run, manifest):
     return {**manifest, "snapshots": ["sub", *manifest["snapshots"][1:]]}
 
 
+def _manifest_as_directory(run, manifest):
+    path = run / "ns" / "manifest.json"
+    path.unlink()
+    path.mkdir()
+
+
 # a malformed manifest is a usage error naming the file and the key at fault
 @pytest.mark.parametrize("edit, match", [
     (lambda run, m: {k: v for k, v in m.items() if k != "nu"},
@@ -696,13 +729,23 @@ def _subdirectory_as_first_snapshot(run, manifest):
     (lambda run, m: {**m, "nu": True},
      r"ns/manifest\.json: key 'nu': must be a non-negative number"),
     (lambda run, m: {**m, "dt": True}, r"ns/manifest\.json: key 'dt': must be positive"),
+    # a manifest that cannot be read or parsed is named too
+    (lambda run, m: json.dumps(m)[:-1], r"ns/manifest\.json: Expecting ',' delimiter"),
+    (lambda run, m: b"\xff" + json.dumps(m).encode(),
+     r"ns/manifest\.json: 'utf-8' codec can't decode byte 0xff"),
+    (_manifest_as_directory, r"ns/manifest\.json: cannot be read \(Is a directory\)"),
 ], ids=["nu-missing", "list", "times-int", "nx-string", "snapshot-directory",
-        "dt-string", "dt-zero", "dt-nan", "scheme-int", "nu-true", "dt-true"])
+        "dt-string", "dt-zero", "dt-nan", "scheme-int", "nu-true", "dt-true",
+        "truncated", "not-utf8", "directory"])
 def test_cli_criteria_names_a_malformed_manifest(stored_pair, tmp_path, capsys, edit, match):
     run = tmp_path / "run"
     shutil.copytree(stored_pair, run)
     path = run / "ns" / "manifest.json"
-    path.write_text(json.dumps(edit(run, json.loads(path.read_text()))))
+    new = edit(run, json.loads(path.read_text()))
+    if isinstance(new, bytes):
+        path.write_bytes(new)
+    elif new is not None:
+        path.write_text(new if isinstance(new, str) else json.dumps(new))
     capsys.readouterr()
     assert cli_dispatch(["criteria", str(run)]) == 1
     assert re.search(match, capsys.readouterr().err)

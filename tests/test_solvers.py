@@ -16,6 +16,7 @@ from ilim.solvers import (
     CFLError,
     _ChannelOperators,
     _factor_band,
+    _sine_coefficients,
     EulerIntegrator,
     FlowState,
     NavierStokesIntegrator,
@@ -120,6 +121,14 @@ def test_integrator_constructor_validation(channel):
         NavierStokesIntegrator(channel, 1e-3, 0.0)
     with pytest.raises(ValueError):
         EulerIntegrator(channel, -1e-3)
+    # a non-finite nu or dt is refused before any operator is built
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="^nu must be positive and finite$"):
+            NavierStokesIntegrator(channel, bad, 1e-3)
+        with pytest.raises(ValueError, match="^dt must be positive and finite$"):
+            NavierStokesIntegrator(channel, 1e-3, bad)
+        with pytest.raises(ValueError, match="^dt must be positive and finite$"):
+            EulerIntegrator(channel, bad)
 
 
 def test_run_validates_step_partition(channel):
@@ -267,8 +276,9 @@ def test_stacked_solves_keep_input_checks(channel):
             integ.full.advance(omega_hat, np.zeros_like(omega_hat))
     with pytest.raises(ValueError, match="infs or NaNs"):
         integ.ops.solve_poisson(omega_hat)
-    with pytest.raises(ValueError, match="infs or NaNs"), np.errstate(invalid="ignore"):
-        NavierStokesIntegrator(channel, np.inf, 1e-2)
+    # the constructor refuses a non-finite nu, so the band is checked directly
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        _factor_band(np.full((4, 2, 3), np.inf))
     with pytest.raises(LinAlgError, match="singular"):
         _factor_band(np.zeros((4, 2, 3)))
 
@@ -378,8 +388,9 @@ def test_non_finite_transport_stops_the_run(monkeypatch, channel, scheme, error,
 def test_viscous_shear_matches_exact_series(channel):
     u0 = build_initial_data("shear", channel, amplitude=1.0)
     traj = NavierStokesIntegrator(channel, 1e-3, 5e-3).run(u0, 0.25, 5)
-    exact = ShearFlow(v0=lambda y: shear_profile_exp(y, 1.0, 1.0),
-                      height=channel.y[-1]).profile(channel.y, 1e-3, 0.25)
+    height = channel.y[-1]
+    exact = ShearFlow(_sine_coefficients(shear_profile_exp, height, 4096),
+                      height).profile(channel.y, 1e-3, 0.25)
     last = traj.states[-1]
     assert np.abs(last.velocity.comp1 - exact[None, :]).max() <= 2e-3
     assert np.abs(last.velocity.comp2).max() <= 1e-12
@@ -439,7 +450,7 @@ def test_l2_error_matches_quadrature():
 
 @pytest.mark.parametrize("flow", [
     ShearFlow(height=3.0, coeffs=[1.0, 0.0, -0.4, 0.0, 0.0, 0.1]),
-    ShearFlow(v0=shear_profile_exp, height=6.0),
+    ShearFlow(_sine_coefficients(shear_profile_exp, 6.0, 4096), height=6.0),
 ], ids=["coeffs", "shear_profile_exp"])
 def test_profiles_at_many_times_match_scalar_calls(flow):
     y = make_channel_grid(8, 97, 2.0 * np.pi, flow.height,
@@ -454,18 +465,27 @@ def test_profiles_at_many_times_match_scalar_calls(flow):
             assert batch[:, j].tobytes() == single.tobytes()
 
 
-def test_shear_flow_from_profile_on_eigenmode():
-    # the sine transform of an eigenmode's midpoint samples recovers it
+def test_sine_coefficients_recover_an_eigenmode():
+    # the sine transform of an eigenmode's midpoint samples is that mode
     lam0 = 0.5 * np.pi / 2.0
+    b = _sine_coefficients(lambda yy: np.sin(lam0 * yy), 2.0, 9)
+    assert b.shape == (9,)
+    assert b[0] == pytest.approx(1.0, abs=1e-15)
+    assert np.abs(b[1:]).max() <= 1e-16
     y = np.linspace(0.0, 2.0, 9)
-    flow = ShearFlow(v0=lambda yy: np.sin(lam0 * np.asarray(yy)), height=y[-1])
     expect = np.exp(-0.01 * lam0**2 * 0.7) * np.sin(lam0 * y)
-    assert np.abs(flow.profile(y, 0.01, 0.7) - expect).max() <= 1e-13
+    assert np.abs(ShearFlow(b, 2.0).profile(y, 0.01, 0.7) - expect).max() <= 1e-13
 
 
-def test_shear_flow_requires_profile_or_coeffs():
-    with pytest.raises(ValueError):
-        ShearFlow(height=1.0)
+@pytest.mark.parametrize("n", [9, 256, 4096])
+def test_sine_coefficients_match_scipy_dst4(n):
+    from scipy.fft import dst
+
+    height = 6.0
+    x = shear_profile_exp((np.arange(n) + 0.5) * (height / n))
+    want = dst(x, type=4) / n
+    got = _sine_coefficients(shear_profile_exp, height, n)
+    assert np.abs(got - want).max() <= 2.0 * np.spacing(np.abs(want).max())
 
 
 # ---------------------------------------------------------------------------
