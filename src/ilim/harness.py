@@ -35,7 +35,7 @@ from .criteria import (
     write_criteria_csv,
 )
 from .grid import _check_ny, _in_section, make_channel_grid, strength_for_min_spacing
-from .initial_data import _finite, _seed, shear_profile_exp
+from .initial_data import _finite, _positive_integer, _seed, shear_profile_exp
 from .snapshots import _write_json
 from .solvers import (
     ShearFlow,
@@ -139,6 +139,13 @@ def _parse_finite(value) -> float:
 
 def _parse_seed(value) -> int:
     return _seed(int(value))
+
+
+def _count(name, value):
+    """`value`, if it is a positive integer (not a bool); else a ValueError
+    that names the argument, as in `jobs = 2.5: must be a positive integer`."""
+    with _in_section(f"{name} = {value!r}:"):
+        return _positive_integer(value)
 
 
 def _parse_bool(value) -> bool:
@@ -301,15 +308,13 @@ def run_sweep(config: SweepConfig, jobs: int | None = None) -> SweepResult:
     Navier-Stokes run per nu.  The worker count is `jobs` (the --jobs
     flag), else all available cores.  Results are ordered by the config's
     nu list regardless of worker scheduling, so output is identical for any
-    worker count.  A `jobs` below 1, a grid, time or data fault
-    (`_initial_velocity`) or a schedule that fails at every nu raises
-    before any worker starts; a fault of one nu fails only its record.
+    worker count.  A `jobs` that is not a positive integer, a grid, time
+    or data fault (`_initial_velocity`) or a schedule that fails at every
+    nu raises before any worker starts; a fault of one nu fails only its
+    record.
     Raises RuntimeError if every nu failed.
     """
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    elif jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs!r}")
+    jobs = (os.cpu_count() or 1) if jobs is None else _count("jobs", jobs)
     if not config.nu_values:
         raise ValueError("sweep needs at least one nu")
     _initial_velocity(config)
@@ -520,8 +525,11 @@ def shear_limit_study(
     _check_ny(ny)
     if not 0.0 < t_final < np.inf:
         raise ValueError("t_final must be positive and finite")
-    if not n_times >= 1:
-        raise ValueError("n_times must be >= 1")
+    _count("n_times", n_times)
+    _count("n_modes", n_modes)
+    r_values = tuple(r_values)
+    if not r_values:
+        raise ValueError("r_values must name at least one r")
     if schedule is None:
         schedule = MSchedule(form="power", c=1.0, a=0.5)
     # one period of the channel; the pair is x1-independent, so 8 nodes carry it

@@ -19,13 +19,18 @@ Velocity is reconstructed from vorticity through banded streamfunction
 solves, so the discrete divergence vanishes by construction.  Each banded
 operator (streamfunction, and Crank-Nicolson per (nu, dt)) is stacked over
 the Fourier modes as one block-diagonal band and LU-factored once; every
-mode is then solved in a single LAPACK call.  scipy's LAPACK wrappers are
-imported on the first factorization (`_lapack`), so importing this module,
-or running a command that steps no solver, leaves `scipy.linalg` unloaded.
+mode is then solved in a single LAPACK call.  The first factorization loads
+scipy's f2py LAPACK extension (`_lapack`) and not the `scipy.linalg`
+package, so no command imports `scipy.linalg`, and one that steps no solver
+imports no scipy module at all.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -192,12 +197,27 @@ def _finite(a):
     return a
 
 
+@functools.cache
 def _lapack():
-    """scipy.linalg.lapack, imported by the first factorization or solve,
-    so a process that steps no solver never loads scipy.linalg."""
-    from scipy.linalg import lapack
+    """scipy's f2py LAPACK extension, `scipy.linalg._flapack`, loaded by the
+    first factorization or solve without the `scipy.linalg` package (about
+    300 more modules and 25 MB).  Its routines are the objects that
+    `scipy.linalg.lapack` re-exports, and it is registered under its own
+    name, so a later `import scipy.linalg` reuses this module rather than
+    loading it again."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    import scipy
 
-    return lapack
+    where = f"{scipy.__path__[0]}/linalg"
+    spec = importlib.machinery.PathFinder.find_spec(name, [where])
+    if spec is None:
+        raise ImportError(f"no _flapack extension module in {where}")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def _check_info(info, routine):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ilim import cli, solvers
+from ilim import cli, harness, solvers
 from ilim.analysis import error_series
 from ilim.cli import cli_dispatch
 from ilim.criteria import CRITERIA_CSV_HEADER, CriterionReport, MSchedule, evaluate_criteria
@@ -363,12 +363,16 @@ def test_sweep_set_up_faults_raise_before_any_worker(monkeypatch, edit, message)
     assert str(info.value).startswith(message)
 
 
-@pytest.mark.parametrize("jobs", [0, -3])
+@pytest.mark.parametrize("jobs", [0, -3, 2.5, 1.0, True])
 def test_sweep_rejects_a_worker_count_below_one(monkeypatch, tmp_path, capsys, jobs):
+    # a count that is not a positive integer (a bool is not one), before
+    # any worker starts; the --jobs flag parses an int, so only those reach it
     monkeypatch.setattr(multiprocessing, "Pool", _NoPool)
-    cause = f"jobs must be at least 1, got {jobs}"
-    with pytest.raises(ValueError, match=f"^{cause}$"):
+    cause = f"jobs = {jobs!r}: must be a positive integer"
+    with pytest.raises(ValueError, match=f"^{re.escape(cause)}$"):
         run_sweep(SweepConfig(**SMALL), jobs=jobs)
+    if type(jobs) is not int:
+        return
     ini = tmp_path / "sweep.ini"
     ini.write_text(FULL_INI)
     out = tmp_path / "report"
@@ -469,13 +473,13 @@ def test_sweep_steps_euler_once_per_worker(monkeypatch, jobs):
 
 
 def test_sweep_loads_lapack_before_the_pool_forks(run_python):
-    # else every forked worker imports scipy.linalg for itself
+    # else every forked worker loads scipy's LAPACK extension for itself
     code = (
         "import multiprocessing, sys\n"
         "from ilim.harness import SweepConfig, run_sweep\n"
         "real, seen = multiprocessing.Pool, []\n"
         "def pool(*args, **kwargs):\n"
-        "    seen.append('scipy.linalg.lapack' in sys.modules)\n"
+        "    seen.append('scipy.linalg._flapack' in sys.modules)\n"
         "    return real(*args, **kwargs)\n"
         "multiprocessing.Pool = pool\n"
         f"run_sweep(SweepConfig(**{SMALL!r}), jobs=2)\n"
@@ -628,8 +632,26 @@ def test_shear_study_validation():
         shear_limit_study(nu_values=(1e-3, np.nan))
     with pytest.raises(ValueError, match="nu values must be positive and finite"):
         shear_limit_study(nu_values=(1e-3, np.inf))
-    with pytest.raises(ValueError, match=r"^n_times must be >= 1$"):
+    with pytest.raises(ValueError, match=r"^n_times = 0: must be a positive integer$"):
         shear_limit_study(n_times=0)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"n_modes": 0}, "n_modes = 0: must be a positive integer"),
+    ({"n_modes": -3}, "n_modes = -3: must be a positive integer"),
+    ({"n_modes": 2.7}, "n_modes = 2.7: must be a positive integer"),
+    ({"n_times": 2.5}, "n_times = 2.5: must be a positive integer"),
+    ({"n_times": True}, "n_times = True: must be a positive integer"),
+    ({"r_values": ()}, "r_values must name at least one r"),
+], ids=["n_modes=0", "n_modes=-3", "n_modes=2.7", "n_times=2.5", "n_times=True",
+        "r_values=()"])
+def test_shear_study_checks_its_counts_first(monkeypatch, kwargs, message):
+    def no_work(*args):
+        raise AssertionError("the study started before checking its arguments")
+
+    monkeypatch.setattr(harness, "_sine_coefficients", no_work)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        shear_limit_study(nu_values=(1e-2, 1e-3, 1e-4), ny=33, **kwargs)
 
 
 def test_shear_report_files(tmp_path):

@@ -90,6 +90,31 @@ def test_solver_free_commands_leave_linalg_and_optimize_unloaded(
     assert any(out.iterdir())
 
 
+def test_stepped_run_loads_lapack_without_the_linalg_package(run_python, tmp_path):
+    # the steppers load scipy's LAPACK extension alone, under its own name,
+    # so a later import of scipy.linalg hands out the same routine objects
+    code = (f"import sys; {_CLI}; "
+            "print(sorted(m for m in ('scipy.linalg', 'scipy.linalg._flapack') "
+            "if m in sys.modules), end=' '); "
+            "from ilim import solvers; from scipy.linalg import lapack; "
+            "print(lapack.zgbtrs is solvers._lapack().zgbtrs)")
+    out = tmp_path / "run"
+    assert run_python(code, "simulate", "--nx", "16", "--ny", "33", "--T", "0.05",
+                      "--dt", "5e-3", "--out", out) == "['scipy.linalg._flapack'] True"
+    assert any(out.iterdir())
+
+
+def test_lapack_loader_names_the_directory_it_searched(run_python, tmp_path):
+    # one load path: no fallback to importing scipy.linalg
+    code = ("import sys, scipy; scipy.__path__ = [sys.argv[1]]; "
+            "from ilim import solvers\n"
+            "try:\n    solvers._lapack()\n"
+            "except ImportError as exc:\n"
+            "    print(exc, 'scipy.linalg' in sys.modules)")
+    assert run_python(code, tmp_path) == (
+        f"no _flapack extension module in {tmp_path}/linalg False")
+
+
 def test_curved_corrector_and_envelope_leave_quadrature_unloaded(run_python):
     # both integrate in closed form or by the package's own Gauss-Legendre
     # table, so nothing in the package imports scipy.integrate
