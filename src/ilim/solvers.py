@@ -565,6 +565,24 @@ def _sine_coefficients(v0, height, n_modes):
     return 16.0 * np.fft.ifft(z)[1:2 * n:2].imag
 
 
+# Mode m = _MODE_BLOCK a + b of ShearFlow's basis comes from the tables
+# of b and of a by angle addition, and its (rows, modes) basis is built
+# _ROW_BLOCK grid rows at a time.
+_MODE_BLOCK = 64
+_ROW_BLOCK = 32
+_TINY = np.finfo(float).tiny
+
+
+def _finite_samples(name, value):
+    """`value` as a float array, checked to be a scalar or 1-D and finite."""
+    values = np.asarray(value, dtype=float)
+    if values.ndim > 1:
+        raise ValueError(f"{name} must be a scalar or 1-D, got shape {values.shape}")
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} must be finite")
+    return values
+
+
 class ShearFlow:
     """Parallel shear flow (w(x2, t), 0) by mixed sine eigenseries.
 
@@ -575,34 +593,71 @@ class ShearFlow:
 
     `profile` and `dprofile` take a scalar time, which gives the 1-D
     profile on `y`, or a 1-D array of times, which gives one column per
-    time.  Each call builds its (y, modes) sin or cos basis once and keeps
-    none of it afterwards; every column is the same basis-vector product
-    a scalar call makes, so both forms agree bit for bit.
+    time.  A call builds its (y, modes) sin or cos basis a block of rows at
+    a time, by angle addition from two short tables, and multiplies each
+    block by the (modes, times) weights in one matrix product, so the
+    basis is read once for all times.  A scalar time is a batch of one,
+    which numpy hands to a matrix-vector product: it agrees with the
+    batch's column to round-off, not bit for bit.  For two or more times
+    the bits do not depend on the BLAS thread count.
     """
 
     def __init__(self, coeffs, height=1.0):
-        self.height = float(height)
         self.coeffs = np.asarray(coeffs, dtype=float)
+        if not (self.coeffs.ndim == 1 and self.coeffs.size
+                and np.isfinite(self.coeffs).all()):
+            raise ValueError("coeffs must be a non-empty, finite 1-D array")
+        self.height = float(height)
+        if not 0.0 < self.height < np.inf:
+            raise ValueError(f"height must be positive and finite, got {height!r}")
         self.lam = (np.arange(self.coeffs.size) + 0.5) * np.pi / self.height
 
-    def _decay(self, nu, t):
-        return self.coeffs * np.exp(-nu * self.lam**2 * t)
-
-    def _series(self, basis_fn, y, t, weights):
-        """sum_m basis_fn(lam_m y) weights(t)_m at each time of `t`."""
-        basis = np.outer(np.asarray(y, dtype=float), self.lam)
-        basis_fn(basis, out=basis)
-        ts = np.asarray(t, dtype=float)
-        cols = [basis @ weights(float(ti)) for ti in ts.ravel()]
-        return cols[0] if ts.ndim == 0 else np.stack(cols, axis=-1)
+    def _series(self, y, nu, t, derivative):
+        """sum_m sin(lam_m y) coeffs_m e^(-nu lam_m^2 t) at each y and each
+        time of `t`, or its y-derivative (cos, and a factor lam_m)."""
+        y = np.atleast_1d(_finite_samples("y", y))
+        ts = _finite_samples("t", t)
+        if (ts < 0.0).any():
+            raise ValueError("t must be non-negative")
+        if not 0.0 <= nu < np.inf:
+            raise ValueError(f"nu must be non-negative and finite, got {nu!r}")
+        # Weights below the smallest normal float add under 1e-300 to an
+        # entry and are taken as 0: subnormal, they slow exp and the matrix
+        # product several-fold.
+        exponent = np.multiply.outer(-nu * self.lam**2, ts.ravel())
+        weights = np.zeros_like(exponent)
+        np.exp(exponent, out=weights, where=exponent >= np.log(_TINY))
+        weights *= self.coeffs[:, None]
+        if derivative:
+            weights *= self.lam[:, None]
+        weights[np.abs(weights) < _TINY] = 0.0
+        # lam_m y = lam_b y + (pi nb a / Ly) y for m = nb a + b
+        n = self.coeffs.size
+        nb = min(_MODE_BLOCK, n)
+        na = -(-n // nb)
+        fine = np.multiply.outer(y, self.lam[:nb])
+        coarse = np.multiply.outer(y, np.arange(na) * nb * np.pi / self.height)
+        sin_c, cos_c = np.sin(coarse)[:, :, None], np.cos(coarse)[:, :, None]
+        # sin(f + c) = sin f cos c + cos f sin c; cos(f + c) = cos f cos c - sin f sin c
+        sin_f, cos_f = np.sin(fine)[:, None, :], np.cos(fine)[:, None, :]
+        p, q = (cos_f, -sin_f) if derivative else (sin_f, cos_f)
+        out = np.empty((y.size, ts.size))
+        basis = np.empty((min(_ROW_BLOCK, y.size), na, nb))
+        scratch = np.empty_like(basis)
+        for start in range(0, y.size, _ROW_BLOCK):
+            rows = slice(start, start + _ROW_BLOCK)
+            k = out[rows].shape[0]
+            np.multiply(p[rows], cos_c[rows], out=basis[:k])
+            np.multiply(q[rows], sin_c[rows], out=scratch[:k])
+            np.add(basis[:k], scratch[:k], out=basis[:k])
+            np.matmul(basis[:k].reshape(k, -1)[:, :n], weights, out=out[rows])
+        return out if ts.ndim else out[:, 0]
 
     def profile(self, y, nu, t):
-        return self._series(np.sin, y, t, lambda ti: self._decay(nu, ti))
+        return self._series(y, nu, t, derivative=False)
 
     def dprofile(self, y, nu, t):
-        return self._series(
-            np.cos, y, t, lambda ti: self.lam * self._decay(nu, ti)
-        )
+        return self._series(y, nu, t, derivative=True)
 
     def l2_error_sq(self, nu, t) -> float:
         """||w(., t) - w(., 0)||^2 on (0, Ly), per unit x1 length (exact

@@ -46,13 +46,15 @@ def small_grid():
 @pytest.fixture
 def run_python():
     """Runs `code` in a fresh interpreter that imports this checkout's ilim,
-    with `args` as sys.argv[1:]; returns the last line of its stdout."""
+    with `args` as sys.argv[1:] and `env` added to its environment; returns
+    the last line of its stdout."""
     src = str(Path(ilim.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    base = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
 
-    def run(code, *args):
-        proc = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+    def run(code, *args, env=None):
+        proc = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                              env={**base, **(env or {})},
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         return proc.stdout.strip().splitlines()[-1]

@@ -448,21 +448,108 @@ def test_l2_error_matches_quadrature():
     assert flow.l2_error_sq(nu, t) == pytest.approx(direct, rel=1e-8)
 
 
+def _longdouble_series(flow, y, nu, times, derivative):
+    """The flow's truncated series at each y and time, summed in long double."""
+    pi = np.longdouble("3.14159265358979323846264338327950288")
+    lam = (np.arange(flow.coeffs.size) + 0.5) * pi / np.longdouble(flow.height)
+    weights = flow.coeffs.astype(np.longdouble)[:, None] * np.exp(
+        -np.longdouble(nu) * np.multiply.outer(lam**2, times.astype(np.longdouble)))
+    angles = np.multiply.outer(y.astype(np.longdouble), lam)
+    if derivative:
+        return np.cos(angles) @ (lam[:, None] * weights)
+    return np.sin(angles) @ weights
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps,
+                    reason="long double is no wider than float64 here")
 @pytest.mark.parametrize("flow", [
     ShearFlow(height=3.0, coeffs=[1.0, 0.0, -0.4, 0.0, 0.0, 0.1]),
     ShearFlow(_sine_coefficients(shear_profile_exp, 6.0, 4096), height=6.0),
 ], ids=["coeffs", "shear_profile_exp"])
-def test_profiles_at_many_times_match_scalar_calls(flow):
+def test_profiles_match_a_long_double_sum(flow):
+    # A batch of times and a scalar time both stay within 16 eps of the
+    # largest entry of the same series summed in long double; they are not
+    # bitwise equal, since numpy hands a batch of one to a matrix-vector
+    # product.
     y = make_channel_grid(8, 97, 2.0 * np.pi, flow.height,
                           clustering="tanh", strength=2.0).y
     times = np.linspace(0.0, 1.0, 11)
-    for method in (flow.profile, flow.dprofile):
+    for method, derivative in ((flow.profile, False), (flow.dprofile, True)):
+        ref = _longdouble_series(flow, y, 1e-3, times, derivative)
+        tol = 16.0 * np.finfo(float).eps * float(np.abs(ref).max())
         batch = method(y, 1e-3, times)
         assert batch.shape == (y.size, times.size)
+        assert float(np.abs(batch - ref).max()) <= tol
         for j, t in enumerate(times):
             single = method(y, 1e-3, float(t))
             assert single.shape == (y.size,)
-            assert batch[:, j].tobytes() == single.tobytes()
+            assert float(np.abs(single - ref[:, j]).max()) <= tol
+
+
+_STUDY_PROFILE_DIGEST = """
+import hashlib
+import ilim.solvers as solvers
+from ilim.harness import shear_limit_study
+
+digest = hashlib.sha256()
+for name in ("profile", "dprofile"):
+    method = getattr(solvers.ShearFlow, name)
+
+    def hashing(self, *args, _method=method):
+        out = _method(self, *args)
+        digest.update(out.tobytes())
+        return out
+
+    setattr(solvers.ShearFlow, name, hashing)
+shear_limit_study(nu_values=(1e-2, 1e-3, 1e-4))
+print(digest.hexdigest())
+"""
+
+
+def test_study_profiles_do_not_depend_on_blas_threads(run_python):
+    """The guarantee covers batches of two or more times, which make each
+    row block one matrix-matrix product; numpy hands a batch of one to a
+    matrix-vector product instead.  The study passes n_times + 1 >= 2 times
+    to every call."""
+    digests = {run_python(_STUDY_PROFILE_DIGEST, env={"OPENBLAS_NUM_THREADS": n})
+               for n in ("1", "2")}
+    assert len(digests) == 1
+
+
+def _profile_at(nu, t, y=(0.5,), method="profile"):
+    return lambda: getattr(ShearFlow([1.0], 2.0), method)(y, nu, t)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: ShearFlow([], 2.0),
+                 "coeffs must be a non-empty, finite 1-D array", id="coeffs-empty"),
+    pytest.param(lambda: ShearFlow([[1.0, 0.5]], 2.0),
+                 "coeffs must be a non-empty, finite 1-D array", id="coeffs-2d"),
+    pytest.param(lambda: ShearFlow([1.0, np.nan], 2.0),
+                 "coeffs must be a non-empty, finite 1-D array", id="coeffs-nan"),
+    pytest.param(lambda: ShearFlow([1.0], 0.0),
+                 "height must be positive and finite", id="height-zero"),
+    pytest.param(lambda: ShearFlow([1.0], -1.0),
+                 "height must be positive and finite", id="height-negative"),
+    pytest.param(lambda: ShearFlow([1.0], np.inf),
+                 "height must be positive and finite", id="height-inf"),
+    pytest.param(_profile_at(np.nan, 0.1),
+                 "nu must be non-negative and finite", id="nu-nan"),
+    pytest.param(_profile_at(-1e-3, 0.1, method="dprofile"),
+                 "nu must be non-negative and finite", id="nu-negative"),
+    pytest.param(_profile_at(np.inf, 0.1),
+                 "nu must be non-negative and finite", id="nu-inf"),
+    pytest.param(_profile_at(1e-3, np.inf), "t must be finite", id="t-inf"),
+    pytest.param(_profile_at(1e-3, [0.1, -0.1]), "t must be non-negative", id="t-negative"),
+    pytest.param(_profile_at(1e-3, np.ones((2, 2)), method="dprofile"),
+                 r"t must be a scalar or 1-D, got shape \(2, 2\)", id="t-2d"),
+    pytest.param(_profile_at(1e-3, 0.1, y=[0.5, np.nan]), "y must be finite", id="y-nan"),
+    pytest.param(_profile_at(1e-3, 0.1, y=np.ones((2, 3))),
+                 r"y must be a scalar or 1-D, got shape \(2, 3\)", id="y-2d"),
+])
+def test_shear_flow_rejects_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_sine_coefficients_recover_an_eigenmode():
