@@ -30,6 +30,7 @@ from __future__ import annotations
 import functools
 import importlib.machinery
 import importlib.util
+import math
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -565,22 +566,56 @@ def _sine_coefficients(v0, height, n_modes):
     return 16.0 * np.fft.ifft(z)[1:2 * n:2].imag
 
 
-# Mode m = _MODE_BLOCK a + b of ShearFlow's basis comes from the tables
-# of b and of a by angle addition, and its (rows, modes) basis is built
-# _ROW_BLOCK grid rows at a time.
-_MODE_BLOCK = 64
-_ROW_BLOCK = 32
-_TINY = np.finfo(float).tiny
+def _checked(nu, t, y=()):
+    """y and the times t as 1-D float arrays, checked for the heat flow:
+    each a scalar or 1-D and finite, t non-negative, nu non-negative and
+    finite; a ValueError names the argument at fault."""
+    y, ts = np.asarray(y, dtype=float), np.asarray(t, dtype=float)
+    for name, values in (("y", y), ("t", ts)):
+        if values.ndim > 1:
+            raise ValueError(f"{name} must be a scalar or 1-D, got shape {values.shape}")
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} must be finite")
+    if (ts < 0.0).any():
+        raise ValueError("t must be non-negative")
+    if not 0.0 <= nu < np.inf:
+        raise ValueError(f"nu must be non-negative and finite, got {nu!r}")
+    return np.atleast_1d(y), np.atleast_1d(ts)
 
 
-def _finite_samples(name, value):
-    """`value` as a float array, checked to be a scalar or 1-D and finite."""
-    values = np.asarray(value, dtype=float)
-    if values.ndim > 1:
-        raise ValueError(f"{name} must be a scalar or 1-D, got shape {values.shape}")
-    if not np.isfinite(values).all():
-        raise ValueError(f"{name} must be finite")
-    return values
+def _gauss_mass(a, b, mean, sigma):
+    """The mass on (a, b) of the density exp(-((z - mean)/sigma)^2) / (sqrt(pi)
+    sigma): erfc on the side of the midpoint away from the mean, never near 2."""
+    erfc = np.frompyfunc(math.erfc, 1, 1)  # scipy-free
+    lo, hi = (a - mean) / sigma, (b - mean) / sigma
+    side = np.where(lo + hi < 0.0, -1.0, 1.0)
+    return 0.5 * side * (erfc(side * lo).astype(float) - erfc(side * hi).astype(float))
+
+
+def _heat_flow(pieces, y, nu, times):
+    """The heat flow on the line of data c + d e^(k z) on each piece
+    (a, b, c, d, k), and its slope, each as (rows of y, times).  With sigma
+    = 2 sqrt(nu t), a piece adds c times the mass on (a, b) of the density
+    about y, plus d e^(k y + k^2 nu t) times that about y + 2 k nu t; to the
+    slope, k times the latter, plus the data at a times the density about y
+    at a, minus the same at b (Carslaw & Jaeger, Conduction of Heat in
+    Solids, 1959, ch. 2).  At t = 0 each row takes the data of the piece
+    with a < y <= b."""
+    y, ts = _checked(nu, times, y)
+    y, tau = y[:, None], nu * ts
+    now = tau > 0.0
+    tau, sigma = tau[now], 2.0 * np.sqrt(tau[now])
+    w, dw = np.zeros((2, y.size, now.size))
+    for a, b, c, d, k in pieces:
+        tilted = d * np.exp(k * y + k * k * tau) * _gauss_mass(a, b, y + 2.0 * k * tau, sigma)
+        w[:, now] += c * _gauss_mass(a, b, y, sigma) + tilted
+        dw[:, now] += k * tilted + sum(
+            sign * (c + d * np.exp(k * z)) * np.exp(-((y - z) / sigma) ** 2)
+            for sign, z in ((1.0, a), (-1.0, b))) / (np.sqrt(np.pi) * sigma)
+        inside = (a < y) & (y <= b)
+        w[:, ~now] += np.where(inside, c + d * np.exp(k * y), 0.0)
+        dw[:, ~now] += np.where(inside, d * k * np.exp(k * y), 0.0)
+    return w, dw
 
 
 class ShearFlow:
@@ -590,16 +625,9 @@ class ShearFlow:
     dw/dx2 = 0 at the top, matching the channel scheme's wall/top
     conditions; eigenmodes are sin(lam_m x2), lam_m = (m + 1/2) pi / Ly,
     and `coeffs` are the profile's coefficients on them at t = 0.
-
     `profile` and `dprofile` take a scalar time, which gives the 1-D
     profile on `y`, or a 1-D array of times, which gives one column per
-    time.  A call builds its (y, modes) sin or cos basis a block of rows at
-    a time, by angle addition from two short tables, and multiplies each
-    block by the (modes, times) weights in one matrix product, so the
-    basis is read once for all times.  A scalar time is a batch of one,
-    which numpy hands to a matrix-vector product: it agrees with the
-    batch's column to round-off, not bit for bit.  For two or more times
-    the bits do not depend on the BLAS thread count.
+    time.
     """
 
     def __init__(self, coeffs, height=1.0):
@@ -615,43 +643,11 @@ class ShearFlow:
     def _series(self, y, nu, t, derivative):
         """sum_m sin(lam_m y) coeffs_m e^(-nu lam_m^2 t) at each y and each
         time of `t`, or its y-derivative (cos, and a factor lam_m)."""
-        y = np.atleast_1d(_finite_samples("y", y))
-        ts = _finite_samples("t", t)
-        if (ts < 0.0).any():
-            raise ValueError("t must be non-negative")
-        if not 0.0 <= nu < np.inf:
-            raise ValueError(f"nu must be non-negative and finite, got {nu!r}")
-        # Weights below the smallest normal float add under 1e-300 to an
-        # entry and are taken as 0: subnormal, they slow exp and the matrix
-        # product several-fold.
-        exponent = np.multiply.outer(-nu * self.lam**2, ts.ravel())
-        weights = np.zeros_like(exponent)
-        np.exp(exponent, out=weights, where=exponent >= np.log(_TINY))
-        weights *= self.coeffs[:, None]
-        if derivative:
-            weights *= self.lam[:, None]
-        weights[np.abs(weights) < _TINY] = 0.0
-        # lam_m y = lam_b y + (pi nb a / Ly) y for m = nb a + b
-        n = self.coeffs.size
-        nb = min(_MODE_BLOCK, n)
-        na = -(-n // nb)
-        fine = np.multiply.outer(y, self.lam[:nb])
-        coarse = np.multiply.outer(y, np.arange(na) * nb * np.pi / self.height)
-        sin_c, cos_c = np.sin(coarse)[:, :, None], np.cos(coarse)[:, :, None]
-        # sin(f + c) = sin f cos c + cos f sin c; cos(f + c) = cos f cos c - sin f sin c
-        sin_f, cos_f = np.sin(fine)[:, None, :], np.cos(fine)[:, None, :]
-        p, q = (cos_f, -sin_f) if derivative else (sin_f, cos_f)
-        out = np.empty((y.size, ts.size))
-        basis = np.empty((min(_ROW_BLOCK, y.size), na, nb))
-        scratch = np.empty_like(basis)
-        for start in range(0, y.size, _ROW_BLOCK):
-            rows = slice(start, start + _ROW_BLOCK)
-            k = out[rows].shape[0]
-            np.multiply(p[rows], cos_c[rows], out=basis[:k])
-            np.multiply(q[rows], sin_c[rows], out=scratch[:k])
-            np.add(basis[:k], scratch[:k], out=basis[:k])
-            np.matmul(basis[:k].reshape(k, -1)[:, :n], weights, out=out[rows])
-        return out if ts.ndim else out[:, 0]
+        y, ts = _checked(nu, t, y)
+        weights = self.coeffs[:, None] * np.exp(np.multiply.outer(-nu * self.lam**2, ts))
+        basis, scale = (np.cos, self.lam[:, None]) if derivative else (np.sin, 1.0)
+        out = basis(np.multiply.outer(y, self.lam)) @ (scale * weights)
+        return out if np.ndim(t) else out[:, 0]
 
     def profile(self, y, nu, t):
         return self._series(y, nu, t, derivative=False)
@@ -662,6 +658,7 @@ class ShearFlow:
     def l2_error_sq(self, nu, t) -> float:
         """||w(., t) - w(., 0)||^2 on (0, Ly), per unit x1 length (exact
         in the truncated series by eigenmode orthogonality)."""
+        _checked(nu, t)
         gap = self.coeffs * (1.0 - np.exp(-nu * self.lam**2 * t))
         return 0.5 * self.height * float(np.sum(gap**2))
 

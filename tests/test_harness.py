@@ -601,17 +601,20 @@ def test_shear_study_light():
 
 def test_shear_study_evaluates_each_basis_once_per_scheme(monkeypatch):
     calls = []
+
+    def counting(method):
+        def call(*args, **kwargs):
+            calls.append(method.__name__)
+            return method(*args, **kwargs)
+        return call
+
     for name in ("profile", "dprofile"):
-        method = getattr(ShearFlow, name)
-
-        def counting(self, *args, _method=method, **kwargs):
-            calls.append(_method.__name__)
-            return _method(self, *args, **kwargs)
-
-        monkeypatch.setattr(ShearFlow, name, counting)
-    shear_limit_study(nu_values=(1e-2, 1e-3), n_times=10, ny=97)
-    # one profile and one dprofile call per nu, shared by both schemes
-    assert calls == ["profile", "dprofile"] * 2
+        monkeypatch.setattr(ShearFlow, name, counting(getattr(ShearFlow, name)))
+    monkeypatch.setattr(harness, "_heat_flow", counting(harness._heat_flow))
+    # nu t_final = 1 > H^2/144 takes the eigenseries, 0.1 the closed form
+    shear_limit_study(nu_values=(1e-2, 1e-3), t_final=100.0, n_times=10, ny=97)
+    # one call per basis and nu, shared by both schemes
+    assert calls == ["profile", "dprofile", "_heat_flow"]
 
 
 def test_shear_study_holdout_and_fit():

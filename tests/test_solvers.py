@@ -16,6 +16,7 @@ from ilim.solvers import (
     CFLError,
     _ChannelOperators,
     _factor_band,
+    _heat_flow,
     _sine_coefficients,
     EulerIntegrator,
     FlowState,
@@ -388,9 +389,7 @@ def test_non_finite_transport_stops_the_run(monkeypatch, channel, scheme, error,
 def test_viscous_shear_matches_exact_series(channel):
     u0 = build_initial_data("shear", channel, amplitude=1.0)
     traj = NavierStokesIntegrator(channel, 1e-3, 5e-3).run(u0, 0.25, 5)
-    height = channel.y[-1]
-    exact = ShearFlow(_sine_coefficients(shear_profile_exp, height, 4096),
-                      height).profile(channel.y, 1e-3, 0.25)
+    exact = _heat_flow(_exp_pieces(channel.y[-1]), channel.y, 1e-3, [0.25])[0][:, 0]
     last = traj.states[-1]
     assert np.abs(last.velocity.comp1 - exact[None, :]).max() <= 2e-3
     assert np.abs(last.velocity.comp2).max() <= 1e-12
@@ -486,32 +485,26 @@ def test_profiles_match_a_long_double_sum(flow):
             assert float(np.abs(single - ref[:, j]).max()) <= tol
 
 
-_STUDY_PROFILE_DIGEST = """
-import hashlib
-import ilim.solvers as solvers
-from ilim.harness import shear_limit_study
+_STUDY_REPORT_DIGEST = """
+import hashlib, pathlib, sys
+from ilim.harness import emit_shear_report, shear_limit_study
 
+out = pathlib.Path(sys.argv[1])
+emit_shear_report(shear_limit_study(nu_values=(1e-2, 1e-3, 1e-4), t_final=100.0), out)
 digest = hashlib.sha256()
-for name in ("profile", "dprofile"):
-    method = getattr(solvers.ShearFlow, name)
-
-    def hashing(self, *args, _method=method):
-        out = _method(self, *args)
-        digest.update(out.tobytes())
-        return out
-
-    setattr(solvers.ShearFlow, name, hashing)
-shear_limit_study(nu_values=(1e-2, 1e-3, 1e-4))
+for path in sorted(out.iterdir()):
+    digest.update(path.name.encode() + path.read_bytes())
 print(digest.hexdigest())
 """
 
 
-def test_study_profiles_do_not_depend_on_blas_threads(run_python):
-    """The guarantee covers batches of two or more times, which make each
-    row block one matrix-matrix product; numpy hands a batch of one to a
-    matrix-vector product instead.  The study passes n_times + 1 >= 2 times
-    to every call."""
-    digests = {run_python(_STUDY_PROFILE_DIGEST, env={"OPENBLAS_NUM_THREADS": n})
+def test_study_profiles_do_not_depend_on_blas_threads(run_python, tmp_path):
+    """At t_final = 100, nu = 1e-2 takes the eigenseries, whose matrix
+    product over two or more times is one matrix-matrix product, and the
+    other two nu take the closed form; the written report is the same at
+    one and two BLAS threads."""
+    digests = {run_python(_STUDY_REPORT_DIGEST, tmp_path / n,
+                          env={"OPENBLAS_NUM_THREADS": n})
                for n in ("1", "2")}
     assert len(digests) == 1
 
@@ -546,10 +539,92 @@ def _profile_at(nu, t, y=(0.5,), method="profile"):
     pytest.param(_profile_at(1e-3, 0.1, y=[0.5, np.nan]), "y must be finite", id="y-nan"),
     pytest.param(_profile_at(1e-3, 0.1, y=np.ones((2, 3))),
                  r"y must be a scalar or 1-D, got shape \(2, 3\)", id="y-2d"),
+    pytest.param(lambda: ShearFlow([1.0], 2.0).l2_error_sq(np.nan, 0.1),
+                 "nu must be non-negative and finite", id="l2-nu-nan"),
+    pytest.param(lambda: ShearFlow([1.0], 2.0).l2_error_sq(1e-3, -1.0),
+                 "t must be non-negative", id="l2-t-negative"),
+    pytest.param(lambda: ShearFlow([1.0], 2.0).l2_error_sq(1e-3, np.inf),
+                 "t must be finite", id="l2-t-inf"),
 ])
 def test_shear_flow_rejects_bad_input(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+# ---------------------------------------------------------------------------
+# exact shear flow by image sums
+
+
+def _exp_pieces(height):
+    """shear_profile_exp = e^(-z) - 1 on (0, height), extended oddly about 0
+    and evenly about height, as the pieces (a, b, c, d, k) of c + d e^(k z)."""
+    return ((-height, 0.0, 1.0, -1.0, 1.0), (0.0, height, -1.0, 1.0, -1.0),
+            (height, 2.0 * height, -1.0, np.exp(-2.0 * height), 1.0))
+
+
+def _reference_flow(y, nu, times, height=6.0, n_modes=65536, rows=16):
+    """shear_profile_exp's heat flow and slope by its n_modes-term
+    eigenseries on the closed-form sine coefficients
+    b_m = -(2/H) (1 + (-1)^m e^(-H) lam_m) / (lam_m (lam_m^2 + 1)),
+    `rows` rows of y at a time.  The series is summed in long double: in
+    doubles its round-off reaches 5e-15 at y = H, the size of the closed
+    form's own error bound.  Modes whose weight stays under 1e-40 at every
+    time add nothing that shows and are left out."""
+    ld = np.longdouble
+    m = np.arange(n_modes)
+    lam = (m + ld(0.5)) * (4 * np.arctan(ld(1))) / ld(height)
+    sign = np.where(m % 2, ld(-1), ld(1))
+    b = -(2 / ld(height)) * (1 + sign * np.exp(-ld(height)) * lam) / (lam * (lam**2 + 1))
+    weights = b[:, None] * np.exp(-ld(nu) * np.multiply.outer(lam**2, np.asarray(times, ld)))
+    keep = np.abs(weights).max(axis=1) > 1e-40
+    lam, weights = lam[keep], weights[keep]
+    y = np.asarray(y, ld)
+    w, dw = np.empty((2, y.size, len(times)))
+    for start in range(0, y.size, rows):
+        angles = np.multiply.outer(y[start:start + rows], lam)
+        # einsum: numpy's matmul has no fast loop for long double
+        w[start:start + rows] = np.einsum("ij,jk->ik", np.sin(angles), weights)
+        dw[start:start + rows] = np.einsum("ij,jk->ik", np.cos(angles), lam[:, None] * weights)
+    return w, dw
+
+
+_STUDY_ROWS = make_channel_grid(8, 193, 2.0 * np.pi, 6.0, clustering="tanh",
+                                strength=3.0).y
+
+
+@pytest.mark.parametrize("nu", [1e-2, 1e-3, 1e-4, 1e-5])
+def test_heat_flow_matches_a_long_series(nu):
+    # the shear study's 20 positive output times; at t = 0 the series is
+    # not converged (b_m decays as 1/m^2), and the closed form is v0 itself
+    times = np.linspace(0.0, 1.0, 21)[1:]
+    w, dw = _heat_flow(_exp_pieces(6.0), _STUDY_ROWS, nu, times)
+    ref_w, ref_dw = _reference_flow(_STUDY_ROWS, nu, times)
+    assert np.abs(w - ref_w).max() <= 5e-15
+    assert np.abs(dw - ref_dw).max() <= 1e-14
+
+
+def test_heat_flow_is_the_data_at_time_zero():
+    y = np.append(make_channel_grid(8, 97, 2.0 * np.pi, 6.0, clustering="tanh",
+                                    strength=2.0).y, 6.0)
+    w, dw = _heat_flow(_exp_pieces(6.0), y, 1e-3, [0.0, 0.5])
+    # every row exactly, the top too, where the even extension's slope jumps
+    # from -e^(-6) to e^(-6): the slope there is v0's, not the mean
+    assert np.array_equal(w[:, 0], shear_profile_exp(y))
+    assert np.array_equal(dw[:, 0], -np.exp(-y))
+    assert dw[-1, 0] == -np.exp(-6.0)
+
+
+def test_heat_flow_holds_to_the_image_bound():
+    # at nu t = H^2/144 the images left out weigh erfc(6) ~ 2e-17; the
+    # shear study's 4096-mode series is 2.5e-10 off there (aliased DST)
+    y, nu, times = _STUDY_ROWS, 1e-2, np.array([6.0**2 / 144.0 / 1e-2])
+    ref = _reference_flow(y, nu, times)
+    closed = _heat_flow(_exp_pieces(6.0), y, nu, times)
+    series = ShearFlow(_sine_coefficients(shear_profile_exp, 6.0, 4096), 6.0)
+    for got, want in zip(closed, ref):
+        assert np.abs(got - want).max() <= 1e-15
+    for got, want in zip((series.profile(y, nu, times), series.dprofile(y, nu, times)), ref):
+        assert np.abs(got - want).max() <= 3e-10
 
 
 def test_sine_coefficients_recover_an_eigenmode():
