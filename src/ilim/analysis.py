@@ -42,25 +42,19 @@ class ErrorSeries:
         return float(self.values.max())
 
 
-def _dot(w, a, b, acc, tmp):
-    """Weighted integral of a . b, the products summed in component order
-    into `acc`, each one after the first formed in `tmp`."""
-    np.multiply(a[0], b[0], out=acc)
-    for x, y in zip(a[1:], b[1:]):
-        acc += np.multiply(x, y, out=tmp)
-    acc *= w
-    return float(np.sum(acc))
+def _dot(w, a, b):
+    """Weighted integral of a . b, the products summed in component order."""
+    products = sum((x * y for x, y in zip(a[1:], b[1:])), a[0] * b[0])
+    return float(np.sum(w * products))
 
 
 def error_series(ns_traj, euler_traj) -> ErrorSeries:
     """Squared L^2 distance between the paired runs at each output time."""
     t_ns = _paired_times(ns_traj, euler_traj)
-    d1, d2, acc, tmp = (np.empty(ns_traj.grid.shape) for _ in range(4))
     vals = []
     for a, b in zip(ns_traj.states, euler_traj.states):
-        np.subtract(a.velocity.comp1, b.velocity.comp1, out=d1)
-        np.subtract(a.velocity.comp2, b.velocity.comp2, out=d2)
-        vals.append(_dot(ns_traj.grid.quad_weights, (d1, d2), (d1, d2), acc, tmp))
+        d = (a.velocity.comp1 - b.velocity.comp1, a.velocity.comp2 - b.velocity.comp2)
+        vals.append(_dot(ns_traj.grid.quad_weights, d, d))
     return ErrorSeries(nu=ns_traj.nu, times=t_ns, values=np.array(vals))
 
 
@@ -108,55 +102,43 @@ class EnergyBudget:
     residual: np.ndarray
 
 
-def _grad(grid, f, dy):
-    """grad f of a component pair f, as (d1 f1, d2 f1, d1 f2, d2 f2); the
-    two d/dx2 derivatives are written into the pair `dy`."""
-    return (*gradient(grid, f[0], out=dy[0]), *gradient(grid, f[1], out=dy[1]))
+def _grad(grid, f):
+    """grad f of a component pair f, as (d1 f1, d2 f1, d1 f2, d2 f2)."""
+    return (*gradient(grid, f[0]), *gradient(grid, f[1]))
 
 
-def _advect(a, g, out, tmp):
-    """(a . grad) f of a component pair a, with g = _grad of f, into the
-    pair `out`; each component sums its second product, formed in `tmp`,
-    into its first."""
-    c1, c2 = out
-    np.multiply(a[0], g[0], out=c1)
-    c1 += np.multiply(a[1], g[1], out=tmp)
-    np.multiply(a[0], g[2], out=c2)
-    c2 += np.multiply(a[1], g[3], out=tmp)
+def _advect(a, g):
+    """(a . grad) f of a component pair a, with g = _grad of f."""
+    return a[0] * g[0] + a[1] * g[1], a[0] * g[2] + a[1] * g[3]
 
 
-# Rows of the budget's workspace: the d/dx2 derivatives of u and ubar, e =
-# v - phi, (u . grad) phi, ((v - phi) . grad) ubar, the `_dot` accumulator
-# and its scratch, and the corrector's eight slots (see energy_budget).
-_ROW_SLOTS = (4, 2, 2, 2, 2, 8)
-
-
-def _budget_row(w, nu, u, ubar, grid, ws):
+def _budget_row(w, nu, u, ubar, grid, corr):
     """Pointwise integrands of one budget row; u is the viscous field,
-    ubar the inviscid one, v = u - ubar the gap.  `ws` is the workspace
-    (`_ROW_SLOTS`) whose last eight rows hold the corrector phi, its time
-    derivative and its gradient (ordered as `_grad`'s)."""
-    dy, e, adv_phi, gb_e, sums, corr = np.split(ws, np.cumsum(_ROW_SLOTS)[:-1])
+    ubar the inviscid one, v = u - ubar the gap.  The eight rows of `corr`
+    hold the corrector phi, its time derivative and its gradient (ordered
+    as `_grad`'s)."""
     phi, dphi_dt, g_phi = corr[0:2], corr[2:4], corr[4:8]
     u, ubar = (u.comp1, u.comp2), (ubar.comp1, ubar.comp2)
-    g_u, g_bar = _grad(grid, u, dy[0:2]), _grad(grid, ubar, dy[2:4])
-    for ek, uk, bk, pk in zip(e, u, ubar, phi):     # v - phi
-        np.subtract(uk, bk, out=ek)
-        ek -= pk
-    _advect(u, g_phi, adv_phi, sums[1])     # (u . grad) phi
-    _advect(e, g_bar, gb_e, sums[1])        # ((v-phi) . grad) ubar
 
     def dot(a, b):
-        return _dot(w, a, b, *sums)
+        return _dot(w, a, b)
 
+    g_u, g_bar = _grad(grid, u), _grad(grid, ubar)
+    gu_gbar, gu_gu, gu_gphi = dot(g_u, g_bar), dot(g_u, g_u), dot(g_u, g_phi)
+    e = tuple(uk - bk - pk for uk, bk, pk in zip(u, ubar, phi))     # v - phi
+    gb_e = _advect(e, g_bar)        # ((v-phi) . grad) ubar
+    # Free the eight gradient arrays before the rest: held to the row's end
+    # they let its temporaries outgrow glibc's heap trim threshold, so that
+    # every row would fault its pages in afresh.
+    del g_u, g_bar
+    adv_phi = _advect(u, g_phi)     # (u . grad) phi
     # I2 = -int (u . grad phi) . u
     # R = nu int grad u : grad ubar - int (v-phi) . (grad ubar)(v-phi)
     #     - int phi . (grad ubar)(v-phi) + int (u . grad phi) . ubar
     #     - int d(phi)/dt . (v-phi)
-    r = (nu * dot(g_u, g_bar) - dot(gb_e, e) - dot(gb_e, phi)
+    r = (nu * gu_gbar - dot(gb_e, e) - dot(gb_e, phi)
          + dot(adv_phi, ubar) - dot(dphi_dt, e))
-    return (0.5 * dot(e, e), nu * dot(g_u, g_u), nu * dot(g_u, g_phi),
-            -dot(adv_phi, u), r)
+    return (0.5 * dot(e, e), nu * gu_gu, nu * gu_gphi, -dot(adv_phi, u), r)
 
 
 def _series_rate(times, vals):
@@ -176,22 +158,20 @@ def energy_budget(ns_traj, euler_traj, corrector_provider=None) -> EnergyBudget:
     By default the corrector is the zero field (appropriate whenever the
     inviscid trace vanishes).  Each row differentiates only u and ubar:
     8 two-dimensional FFTs and 4 two-dimensional d/dx2 stencil passes.  The
-    rows share one workspace, allocated per call.
+    rows share one corrector buffer, allocated per call.
     The residual is lhs_rate + dissipation - (I1 + I2 + R); for an exact
     solution pair it vanishes, discretely it shrinks at the scheme order.
     """
     times = _paired_times(ns_traj, euler_traj)
     grid = ns_traj.grid
-    ws = np.empty((sum(_ROW_SLOTS), *grid.shape))
-    corrector = ws[-_ROW_SLOTS[-1]:]
+    corrector = np.zeros((8, *grid.shape))
     if corrector_provider is None:
-        corrector.fill(0.0)
         corrector_provider = lambda i, t, out: None
     rows = []
     for i, (s_ns, s_e) in enumerate(zip(ns_traj.states, euler_traj.states)):
         corrector_provider(i, s_ns.t, corrector)
         rows.append(_budget_row(grid.quad_weights, ns_traj.nu, s_ns.velocity,
-                                s_e.velocity, grid, ws))
+                                s_e.velocity, grid, corrector))
     gap, diss, i1, i2, r = np.array(rows).T
     lhs = _series_rate(times, gap)
     residual = lhs + diss - (i1 + i2 + r)

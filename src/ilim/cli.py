@@ -213,8 +213,11 @@ def _cmd_corrector_check(args) -> int:
     p_values = [float(tok) for tok in args.p.replace(",", " ").split()]
     if not p_values:
         raise ValueError("empty p list")
-    if not (0.0 < args.at_min < args.at_max):
-        raise ValueError("need 0 < min < max")
+    for flag, value in (("--min", args.at_min), ("--max", args.at_max)):
+        if not 0.0 < value < np.inf:
+            raise ValueError(f"{flag} must be positive and finite, got {value!r}")
+    if not args.at_min < args.at_max:
+        raise ValueError("need --min < --max")
     at = np.geomspace(args.at_min, args.at_max, args.samples)
     reports = [verify_corrector_scalings(p, at) for p in p_values]
     out = Path(args.out)

@@ -228,13 +228,10 @@ class _FlatFactors:
         df1_dt = de_dt - alpha * tau_dot * self.psi
         df2_dt = -de_dt
         d_du_dt_dx = x_derivative(grid, du_dt)
-        c1, c2 = out
-        scratch = np.empty(grid.shape)
-        np.multiply(-du_dt[:, None], self.f1, out=c1)
-        c1 -= np.multiply(tr.u[:, None], df1_dt, out=scratch)
-        np.multiply(alpha * tau_dot * tr.du_dx[:, None], self.f2, out=c2)
-        c2 += np.multiply(self.at * d_du_dt_dx[:, None], self.f2, out=scratch)
-        c2 += np.multiply(self.at * tr.du_dx[:, None], df2_dt, out=scratch)
+        out[0] = -du_dt[:, None] * self.f1 - tr.u[:, None] * df1_dt
+        out[1] = (alpha * tau_dot * tr.du_dx[:, None] * self.f2
+                  + self.at * d_du_dt_dx[:, None] * self.f2
+                  + self.at * tr.du_dx[:, None] * df2_dt)
         return out
 
     def gradient(self, out):

@@ -168,7 +168,10 @@ def strength_for_min_spacing(ny, height, target):
     """Tanh strength whose first wall-normal spacing is `target`.
 
     Solves y_1(s) = target for s in [1e-8, 60] by bisection; used to match
-    a grid's near-wall resolution to a known layer thickness.
+    a grid's near-wall resolution to a known layer thickness.  Raises
+    ValueError when the strength found puts y_1 more than a factor 2 from
+    the target or repeats a row: y_1 rounds in steps of about
+    height * 1.1e-16, so a target near or below that step is out of reach.
     """
     _check_ny(ny)
     if not 0.0 < height < np.inf:
@@ -187,7 +190,12 @@ def strength_for_min_spacing(ny, height, target):
     while hi - lo > 1e-12 + 1e-14 * hi:
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if first_gap(mid) > 0.0 else (lo, mid)
-    return 0.5 * (lo + hi)
+    s = 0.5 * (lo + hi)
+    y = _tanh_points(ny, height, s)
+    if not (np.all(np.diff(y) > 0.0) and 0.5 * target <= y[1] <= 2.0 * target):
+        raise ValueError(f"no tanh strength gives target spacing {target!r} at ny = {ny} "
+                         f"on strictly increasing rows (strength {s!r} gives {float(y[1])!r})")
+    return s
 
 
 def grids_compatible(a: "Grid", b: "Grid") -> bool:
@@ -355,21 +363,12 @@ def _check_stencils(y: np.ndarray) -> None:
         raise ValueError("height and ny give wall-normal spacings whose derivative stencils overflow or vanish")
 
 
-def _apply_d1(stencils, vals, out=None):
+def _apply_d1(stencils, vals):
     """Apply `_d1_stencils` coefficients along the last axis of `vals`, into
-    `out` (a new array by default; it may not overlap `vals`).  The interior
-    sums (lo a + di b) + up c in place, through one scratch array, so it
-    rounds as the three-product expression does."""
+    a new array."""
     lo, di, up, _, top = stencils
-    if out is None:
-        out = np.empty_like(vals)
-    elif out.shape != vals.shape or np.may_share_memory(out, vals):
-        raise ValueError("out must have the shape of vals and not overlap it")
-    inner = out[..., 1:-1]
-    np.multiply(lo, vals[..., :-2], out=inner)
-    scratch = np.multiply(di, vals[..., 1:-1])
-    inner += scratch
-    inner += np.multiply(up, vals[..., 2:], out=scratch)
+    out = np.empty_like(vals)
+    out[..., 1:-1] = lo * vals[..., :-2] + di * vals[..., 1:-1] + up * vals[..., 2:]
     out[..., 0] = _wall_d1(stencils, vals)
     out[..., -1] = top[0] * vals[..., -1] + top[1] * vals[..., -2] + top[2] * vals[..., -3]
     return out
@@ -391,10 +390,9 @@ def _d2_interior(y: np.ndarray):
     return lo, di, up
 
 
-def y_derivative(grid: Grid, values: np.ndarray, out=None) -> np.ndarray:
-    """Finite-difference d/dx2 along axis 1 (works on real or complex data),
-    into `out` if given (see `_apply_d1`)."""
-    return _apply_d1(grid._d1, values, out=out)
+def y_derivative(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Finite-difference d/dx2 along axis 1 (works on real or complex data)."""
+    return _apply_d1(grid._d1, values)
 
 
 def _y_derivative_rows(grid: Grid, values: np.ndarray, m: int) -> np.ndarray:
@@ -407,10 +405,9 @@ def _y_derivative_rows(grid: Grid, values: np.ndarray, m: int) -> np.ndarray:
     return _apply_d1(stencils, values[..., :n])[..., :m]
 
 
-def gradient(grid: Grid, values: np.ndarray, out=None):
-    """(d/dx1, d/dx2) of a nodal sample array; d/dx2 goes into `out` if
-    given, d/dx1 is always a new array."""
-    return x_derivative(grid, values), y_derivative(grid, values, out=out)
+def gradient(grid: Grid, values: np.ndarray):
+    """(d/dx1, d/dx2) of a nodal sample array."""
+    return x_derivative(grid, values), y_derivative(grid, values)
 
 
 def curl2d(vel: VectorField, rows: int | None = None) -> ScalarField | np.ndarray:

@@ -325,8 +325,10 @@ def run_sweep(config: SweepConfig, jobs: int | None = None) -> SweepResult:
     if jobs > 1:
         import multiprocessing
 
-        _lapack()  # imported once here, not once per forked worker
-        with multiprocessing.Pool(jobs) as pool:
+        # loaded once here: the pool forks whatever the platform's default
+        # start method, so each worker inherits it instead of loading it
+        _lapack()
+        with multiprocessing.get_context("fork").Pool(jobs) as pool:
             shares = pool.map(_sweep_worker, tasks)
     else:
         shares = [_sweep_worker(t) for t in tasks]

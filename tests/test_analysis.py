@@ -255,12 +255,10 @@ def test_in_place_sums_keep_the_bits_of_the_generator_sums(seed):
     grid = make_channel_grid(16, 33, 2.0 * np.pi, 6.0, clustering="tanh", strength=2.0)
     w = grid.quad_weights
     f = rng.standard_normal((8, *grid.shape)) * rng.uniform(0.1, 10.0, (8, 1, 1))
-    acc, tmp, *out = np.empty((4, *grid.shape))
     for n in (2, 4):
-        got = np.float64(analysis._dot(w, f[:n], f[4:4 + n], acc, tmp))
+        got = np.float64(analysis._dot(w, f[:n], f[4:4 + n]))
         assert got.tobytes() == np.float64(_dot_reference(w, f[:n], f[4:4 + n])).tobytes()
-    analysis._advect(f[:2], f[4:], out, tmp)
-    for got, want in zip(out, _advect_reference(f[:2], f[4:])):
+    for got, want in zip(analysis._advect(f[:2], f[4:]), _advect_reference(f[:2], f[4:])):
         assert got.tobytes() == want.tobytes()
     ns, euler = _random_pair(grid, rng, 4)
     want = []

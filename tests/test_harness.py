@@ -36,6 +36,9 @@ from ilim.solvers import (
     run_simulation,
 )
 
+# run_sweep takes its worker pool from here
+_FORK = multiprocessing.get_context("fork")
+
 SMALL = dict(
     nx=16, ny=33, dt=5e-3, t_final=0.05, n_outputs=5, preset="shear",
     nu_values=(1e-2, 1e-3, 1e-4),
@@ -357,7 +360,7 @@ class _NoPool:
     ({"t_final": 0.0501}, "[time] t_final must be an integer number of steps of dt"),
 ])
 def test_sweep_set_up_faults_raise_before_any_worker(monkeypatch, edit, message):
-    monkeypatch.setattr(multiprocessing, "Pool", _NoPool)
+    monkeypatch.setattr(_FORK, "Pool", _NoPool)
     with pytest.raises(ValueError) as info:
         run_sweep(SweepConfig(**{**SMALL, **edit}), jobs=2)
     assert str(info.value).startswith(message)
@@ -367,7 +370,7 @@ def test_sweep_set_up_faults_raise_before_any_worker(monkeypatch, edit, message)
 def test_sweep_rejects_a_worker_count_below_one(monkeypatch, tmp_path, capsys, jobs):
     # a count that is not a positive integer (a bool is not one), before
     # any worker starts; the --jobs flag parses an int, so only those reach it
-    monkeypatch.setattr(multiprocessing, "Pool", _NoPool)
+    monkeypatch.setattr(_FORK, "Pool", _NoPool)
     cause = f"jobs = {jobs!r}: must be a positive integer"
     with pytest.raises(ValueError, match=f"^{re.escape(cause)}$"):
         run_sweep(SweepConfig(**SMALL), jobs=jobs)
@@ -388,14 +391,14 @@ _SCHEDULE_FAULT = "[schedule] schedule value c * nu^a at nu = 0.01 is not positi
 @pytest.mark.parametrize("nus", [(1e-2, 1e-3, 1e-4), (-1.0, 1e-2, 1e-4)])
 def test_sweep_schedule_failing_at_every_nu_raises_before_any_worker(monkeypatch, nus):
     # the first valid nu's fault; an invalid nu is left to its own record
-    monkeypatch.setattr(multiprocessing, "Pool", _NoPool)
+    monkeypatch.setattr(_FORK, "Pool", _NoPool)
     with pytest.raises(ValueError) as info:
         run_sweep(SweepConfig(**{**SMALL, "nu_values": nus, "m_a": 1000.0}), jobs=2)
     assert str(info.value) == _SCHEDULE_FAULT
 
 
 def test_cli_sweep_schedule_failing_at_every_nu_exits_1(monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr(multiprocessing, "Pool", _NoPool)
+    monkeypatch.setattr(_FORK, "Pool", _NoPool)
     ini = tmp_path / "sweep.ini"
     ini.write_text(FULL_INI)
     out = tmp_path / "report"
@@ -440,7 +443,7 @@ def test_sweep_raises_when_every_nu_fails():
 
 
 class _InlinePool:
-    """A stand-in for multiprocessing.Pool that maps in this process, so
+    """A stand-in for the fork context's Pool that maps in this process, so
     monkeypatched solvers reach every share."""
 
     def __init__(self, processes):
@@ -458,7 +461,7 @@ class _InlinePool:
 
 @pytest.mark.parametrize("jobs", [1, 2, 3, 5])
 def test_sweep_steps_euler_once_per_worker(monkeypatch, jobs):
-    monkeypatch.setattr(multiprocessing, "Pool", _InlinePool)
+    monkeypatch.setattr(_FORK, "Pool", _InlinePool)
     real_run, calls = EulerIntegrator.run, []
 
     def counting(self, *args, **kwargs):
@@ -477,15 +480,48 @@ def test_sweep_loads_lapack_before_the_pool_forks(run_python):
     code = (
         "import multiprocessing, sys\n"
         "from ilim.harness import SweepConfig, run_sweep\n"
-        "real, seen = multiprocessing.Pool, []\n"
+        "fork = multiprocessing.get_context('fork')\n"
+        "real, seen = fork.Pool, []\n"
         "def pool(*args, **kwargs):\n"
         "    seen.append('scipy.linalg._flapack' in sys.modules)\n"
         "    return real(*args, **kwargs)\n"
-        "multiprocessing.Pool = pool\n"
+        "fork.Pool = pool\n"
         f"run_sweep(SweepConfig(**{SMALL!r}), jobs=2)\n"
         "print(seen)\n"
     )
     assert run_python(code) == "[True]"
+
+
+_PROBE_WORKER = """\
+import sys
+from ilim import harness
+
+_sweep_worker = harness._sweep_worker
+
+
+def worker(task):
+    if "scipy.linalg._flapack" not in sys.modules:
+        raise RuntimeError("the worker did not inherit the parent's LAPACK module")
+    return _sweep_worker(task)
+"""
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_sweep_forks_its_workers_under_any_default_start_method(run_python, tmp_path, method):
+    # only a forked worker inherits the LAPACK module loaded before the
+    # pool starts; a spawned one would load it again for itself
+    (tmp_path / "probe_worker.py").write_text(_PROBE_WORKER)
+    code = (
+        "import multiprocessing, sys\n"
+        "multiprocessing.set_start_method(sys.argv[1])\n"
+        "sys.path.insert(0, sys.argv[2])\n"
+        "import probe_worker\n"
+        "from ilim import harness\n"
+        "harness._sweep_worker = probe_worker.worker\n"
+        f"result = harness.run_sweep(harness.SweepConfig(**{SMALL!r}), jobs=2)\n"
+        "print([r.ok for r in result.records])\n"
+    )
+    assert run_python(code, method, tmp_path) == "[True, True, True]"
 
 
 @pytest.mark.parametrize("nus", [(1e-2, 1e-3, 1e-4), (1e-3, 1e-2, 1e-3)])
@@ -520,7 +556,7 @@ def test_sweep_failure_messages_follow_run_simulation(monkeypatch, jobs):
     # shares at jobs = 2: (-1.0, 1e-2) sets up on -1.0, before its nu
     # check fails, and (1e-3, 1e-4) steps its Euler run only after 1e-4's
     # NS run
-    monkeypatch.setattr(multiprocessing, "Pool", _InlinePool)
+    monkeypatch.setattr(_FORK, "Pool", _InlinePool)
     cfg = SweepConfig(**{**SMALL, "nu_values": (-1.0, 1e-3, 1e-2, 1e-4)})
     real_ns = NavierStokesIntegrator.run
 
@@ -903,6 +939,18 @@ def test_cli_corrector_check_validation(tmp_path, capsys):
     # a NaN p is rejected, not written as an all-NaN report that passes
     out = tmp_path / "corr"
     assert cli_dispatch(["corrector-check", "--p", "2,nan", "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--min", "nan"), ("--min", "-inf"), ("--max", "inf"), ("--max", "nan")])
+def test_cli_corrector_check_names_a_non_finite_range_flag(tmp_path, capsys, flag, value):
+    # checked before any quadrature, which would fail on it with a numpy
+    # error or warning that names no flag
+    out = tmp_path / "corr"
+    assert cli_dispatch(["corrector-check", f"{flag}={value}", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {flag} must be positive and finite, got {float(value)!r}\n")
     assert not out.exists()
 
 
