@@ -176,7 +176,7 @@ class CorrectorParams:
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")
-        if self.t < 0.0:
+        if not self.t >= 0.0:
             raise ValueError("t must be >= 0")
 
     @property
@@ -358,7 +358,7 @@ def verify_corrector_scalings(p, alpha_tau):
     at = np.sort(np.asarray(alpha_tau, dtype=float))
     if at.size < 3:
         raise ValueError("need at least 3 alpha*tau samples")
-    if np.any(at <= 0.0):
+    if not np.all(at > 0.0):
         raise ValueError("alpha*tau samples must be positive")
     if at[-1] / at[0] < 100.0:
         raise ValueError("alpha*tau samples must span at least 2 decades")
@@ -451,7 +451,7 @@ class CurvedChart:
 
 
 def make_curved_chart(delta: float = 1.0, h=None, eta=None, eta_support=None) -> CurvedChart:
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise ValueError("delta must be positive")
     if h is None:
         h = lambda xi1, xi2: np.ones(np.broadcast_shapes(np.shape(xi1), np.shape(xi2)))
@@ -491,7 +491,7 @@ def curved_gamma(alpha: float, tau: float, chart: CurvedChart) -> float:
     """gamma = int_0^delta e^{-y/(alpha tau)} eta(y) dy (= alpha*tau up to
     O((alpha*tau)^3) for eta with unit value and flat slope at the wall)."""
     at = alpha * tau
-    if at <= 0.0:
+    if not at > 0.0:
         raise ValueError("curved_gamma requires alpha*tau > 0")
     return _weighted_eta((), at, chart)[1]
 
@@ -518,7 +518,7 @@ def curved_corrector(
     """
     if trace.u.shape != (grid.nx,):
         raise ValueError("trace length must equal grid.nx")
-    if tau < 0.0:
+    if not tau >= 0.0:
         raise ValueError("tau must be >= 0")
     if tau == 0.0:  # the layer has no thickness yet
         z = np.zeros(grid.shape)

@@ -89,9 +89,9 @@ class LayerHeight:
 def layer_height(nu: float, t: float, schedule: MSchedule, C: float) -> LayerHeight:
     """h = (nu tau / C) log(C / (M tau)), clamped at 0 when the log
     argument drops to 1 or below (flagged)."""
-    if nu <= 0.0:
+    if not nu > 0.0:
         raise ValueError("nu must be positive")
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError("t must be >= 0")
     tau = min(t, 1.0)
     if tau == 0.0:

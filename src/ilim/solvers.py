@@ -146,8 +146,8 @@ class Trajectory:
 
     `states` is a sequence: a tuple for a stepped run, or a loaded run's
     snapshots (`snapshots.load_trajectory`), which hold one state at a time.
-    The checks here read only each state's grid and time, so they read no
-    snapshot payload; `times` returns the times they checked.
+    The checks here read only each state's grid, time and nu, so they read
+    no snapshot payload; `times` returns the times they checked.
     """
 
     grid: Grid
@@ -155,7 +155,6 @@ class Trajectory:
     nu: float
     dt: float
     states: Sequence
-    step_energies: tuple | None = None
 
     def __post_init__(self):
         if not self.states:
@@ -164,9 +163,11 @@ class Trajectory:
         for s in self.states:
             if s.grid is not self.grid:
                 raise ValueError("all states must share the trajectory grid")
+            if s.nu != self.nu:
+                raise ValueError(f"a state's nu {s.nu!r} is not the trajectory's {self.nu!r}")
             ts.append(s.t)
-        if any(b <= a for a, b in zip(ts, ts[1:])):
-            raise ValueError("state times must increase strictly")
+        if not (np.isfinite(ts).all() and all(a < b for a, b in zip(ts, ts[1:]))):
+            raise ValueError("state times must be finite and increase strictly")
         object.__setattr__(self, "_times", tuple(ts))
 
     @property
@@ -182,14 +183,10 @@ class PairedRun:
     euler: Trajectory
 
 
-def _energy(grid: Grid, u1, u2) -> float:
-    return 0.5 * float(np.sum(grid.quad_weights * (u1**2 + u2**2)))
-
-
 def kinetic_energy(vel: VectorField) -> float:
     """0.5 * the quadrature of |u|^2.  Kept public for the bench, whose
     energy fingerprint reads it."""
-    return _energy(vel.grid, vel.comp1, vel.comp2)
+    return 0.5 * float(np.sum(vel.grid.quad_weights * (vel.comp1**2 + vel.comp2**2)))
 
 
 def _finite(a):
@@ -439,8 +436,7 @@ def _step_count(dt: float, t_final: float, n_outputs: int) -> int:
     return n_steps
 
 
-def _march(integ, u0: VectorField, t_final: float, n_outputs: int,
-           track_energy: bool, wall_mean: float = 0.0) -> Trajectory:
+def _march(integ, u0: VectorField, t_final: float, n_outputs: int) -> Trajectory:
     """The AB2 time loop both schemes share; `integ` brings the wall closure.
 
     The state is omega_hat, the rfft of omega along x1, and the transport
@@ -451,24 +447,26 @@ def _march(integ, u0: VectorField, t_final: float, n_outputs: int,
     `integ._advance(omega_hat, adv_hat, h)` steps omega_hat over h under the
     transport term `adv_hat` and returns (omega_hat_new, psi_hat), where
     psi_hat is the streamfunction the step solved for, or None to have
-    `project` solve for it; `integ.slip` and `wall_mean` pick the wall
-    condition of the velocity.
+    `project` solve for it; `integ.slip` picks the wall condition of the
+    velocity.
     """
     grid, ops, dt, nu = integ.grid, integ.ops, integ.dt, integ.nu
     n_steps = _step_count(dt, t_final, n_outputs)
     every = n_steps // n_outputs
+    # The x1-averaged tangential wall velocity is conserved by the inviscid
+    # dynamics; it anchors the mean-mode reconstruction.
+    wall_mean = float(np.mean(u0.comp1[:, 0])) if integ.slip else 0.0
 
     def project(omega_hat, psi_hat):
         return ops.velocity_from_omega_hat(omega_hat, wall_mean, integ.slip, psi_hat)
 
     # Project the initial data through the same omega -> psi -> velocity
-    # reconstruction used for every later output, so all states (and the
-    # per-step energies) live in one discrete representation.
+    # reconstruction used for every later output, so all states live in one
+    # discrete representation.
     omega = curl2d(u0).values
     omega_hat = np.fft.rfft(omega, axis=0)
     u1, u2 = project(omega_hat, None)
     states = [_state(grid, 0.0, nu, u1, u2, omega)]
-    energies = [_energy(grid, u1, u2)] if track_energy else None
     n_prev = None
     for n in range(1, n_steps + 1):
         ops.check_cfl(u1, u2, dt)
@@ -483,19 +481,10 @@ def _march(integ, u0: VectorField, t_final: float, n_outputs: int,
         omega_hat, psi_hat = integ._advance(omega_hat, adv, dt)
         _check_finite(omega_hat, n * dt)
         u1, u2 = project(omega_hat, psi_hat)
-        if track_energy:
-            energies.append(_energy(grid, u1, u2))
         if n % every == 0:
             omega = np.fft.irfft(omega_hat, n=grid.nx, axis=0)
             states.append(_state(grid, n * dt, nu, u1, u2, omega))
-    return Trajectory(
-        grid=grid,
-        scheme=integ.scheme,
-        nu=nu,
-        dt=dt,
-        states=tuple(states),
-        step_energies=None if energies is None else tuple(energies),
-    )
+    return Trajectory(grid=grid, scheme=integ.scheme, nu=nu, dt=dt, states=tuple(states))
 
 
 class NavierStokesIntegrator:
@@ -516,9 +505,8 @@ class NavierStokesIntegrator:
         self.full = _ImplicitDiffusion(self.ops, nu, dt)
         self.half = _ImplicitDiffusion(self.ops, nu, 0.5 * dt)
 
-    def run(self, u0: VectorField, t_final: float, n_outputs: int,
-            track_energy: bool = False) -> Trajectory:
-        return _march(self, u0, t_final, n_outputs, track_energy)
+    def run(self, u0: VectorField, t_final: float, n_outputs: int) -> Trajectory:
+        return _march(self, u0, t_final, n_outputs)
 
     def _advance(self, omega_hat, adv_hat, h):
         """Crank-Nicolson over h with the influence-matrix wall closure."""
@@ -539,12 +527,8 @@ class EulerIntegrator:
         self.dt = dt
         self.ops = _ChannelOperators(grid)
 
-    def run(self, u0: VectorField, t_final: float, n_outputs: int,
-            track_energy: bool = False) -> Trajectory:
-        # The x1-averaged tangential wall velocity is conserved by the
-        # inviscid dynamics; it anchors the mean-mode reconstruction.
-        wall_mean = float(np.mean(u0.comp1[:, 0]))
-        return _march(self, u0, t_final, n_outputs, track_energy, wall_mean)
+    def run(self, u0: VectorField, t_final: float, n_outputs: int) -> Trajectory:
+        return _march(self, u0, t_final, n_outputs)
 
     def _advance(self, omega_hat, adv_hat, h):
         """Explicit transport over h."""

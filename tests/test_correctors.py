@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from ilim import correctors
+from ilim.analysis import ErrorSeries, fit_rate, gronwall_envelope, theorem_bounds
 from ilim.correctors import (
     CorrectorParams,
     Mollifier,
@@ -22,6 +23,7 @@ from ilim.correctors import (
     trace_from_callable,
     verify_corrector_scalings,
 )
+from ilim.criteria import MSchedule, layer_height
 from ilim.grid import lp_norm, make_channel_grid
 
 
@@ -440,3 +442,40 @@ def test_curved_divergence_identity_refines(eta_args):
         errs.append(lp_norm(curved_divergence(f, chart, grid), 2.0))
     order = math.log(errs[0] / errs[1]) / math.log(2.0)
     assert order >= 1.8
+
+
+
+# ---------------------------------------------------------------------------
+# argument guards
+
+_NAN = float("nan")
+_SERIES = ErrorSeries(nu=1e-3, times=np.array([0.0, 0.5]), values=np.array([0.0, 1e-4]))
+_SCHEDULE = MSchedule(form="constant", c=0.2)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda g, tr: CorrectorParams(0.5, _NAN, tr), "t must be >= 0",
+                 id="corrector-params-t"),
+    pytest.param(lambda g, tr: curved_corrector(tr, 1.0, _NAN, make_curved_chart(1.0), g),
+                 "tau must be >= 0", id="curved-corrector-tau"),
+    pytest.param(lambda g, tr: curved_gamma(1.0, _NAN, make_curved_chart(1.0)),
+                 r"alpha\*tau > 0", id="curved-gamma"),
+    pytest.param(lambda g, tr: make_curved_chart(_NAN), "delta must be positive",
+                 id="curved-chart-delta"),
+    pytest.param(lambda g, tr: layer_height(1e-3, _NAN, _SCHEDULE, 10.0), "t must be >= 0",
+                 id="layer-height-t"),
+    pytest.param(lambda g, tr: layer_height(_NAN, 0.1, _SCHEDULE, 10.0), "nu must be positive",
+                 id="layer-height-nu"),
+    pytest.param(lambda g, tr: theorem_bounds(_SERIES, _SCHEDULE, _NAN),
+                 "fitted constant must be positive", id="theorem-bounds-c-fit"),
+    pytest.param(lambda g, tr: verify_corrector_scalings(2.0, [1e-4, 1e-2, _NAN]),
+                 r"alpha\*tau samples must be positive", id="scaling-samples"),
+    pytest.param(lambda g, tr: gronwall_envelope([0.0, _NAN, 1.0], 1.0, 0.0),
+                 "times must increase strictly", id="gronwall-steps"),
+    pytest.param(lambda g, tr: fit_rate([1e-2, 1e-3, 1e-4], [1e-3, _NAN, 1e-5]),
+                 "rate fit needs positive nus and errors", id="fit-rate-errors"),
+])
+def test_guards_reject_nan(layer_grid, call, message):
+    # each guard is written so that a NaN fails its comparison
+    with pytest.raises(ValueError, match=message):
+        call(layer_grid, trace_from_callable(layer_grid, np.cos))

@@ -93,6 +93,23 @@ def test_trajectory_validation(channel):
     assert np.array_equal(traj.times, np.array([0.0, 0.5]))
 
 
+@pytest.mark.parametrize("times", [(0.0, np.nan, 0.2), (np.nan,), (0.0, np.inf)])
+def test_trajectory_rejects_a_time_that_is_not_finite(channel, times):
+    s0 = _shear_state(channel, 1e-3)
+    states = tuple(FlowState(grid=channel, t=t, nu=1e-3, velocity=s0.velocity,
+                             vorticity=s0.vorticity) for t in times)
+    with pytest.raises(ValueError, match="finite"):
+        Trajectory(grid=channel, scheme="ns", nu=1e-3, dt=0.1, states=states)
+
+
+def test_trajectory_rejects_a_state_of_another_nu(channel):
+    # the criteria size the layer with the states' nu, the reports with the
+    # trajectory's: the two must be one
+    with pytest.raises(ValueError, match="nu 0.5 is not the trajectory's 0.001"):
+        Trajectory(grid=channel, scheme="ns", nu=1e-3, dt=0.1,
+                   states=(_shear_state(channel, 0.5),))
+
+
 def test_states_grids_and_fields_compare_by_identity(channel):
     state = _shear_state(channel, 1e-3)
     for obj in (state, channel, state.velocity, state.vorticity):
@@ -407,10 +424,24 @@ def test_inviscid_shear_is_a_steady_state(channel):
 def test_viscous_energy_decays_every_step():
     g = make_channel_grid(32, 49, 2.0 * np.pi, 6.0, clustering="tanh", strength=2.0)
     u0 = build_initial_data("perturbed-shear", g, amplitude=1.0, seed=3)
-    traj = NavierStokesIntegrator(g, 1e-3, 2e-3).run(u0, 0.1, 5, track_energy=True)
-    energies = np.array(traj.step_energies)
+    traj = NavierStokesIntegrator(g, 1e-3, 2e-3).run(u0, 0.1, 50)
+    energies = np.array([kinetic_energy(s.velocity) for s in traj.states])
     assert energies.size == 51
     assert np.all(np.diff(energies) <= 0.0)
+
+
+def test_inviscid_run_keeps_a_slipping_wall_mean():
+    # the x1-mean of u1 on the wall row is conserved by the inviscid
+    # dynamics, and every output reconstructs its mean mode from u0's
+    g = make_channel_grid(32, 65, 2.0 * np.pi, 6.0, clustering="tanh", strength=2.0)
+    base = build_initial_data("perturbed-shear", g, amplitude=1.0, seed=3)
+    u0 = VectorField(g, base.comp1 + (0.75 + 0.1 * np.cos(g.x))[:, None], base.comp2)
+    wall_mean = np.mean(u0.comp1[:, 0])
+    assert wall_mean == pytest.approx(0.75, abs=1e-15)
+    traj = EulerIntegrator(g, 5e-3).run(u0, 0.1, 20)
+    assert len(traj.states) == 21
+    for s in traj.states:
+        assert np.mean(s.velocity.comp1[:, 0]) == pytest.approx(wall_mean, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
