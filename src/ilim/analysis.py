@@ -72,10 +72,15 @@ def theorem_bounds(series: ErrorSeries, schedule, c_fit: float) -> np.ndarray:
 
 def calibrate_bound_constant(series_list, schedule) -> float:
     """Smallest constant making the layered bound hold on the calibration
-    runs: max over runs and times > 0 of err^2 / (nu t + int M)."""
+    runs: max over runs and times > 0 of err^2 / (nu t + int M).  Every
+    value must be a squared error, finite and >= 0 (max would drop a NaN)."""
     best = 0.0
     for s in series_list:
         for t, v in zip(s.times, s.values):
+            if not 0.0 <= v < np.inf:
+                raise ValueError(f"calibration series at nu = {float(s.nu)!r}, "
+                                 f"t = {float(t)!r}: {float(v)!r} is not a finite "
+                                 "squared error")
             if t > 0.0:
                 best = max(best, v / _layered(s.nu, t, schedule))
     if best == 0.0:

@@ -109,40 +109,40 @@ def no_backflow_margin(euler_state) -> float:
     return float(euler_state.velocity.comp1[:, 0].min())
 
 
-def _layer_pass(state, schedule: MSchedule, spec: LayerSpec):
-    """The layer at the state's time: its height, the number k of grid rows
-    inside the strip (rows 1..k), (lhs, rhs) of the layer condition on it,
-    and the wall-vorticity margin, min over the wall row of omega + M/nu.
-    Only rows [0, k + 1) of the vorticity (and of -d2 u1) are read.
-
-    lhs = nu^{(r-1)/r} || (omega + M/nu)_- ||_{L^r(layer)} and
-    rhs = tau^{1/r} M; for r = inf the prefactor is nu and tau^{1/r} = 1.
-    An empty layer gives lhs = 0.
-    """
+def _layer_defect(state, schedule: MSchedule, C: float, use_du1dy: bool):
+    """The layer at the state's time, and what its condition reads for any r:
+    the height, the number k of grid rows inside the strip (rows 1..k), M,
+    the defect |(omega + M/nu)_-| on the strip's nodes (of -d2 u1 in place
+    of omega if `use_du1dy`) with their quadrature weights, both in C order
+    as lp_norm over layer_region sums them, and the wall-vorticity margin,
+    min over the wall row of omega + M/nu.  Only rows [0, k + 1) of the
+    vorticity (and of -d2 u1) are read."""
     if state.nu <= 0.0:
         raise ValueError("the layer condition applies to the viscous state")
-    h = layer_height(state.nu, state.t, schedule, spec.C)
+    h = layer_height(state.nu, state.t, schedule, C)
     k = _strip_rows(state.grid, h.value)
     m = schedule.value(state.nu, state.t)
     omega = state._vorticity_rows(k + 1)
-    if spec.use_du1dy:
+    if use_du1dy:
         base = -_y_derivative_rows(state.grid, state.velocity.comp1, k + 1)
     else:
         base = omega
     defect = np.abs(np.minimum(base + m / state.nu, 0.0))
     if not np.all(np.isfinite(defect)):
         raise ValueError("field values must be finite")
-    # the strip's nodes in C order, as lp_norm over layer_region sums them
-    lp = _lp_sum(defect[:, 1:].ravel(), state.grid.quad_weights[:, 1:k + 1].ravel(),
-                 spec.r)
-    if np.isinf(spec.r):
-        lhs = state.nu * lp
-        rhs = m
-    else:
-        r = spec.r
-        lhs = state.nu ** ((r - 1.0) / r) * lp
-        rhs = min(state.t, 1.0) ** (1.0 / r) * m  # tau^{1/r} M
-    return h, k, float(lhs), float(rhs), float((omega[:, 0] + m / state.nu).min())
+    return (h, k, m, defect[:, 1:].ravel(), state.grid.quad_weights[:, 1:k + 1].ravel(),
+            float((omega[:, 0] + m / state.nu).min()))
+
+
+def _layer_condition(state, m: float, defect, weights, r: float):
+    """(lhs, rhs) of the layer condition, lhs = nu^{(r-1)/r} ||defect||_{L^r}
+    over the strip and rhs = tau^{1/r} M; for r = inf the prefactor is nu
+    and tau^{1/r} = 1.  An empty layer gives lhs = 0."""
+    lp = _lp_sum(defect, weights, r)
+    if np.isinf(r):
+        return float(state.nu * lp), float(m)
+    lhs = state.nu ** ((r - 1.0) / r) * lp
+    return float(lhs), float(min(state.t, 1.0) ** (1.0 / r) * m)  # tau^{1/r} M
 
 
 # (criteria.csv column, CriterionReport field), in column order
@@ -216,11 +216,28 @@ def evaluate_criteria(ns_traj, euler_traj, schedule: MSchedule,
     sliced, and a derived one (a loaded state's) is computed for those
     rows alone.
     """
+    return _criteria_reports(ns_traj, euler_traj, schedule, (spec,))[0]
+
+
+def _criteria_reports(ns_traj, euler_traj, schedule: MSchedule, specs) -> list:
+    """`evaluate_criteria` for each of `specs`, in one pass over the states:
+    the specs share C and use_du1dy, so each state's layer, defect and
+    margins are computed once, and only the L^r norm and (lhs, rhs) once per
+    spec.  Each time reads the viscous state, then the inviscid one."""
+    specs = tuple(specs)
+    if not specs or len({(s.C, s.use_du1dy) for s in specs}) != 1:
+        raise ValueError("one criteria pass takes specs that share C and use_du1dy")
+    C, use_du1dy = specs[0].C, specs[0].use_du1dy
     t_ns = _paired_times(ns_traj, euler_traj)
-    rows = []
+    rows = [[] for _ in specs]
     for s_ns, s_e in zip(ns_traj.states, euler_traj.states):
-        h, rows_inside, lhs, rhs, wall = _layer_pass(s_ns, schedule, spec)
-        # one value per CriterionReport field after nu and times, in order
-        rows.append((h.value, h.clamped, no_backflow_margin(s_e), lhs, rhs,
-                     lhs <= rhs, wall, h.value > 0.0 and rows_inside < 2))
-    return CriterionReport(ns_traj.nu, t_ns, *map(np.array, zip(*rows)))
+        h, rows_inside, m, defect, weights, wall = _layer_defect(s_ns, schedule, C,
+                                                                 use_du1dy)
+        backflow = no_backflow_margin(s_e)
+        for spec, spec_rows in zip(specs, rows):
+            lhs, rhs = _layer_condition(s_ns, m, defect, weights, spec.r)
+            # one value per CriterionReport field after nu and times, in order
+            spec_rows.append((h.value, h.clamped, backflow, lhs, rhs, lhs <= rhs, wall,
+                              h.value > 0.0 and rows_inside < 2))
+    return [CriterionReport(ns_traj.nu, t_ns.copy(), *map(np.array, zip(*spec_rows)))
+            for spec_rows in rows]

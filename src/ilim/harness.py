@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +29,7 @@ from .criteria import (
     CriterionReport,
     LayerSpec,
     MSchedule,
+    _criteria_reports,
     _write_csv,
     evaluate_criteria,
     layer_height,
@@ -481,15 +482,21 @@ class ShearStudyResult:
 
 def _shear_series_trajectory(grid, scheme: str, nu: float, times, w, om
                              ) -> Trajectory:
-    """States of the profile rows `w` and vorticity rows `om` at `times`;
-    a single row is held at every time."""
-    w, om = (np.broadcast_to(a, (times.size, grid.ny)) for a in (w, om))
-    states = []
-    for t, w_t, om_t in zip(times, w, om):
+    """States of the profile rows `w` and vorticity rows `om` at `times`, a
+    row per time; a single row (1-D) is held at every time by one pair of
+    fields that every state shares."""
+
+    def state(t, w_t, om_t):
         u1 = np.broadcast_to(w_t, grid.shape).copy()
         u1[:, 0] = 0.0
-        states.append(_state(grid, t, nu, u1, np.zeros(grid.shape),
-                             np.broadcast_to(om_t, grid.shape).copy()))
+        return _state(grid, t, nu, u1, np.zeros(grid.shape),
+                      np.broadcast_to(om_t, grid.shape).copy())
+
+    if np.ndim(w) == 1:
+        held = state(times[0], w, om)
+        states = [replace(held, t=float(t)) for t in times]
+    else:
+        states = [state(t, w_t, om_t) for t, w_t, om_t in zip(times, w, om)]
     return Trajectory(
         grid=grid,
         scheme=scheme,
@@ -563,12 +570,10 @@ def shear_limit_study(
         ns = _shear_series_trajectory(grid, "shear-series", nu, times, w, om)
         euler = _shear_series_trajectory(grid, "shear-series-steady", 0.0,
                                          times, w[0], om[0])
-        err_sq[i] = period * np.array(
-            [flow.l2_error_sq(nu, float(t)) for t in times]
-        )
-        for r in r_values:
-            spec = LayerSpec(C=layer_c, r=r)
-            reports_by_r[r].append(evaluate_criteria(ns, euler, schedule, spec))
+        err_sq[i] = period * flow.l2_error_sq(nu, times)
+        specs = [LayerSpec(C=layer_c, r=r) for r in r_values]
+        for r, report in zip(r_values, _criteria_reports(ns, euler, schedule, specs)):
+            reports_by_r[r].append(report)
 
     n_calibration = min(_N_CALIBRATION, len(nu_values))
     series = [ErrorSeries(nu=nu, times=times, values=err_sq[i])

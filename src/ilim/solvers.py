@@ -567,13 +567,27 @@ def _checked(nu, t, y=()):
     return np.atleast_1d(y), np.atleast_1d(ts)
 
 
+_math_erfc = np.frompyfunc(math.erfc, 1, 1)  # scipy-free
+
+
+def _erfc(x):
+    """math.erfc of each element of the array x.  math.erfc is exactly 0.0
+    for x >= 28 and exactly 2.0 for x <= -6: fdlibm's erfc (glibc's) returns
+    those by explicit branches, and they are the correctly rounded values.
+    So math.erfc runs only on the rest, which holds any NaN."""
+    low = x <= -6.0
+    out = np.where(low, 2.0, 0.0)
+    rest = ~(low | (x >= 28.0))
+    out[rest] = _math_erfc(x[rest])
+    return out
+
+
 def _gauss_mass(a, b, mean, sigma):
     """The mass on (a, b) of the density exp(-((z - mean)/sigma)^2) / (sqrt(pi)
     sigma): erfc on the side of the midpoint away from the mean, never near 2."""
-    erfc = np.frompyfunc(math.erfc, 1, 1)  # scipy-free
     lo, hi = (a - mean) / sigma, (b - mean) / sigma
     side = np.where(lo + hi < 0.0, -1.0, 1.0)
-    return 0.5 * side * (erfc(side * lo).astype(float) - erfc(side * hi).astype(float))
+    return 0.5 * side * (_erfc(side * lo) - _erfc(side * hi))
 
 
 def _heat_flow(pieces, y, nu, times):
@@ -639,12 +653,15 @@ class ShearFlow:
     def dprofile(self, y, nu, t):
         return self._series(y, nu, t, derivative=True)
 
-    def l2_error_sq(self, nu, t) -> float:
+    def l2_error_sq(self, nu, t):
         """||w(., t) - w(., 0)||^2 on (0, Ly), per unit x1 length (exact
-        in the truncated series by eigenmode orthogonality)."""
-        _checked(nu, t)
-        gap = self.coeffs * (1.0 - np.exp(-nu * self.lam**2 * t))
-        return 0.5 * self.height * float(np.sum(gap**2))
+        in the truncated series by eigenmode orthogonality): a float for a
+        scalar t, one value per time for a 1-D array, each the same bits as
+        the scalar call (a row per time, summed along the modes)."""
+        _, ts = _checked(nu, t)
+        gap = self.coeffs * (1.0 - np.exp(np.multiply.outer(ts, -nu * self.lam**2)))
+        out = 0.5 * self.height * np.sum(gap**2, axis=1)
+        return out if np.ndim(t) else float(out[0])
 
 
 # ---------------------------------------------------------------------------

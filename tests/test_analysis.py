@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -116,6 +117,21 @@ def test_calibrate_bound_constant():
     # ratios: 0.3 / (1e-2 + 0.5) and 0.8 / (2e-3 + 1.0)
     expect = max(0.3 / 0.51, 0.8 / 1.002)
     assert calibrate_bound_constant([s1, s2], sched) == pytest.approx(expect, rel=1e-14)
+
+
+@pytest.mark.parametrize("values, at", [
+    ([0.0, np.nan, 1e-4], "t = 0.5: nan"),
+    ([0.0, 1e-4, np.nan], "t = 1.0: nan"),
+    ([0.0, np.inf, 1e-4], "t = 0.5: inf"),
+    ([0.0, -1e-4, 1e-4], "t = 0.5: -0.0001"),
+], ids=["nan-mid", "nan-last", "inf", "negative"])
+def test_calibrate_rejects_values_that_are_not_squared_errors(values, at):
+    # max(best, nan) keeps best, so a NaN would drop out unseen
+    sched = MSchedule(form="constant", c=0.2)
+    series = ErrorSeries(nu=1e-3, times=np.array([0.0, 0.5, 1.0]), values=np.array(values))
+    with pytest.raises(ValueError, match=rf"^calibration series at nu = 0\.001, {re.escape(at)} "
+                                         "is not a finite squared error$"):
+        calibrate_bound_constant([series], sched)
 
 
 def test_calibrate_requires_positive_time_data():

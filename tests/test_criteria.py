@@ -11,6 +11,7 @@ from ilim.criteria import (
     CRITERIA_CSV_HEADER,
     LayerSpec,
     MSchedule,
+    _criteria_reports,
     evaluate_criteria,
     layer_height,
     no_backflow_margin,
@@ -395,6 +396,60 @@ def test_loaded_pair_criteria_derive_only_wall_rows(adverse_pair, tmp_path, monk
         assert omega.values.tobytes() == curl2d(s.velocity).values.tobytes()
         assert s.vorticity is omega
     assert rows_asked.count(None) == len(states)
+
+
+def _report_bytes(report):
+    return [report.nu] + [(a.dtype, a.tobytes()) for a in
+                          (getattr(report, f.name) for f in dataclasses.fields(report)[1:])]
+
+
+@pytest.mark.parametrize("use_du1dy", [False, True])
+def test_one_pass_matches_evaluate_criteria(adverse_pair, tmp_path, use_du1dy):
+    # a stepped pair and a loaded one, with r = 1, 2 and inf in one pass
+    sched = MSchedule(form="power", c=1.0, a=0.5)
+    specs = [LayerSpec(C=10.0, r=r, use_du1dy=use_du1dy) for r in (1.0, 2.0, np.inf)]
+    for ns, euler in ((adverse_pair.ns, adverse_pair.euler),
+                      _save_and_load(adverse_pair, tmp_path)):
+        reports = _criteria_reports(ns, euler, sched, specs)
+        assert len(reports) == len(specs)
+        for spec, report in zip(specs, reports):
+            assert _report_bytes(report) == _report_bytes(
+                evaluate_criteria(ns, euler, sched, spec))
+        assert reports[0].times is not reports[1].times
+
+
+@pytest.mark.parametrize("specs", [
+    (LayerSpec(C=10.0, r=1.0), LayerSpec(C=5.0, r=2.0)),
+    (LayerSpec(C=10.0, r=2.0), LayerSpec(C=10.0, r=2.0, use_du1dy=True)),
+    (),
+], ids=["C", "use_du1dy", "none"])
+def test_one_pass_takes_specs_that_share_c_and_use_du1dy(adverse_pair, specs):
+    sched = MSchedule(form="power", c=1.0, a=0.5)
+    with pytest.raises(ValueError, match="share C and use_du1dy"):
+        _criteria_reports(adverse_pair.ns, adverse_pair.euler, sched, specs)
+
+
+def test_one_pass_reads_each_payload_once(adverse_pair, tmp_path, monkeypatch):
+    reads = []
+
+    def counting(*args):
+        reads.append(args[0])
+        return read(*args)
+
+    read = snapshots._read_velocity
+    monkeypatch.setattr(snapshots, "_read_velocity", counting)
+    ns, euler = _save_and_load(adverse_pair, tmp_path)
+    sched = MSchedule(form="power", c=1.0, a=0.5)
+    specs = [LayerSpec(C=10.0, r=r) for r in (1.0, 2.0, np.inf)]
+    n = len(ns.states)
+    _criteria_reports(ns, euler, sched, specs)
+    assert len(reads) == 2 * n and len(set(reads)) == 2 * n
+    # each time reads the viscous state, then the inviscid one
+    assert [path.parent.name for path in reads[:2]] == ["ns", "euler"]
+    reads.clear()
+    for spec in specs:
+        evaluate_criteria(ns, euler, sched, spec)
+    assert len(reads) == 3 * 2 * n
 
 
 def test_evaluate_criteria_rejects_mismatched_runs():

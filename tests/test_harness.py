@@ -18,6 +18,7 @@ from ilim import cli, harness, solvers
 from ilim.analysis import error_series
 from ilim.cli import cli_dispatch
 from ilim.criteria import CRITERIA_CSV_HEADER, CriterionReport, MSchedule, evaluate_criteria
+from ilim.grid import make_channel_grid
 from ilim.harness import (
     SweepConfig,
     emit_report,
@@ -651,6 +652,27 @@ def test_shear_study_evaluates_each_basis_once_per_scheme(monkeypatch):
     shear_limit_study(nu_values=(1e-2, 1e-3), t_final=100.0, n_times=10, ny=97)
     # one call per basis and nu, shared by both schemes
     assert calls == ["profile", "dprofile", "_heat_flow"]
+
+
+def test_shear_series_trajectory_shares_a_held_row():
+    # a row per time gives each state its own fields; a single row is held
+    # by one pair of fields that every state shares
+    grid = make_channel_grid(8, 17, 2.0 * np.pi, 6.0, clustering="tanh", strength=2.0)
+    times = np.linspace(0.0, 1.0, 4)
+    w = np.outer(times + 1.0, np.exp(-grid.y))
+    om = np.outer(times + 2.0, np.exp(-2.0 * grid.y))
+    moving = harness._shear_series_trajectory(grid, "shear-series", 1e-3, times, w, om)
+    held = harness._shear_series_trajectory(grid, "shear-series-steady", 0.0, times,
+                                            w[0], om[0])
+    assert len({id(s.velocity) for s in moving.states}) == times.size
+    assert len({id(s.velocity) for s in held.states}) == 1
+    assert len({id(s.vorticity) for s in held.states}) == 1
+    for states, rows in ((moving.states, range(times.size)), (held.states, [0] * times.size)):
+        for s, t, i in zip(states, times, rows):
+            assert s.t == t
+            assert np.array_equal(s.velocity.comp1[:, 1:], np.broadcast_to(w[i, 1:], (8, 16)))
+            assert not s.velocity.comp1[:, 0].any() and not s.velocity.comp2.any()
+            assert np.array_equal(s.vorticity.values, np.broadcast_to(om[i], grid.shape))
 
 
 def test_shear_study_holdout_and_fit():

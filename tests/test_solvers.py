@@ -1,5 +1,6 @@
 """Channel schemes, exact shear series, and paired runs."""
 
+import math
 import pickle
 from collections import Counter
 import weakref
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.linalg import LinAlgError, solve_banded
 
+import ilim.harness as harness
 import ilim.solvers as solvers
 from ilim.grid import ScalarField, VectorField, curl2d, make_channel_grid
 from ilim.initial_data import PRESETS, build_initial_data, shear_profile_exp
@@ -478,6 +480,27 @@ def test_l2_error_matches_quadrature():
     assert flow.l2_error_sq(nu, t) == pytest.approx(direct, rel=1e-8)
 
 
+@pytest.mark.parametrize("flow", [
+    ShearFlow(height=2.0, coeffs=[0.7, 0.0, 0.0, 0.2]),
+    ShearFlow(_sine_coefficients(shear_profile_exp, 6.0, 4096), height=6.0),
+], ids=["coeffs", "shear_profile_exp"])
+def test_l2_error_sq_takes_an_array_of_times(flow):
+    # one value per time, each the bits of the scalar call and of the sum
+    # over the modes at that time alone; a scalar t gives a float
+    times = np.linspace(0.0, 1.0, 21)
+    for nu in (1e-2, 1e-3, 1e-4, 1e-5):
+        batch = flow.l2_error_sq(nu, times)
+        assert batch.shape == times.shape and batch.dtype == np.float64
+        single = np.array([flow.l2_error_sq(nu, float(t)) for t in times])
+        one_time = np.array([
+            0.5 * flow.height * float(np.sum((flow.coeffs * (1.0 - np.exp(
+                -nu * flow.lam**2 * float(t))))**2))
+            for t in times])
+        assert batch.tobytes() == single.tobytes() == one_time.tobytes()
+    assert type(flow.l2_error_sq(1e-3, 0.5)) is float
+    assert flow.l2_error_sq(1e-3, np.array([0.5])).shape == (1,)
+
+
 def _longdouble_series(flow, y, nu, times, derivative):
     """The flow's truncated series at each y and time, summed in long double."""
     pi = np.longdouble("3.14159265358979323846264338327950288")
@@ -656,6 +679,45 @@ def test_heat_flow_holds_to_the_image_bound():
         assert np.abs(got - want).max() <= 1e-15
     for got, want in zip((series.profile(y, nu, times), series.dprofile(y, nu, times)), ref):
         assert np.abs(got - want).max() <= 3e-10
+
+
+def test_erfc_matches_math_erfc_where_it_skips_it():
+    # _erfc calls math.erfc only on (-6, 28); outside, it writes the 2.0 and
+    # 0.0 that math.erfc returns there, and a NaN still goes through
+    x = np.concatenate([
+        np.linspace(-10.0, 40.0, 200001), np.linspace(27.0, 29.0, 200001),
+        np.linspace(-6.5, -5.5, 20001),
+        [np.nextafter(28.0, 0.0), 28.0, np.nextafter(28.0, 29.0),
+         np.nextafter(-6.0, 0.0), -6.0, np.nextafter(-6.0, -7.0),
+         0.0, -0.0, 1e300, -1e300, np.inf, -np.inf, np.nan],
+    ])
+    want = np.frompyfunc(math.erfc, 1, 1)(x).astype(float)
+    got = solvers._erfc(x)
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+    assert np.isnan(got[-1])
+    # _gauss_mass passes (rows, times) arrays
+    rows = x[:400000].reshape(2000, 200)
+    assert solvers._erfc(rows).tobytes() == want[:400000].tobytes()
+
+
+def test_study_heat_flow_matches_erfc_on_every_argument(monkeypatch):
+    # the four default study grids and times: the same bits as a heat flow
+    # that runs math.erfc on every argument
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return _heat_flow(*args)
+
+    monkeypatch.setattr(harness, "_heat_flow", recording)
+    harness.shear_limit_study()
+    assert [nu for _, _, nu, _ in calls] == [1e-2, 1e-3, 1e-4, 1e-5]
+    got = [_heat_flow(*args) for args in calls]
+    monkeypatch.setattr(solvers, "_erfc",
+                        lambda x: np.frompyfunc(math.erfc, 1, 1)(x).astype(float))
+    for args, (w, dw) in zip(calls, got):
+        want_w, want_dw = _heat_flow(*args)
+        assert w.tobytes() == want_w.tobytes() and dw.tobytes() == want_dw.tobytes()
 
 
 def test_sine_coefficients_recover_an_eigenmode():
