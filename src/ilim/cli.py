@@ -248,8 +248,8 @@ def _cmd_shear_verify(args) -> int:
         study["r_values"] = (given["r"],)
     result = shear_limit_study(**study)
     names = emit_shear_report(result, args.out)
-    for i, nu in enumerate(result.nu_values):
-        print(f"nu={nu!r}: sup_error_sq={float(result.sup_err_sq[i])!r}")
+    for s in result.series:
+        print(f"nu={s.nu!r}: sup_error_sq={s.sup_value!r}")
     if result.fit is not None:
         print(f"fitted error exponent: {result.fit.exponent!r}")
     for nu, ok in result.holdout_bound_ok.items():

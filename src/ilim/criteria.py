@@ -19,7 +19,6 @@ from .grid import _lp_sum, _paired_times, _strip_rows, _y_derivative_rows
 __all__ = [
     "MSchedule",
     "LayerSpec",
-    "LayerHeight",
     "CriterionReport",
     "layer_height",
     "no_backflow_margin",
@@ -80,27 +79,21 @@ class LayerSpec:
             raise ValueError("r must be >= 1 (inf allowed)")
 
 
-@dataclass(frozen=True)
-class LayerHeight:
-    value: float
-    clamped: bool
-
-
-def layer_height(nu: float, t: float, schedule: MSchedule, C: float) -> LayerHeight:
+def layer_height(nu: float, t: float, schedule: MSchedule, C: float) -> float:
     """h = (nu tau / C) log(C / (M tau)), clamped at 0 when the log
-    argument drops to 1 or below (flagged)."""
+    argument drops to 1 or below: at t > 0 that clamp is the only way h
+    is 0."""
     if not nu > 0.0:
         raise ValueError("nu must be positive")
     if not t >= 0.0:
         raise ValueError("t must be >= 0")
     tau = min(t, 1.0)
     if tau == 0.0:
-        return LayerHeight(0.0, clamped=False)
-    m = schedule.value(nu, t)
-    arg = C / (m * tau)
+        return 0.0
+    arg = C / (schedule.value(nu, t) * tau)
     if arg <= 1.0:
-        return LayerHeight(0.0, clamped=True)
-    return LayerHeight(nu * tau / C * float(np.log(arg)), clamped=False)
+        return 0.0
+    return nu * tau / C * float(np.log(arg))
 
 
 def no_backflow_margin(euler_state) -> float:
@@ -120,7 +113,7 @@ def _layer_defect(state, schedule: MSchedule, C: float, use_du1dy: bool):
     if state.nu <= 0.0:
         raise ValueError("the layer condition applies to the viscous state")
     h = layer_height(state.nu, state.t, schedule, C)
-    k = _strip_rows(state.grid, h.value)
+    k = _strip_rows(state.grid, h)
     m = schedule.value(state.nu, state.t)
     omega = state._vorticity_rows(k + 1)
     if use_du1dy:
@@ -167,7 +160,6 @@ class CriterionReport:
     nu: float
     times: np.ndarray
     layer_heights: np.ndarray
-    layer_clamped: np.ndarray
     backflow_margin: np.ndarray
     cond_lhs: np.ndarray
     cond_rhs: np.ndarray
@@ -237,7 +229,7 @@ def _criteria_reports(ns_traj, euler_traj, schedule: MSchedule, specs) -> list:
         for spec, spec_rows in zip(specs, rows):
             lhs, rhs = _layer_condition(s_ns, m, defect, weights, spec.r)
             # one value per CriterionReport field after nu and times, in order
-            spec_rows.append((h.value, h.clamped, backflow, lhs, rhs, lhs <= rhs, wall,
-                              h.value > 0.0 and rows_inside < 2))
+            spec_rows.append((h, backflow, lhs, rhs, lhs <= rhs, wall,
+                              h > 0.0 and rows_inside < 2))
     return [CriterionReport(ns_traj.nu, t_ns.copy(), *map(np.array, zip(*spec_rows)))
             for spec_rows in rows]

@@ -100,9 +100,13 @@ class Grid:
         return 2.0 * np.pi / self.period * np.arange(self.nx // 2 + 1)
 
 
+def _tanh_rows(t, height: float, strength: float):
+    """The tanh clustering map of t in [0, 1] onto [0, height]."""
+    return height * (1.0 - np.tanh(strength * (1.0 - t)) / np.tanh(strength))
+
+
 def _tanh_points(ny: int, height: float, strength: float) -> np.ndarray:
-    t = np.linspace(0.0, 1.0, ny)
-    y = height * (1.0 - np.tanh(strength * (1.0 - t)) / np.tanh(strength))
+    y = _tanh_rows(np.linspace(0.0, 1.0, ny), height, strength)
     y[0] = 0.0
     y[-1] = height
     return y
@@ -179,8 +183,10 @@ def strength_for_min_spacing(ny, height, target):
     if not 0.0 < target < height / (ny - 1):
         raise ValueError("target spacing must be below the uniform spacing")
 
-    def first_gap(s):
-        return _tanh_points(ny, height, s)[1] - target
+    t1 = np.linspace(0.0, 1.0, ny)[1]
+
+    def first_gap(s):  # y_1 alone, the bits of _tanh_points(ny, height, s)[1]
+        return _tanh_rows(t1, height, s) - target
 
     # y_1 falls as s grows.  The width tolerance exceeds the spacing of
     # doubles below 60 (7e-15), so halving always reaches it.

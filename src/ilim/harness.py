@@ -236,8 +236,7 @@ class NuRecord:
     nu: float
     status: str
     message: str = ""
-    times: np.ndarray | None = None
-    err_sq: np.ndarray | None = None
+    series: ErrorSeries | None = None
     criteria: CriterionReport | None = None
 
     @property
@@ -246,10 +245,7 @@ class NuRecord:
 
     @property
     def sup_err_sq(self) -> float:
-        return float(self.err_sq.max())
-
-    def error_series(self) -> ErrorSeries:
-        return ErrorSeries(nu=self.nu, times=self.times, values=self.err_sq)
+        return self.series.sup_value
 
 
 @dataclass
@@ -268,11 +264,8 @@ def _record(cfg: SweepConfig, nu: float, outcome) -> NuRecord:
         if isinstance(outcome, Exception):
             raise outcome
         series = error_series(outcome.ns, outcome.euler)
-        report = evaluate_criteria(
-            outcome.ns, outcome.euler, cfg.schedule(), cfg.layer_spec()
-        )
-        return NuRecord(nu=nu, status="ok", times=series.times,
-                        err_sq=series.values, criteria=report)
+        report = evaluate_criteria(outcome.ns, outcome.euler, cfg.schedule(), cfg.layer_spec())
+        return NuRecord(nu=nu, status="ok", series=series, criteria=report)
     except Exception as exc:  # noqa: BLE001 - isolate per-nu failures
         return NuRecord(nu=nu, status="failed", message=str(exc))
 
@@ -308,7 +301,8 @@ def run_sweep(config: SweepConfig, jobs: int | None = None) -> SweepResult:
     The Euler run has no nu in it, so each worker steps it once for its
     share of the nu values (every `jobs`-th one) and pairs it with a
     Navier-Stokes run per nu.  The worker count is `jobs` (the --jobs
-    flag), else all available cores.  Results are ordered by the config's
+    flag), else the number of CPUs this process may run on (its affinity
+    mask where the platform has one).  Results are ordered by the config's
     nu list regardless of worker scheduling, so output is identical for any
     worker count.  A `jobs` that is not a positive integer, a grid, time
     or data fault (`_initial_velocity`) or a schedule that fails at every
@@ -316,7 +310,10 @@ def run_sweep(config: SweepConfig, jobs: int | None = None) -> SweepResult:
     record.
     Raises RuntimeError if every nu failed.
     """
-    jobs = (os.cpu_count() or 1) if jobs is None else _count("jobs", jobs)
+    if jobs is None:
+        affinity = getattr(os, "sched_getaffinity", None)
+        jobs = len(affinity(0)) if affinity else os.cpu_count() or 1
+    jobs = _count("jobs", jobs)
     if not config.nu_values:
         raise ValueError("sweep needs at least one nu")
     _initial_velocity(config)
@@ -341,9 +338,7 @@ def run_sweep(config: SweepConfig, jobs: int | None = None) -> SweepResult:
         detail = "; ".join(f"nu={r.nu!r}: {r.message}" for r in records)
         raise RuntimeError(f"every nu failed: {detail}")
     try:
-        c_fit = calibrate_bound_constant(
-            [r.error_series() for r in ok], config.schedule()
-        )
+        c_fit = calibrate_bound_constant([r.series for r in ok], config.schedule())
     except ValueError:
         c_fit = None
     fit_sq, fit = _rate_fits([r.nu for r in ok], [r.sup_err_sq for r in ok])
@@ -436,7 +431,7 @@ def emit_report(result: SweepResult, directory) -> list:
     names = ["sweep.csv"]
     # record index -> the layered bound at the record's output times
     bounds = {} if result.c_fit is None else {
-        i: theorem_bounds(rec.error_series(), schedule, result.c_fit)
+        i: theorem_bounds(rec.series, schedule, result.c_fit)
         for i, rec in enumerate(result.records) if rec.ok
     }
 
@@ -446,12 +441,12 @@ def emit_report(result: SweepResult, directory) -> list:
 
     for i, layered in bounds.items():
         name = f"bound_series_{i:02d}.dat"
-        _write_dat(directory / name, (result.records[i].times, layered))
+        _write_dat(directory / name, (result.records[i].series.times, layered))
         names.append(name)
 
     return _write_report(
         directory, result, names,
-        series=[rec.error_series() if rec.ok else None for rec in result.records],
+        series=[rec.series for rec in result.records],
         criteria=[rec.criteria for rec in result.records if rec.ok],
         rates={"failed_nu": [r.nu for r in result.records if not r.ok]},
         manifest={"config": result.config.to_dict()},
@@ -465,8 +460,7 @@ def emit_report(result: SweepResult, directory) -> list:
 @dataclass
 class ShearStudyResult:
     nu_values: tuple
-    times: np.ndarray
-    err_sq: np.ndarray            # shape (n_nu, n_times), exact series values
+    series: list                  # one ErrorSeries per nu, exact series values
     reports_by_r: dict            # r -> list of CriterionReport per nu
     c_fit: float
     calibration_nu: tuple
@@ -477,7 +471,7 @@ class ShearStudyResult:
 
     @property
     def sup_err_sq(self) -> np.ndarray:
-        return self.err_sq.max(axis=1)
+        return np.array([s.sup_value for s in self.series])
 
 
 def _shear_series_trajectory(grid, scheme: str, nu: float, times, w, om
@@ -550,10 +544,9 @@ def shear_limit_study(
     pieces = ((-height, 0.0, 1.0, -1.0, 1.0), (0.0, height, -1.0, 1.0, -1.0),
               (height, 2.0 * height, -1.0, np.exp(-2.0 * height), 1.0))
     times = np.linspace(0.0, t_final, n_times + 1)
-    err_sq = np.zeros((len(nu_values), times.size))
-    reports_by_r = {r: [] for r in r_values}
-    for i, nu in enumerate(nu_values):
-        h1 = layer_height(nu, float(times[1]), schedule, layer_c).value
+    series, reports_by_r = [], {r: [] for r in r_values}
+    for nu in nu_values:
+        h1 = layer_height(nu, float(times[1]), schedule, layer_c)
         uniform_gap = height / (ny - 1)
         target = min(h1 / 3.0, 0.5 * uniform_gap) if h1 > 0.0 else 0.5 * uniform_gap
         strength = strength_for_min_spacing(ny, height, target)
@@ -570,24 +563,22 @@ def shear_limit_study(
         ns = _shear_series_trajectory(grid, "shear-series", nu, times, w, om)
         euler = _shear_series_trajectory(grid, "shear-series-steady", 0.0,
                                          times, w[0], om[0])
-        err_sq[i] = period * flow.l2_error_sq(nu, times)
+        series.append(ErrorSeries(nu=nu, times=times,
+                                  values=period * flow.l2_error_sq(nu, times)))
         specs = [LayerSpec(C=layer_c, r=r) for r in r_values]
         for r, report in zip(r_values, _criteria_reports(ns, euler, schedule, specs)):
             reports_by_r[r].append(report)
 
     n_calibration = min(_N_CALIBRATION, len(nu_values))
-    series = [ErrorSeries(nu=nu, times=times, values=err_sq[i])
-              for i, nu in enumerate(nu_values)]
     c_fit = calibrate_bound_constant(series[:n_calibration], schedule)
     holdout = {
         s.nu: bool(np.all(s.values <= theorem_bounds(s, schedule, c_fit) + 1e-300))
         for s in series[n_calibration:]
     }
-    fit_sq, fit = _rate_fits(nu_values, err_sq.max(axis=1))
+    fit_sq, fit = _rate_fits(nu_values, [s.sup_value for s in series])
     return ShearStudyResult(
         nu_values=tuple(nu_values),
-        times=times,
-        err_sq=err_sq,
+        series=series,
         reports_by_r=reports_by_r,
         c_fit=c_fit,
         calibration_nu=tuple(nu_values[:n_calibration]),
@@ -618,8 +609,7 @@ def emit_shear_report(result: ShearStudyResult, directory) -> list:
     }
     return _write_report(
         directory, result, [],
-        series=[ErrorSeries(nu=nu, times=result.times, values=result.err_sq[i])
-                for i, nu in enumerate(result.nu_values)],
+        series=result.series,
         criteria=result.reports_by_r[primary_r],
         rates={
             "calibration_nu": list(result.calibration_nu),

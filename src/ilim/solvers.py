@@ -11,7 +11,7 @@ discretization on the channel [0, Lx) x [0, Ly]:
 * inviscid ("euler"): impermeable wall and top, tangential slip;
   Adams-Bashforth transport of vorticity.
 
-One time loop (`_march`) serves both; each scheme supplies only its wall
+One time loop (`_outputs`) serves both; each scheme supplies only its wall
 closure.  The loop carries the vorticity as its rfft along x1, so a step
 makes five FFTs.
 
@@ -437,7 +437,13 @@ def _step_count(dt: float, t_final: float, n_outputs: int) -> int:
 
 
 def _march(integ, u0: VectorField, t_final: float, n_outputs: int) -> Trajectory:
-    """The AB2 time loop both schemes share; `integ` brings the wall closure.
+    """The trajectory of `_outputs`' states."""
+    return Trajectory(grid=integ.grid, scheme=integ.scheme, nu=integ.nu, dt=integ.dt,
+                      states=tuple(_outputs(integ, u0, t_final, n_outputs)))
+
+
+def _outputs(integ, u0: VectorField, t_final: float, n_outputs: int):
+    """Yield the output states, from t = 0, of the AB2 loop both schemes share.
 
     The state is omega_hat, the rfft of omega along x1, and the transport
     term is combined in that space too; omega is transformed back only for
@@ -466,7 +472,7 @@ def _march(integ, u0: VectorField, t_final: float, n_outputs: int) -> Trajectory
     omega = curl2d(u0).values
     omega_hat = np.fft.rfft(omega, axis=0)
     u1, u2 = project(omega_hat, None)
-    states = [_state(grid, 0.0, nu, u1, u2, omega)]
+    yield _state(grid, 0.0, nu, u1, u2, omega)
     n_prev = None
     for n in range(1, n_steps + 1):
         ops.check_cfl(u1, u2, dt)
@@ -483,8 +489,7 @@ def _march(integ, u0: VectorField, t_final: float, n_outputs: int) -> Trajectory
         u1, u2 = project(omega_hat, psi_hat)
         if n % every == 0:
             omega = np.fft.irfft(omega_hat, n=grid.nx, axis=0)
-            states.append(_state(grid, n * dt, nu, u1, u2, omega))
-    return Trajectory(grid=grid, scheme=integ.scheme, nu=nu, dt=dt, states=tuple(states))
+            yield _state(grid, n * dt, nu, u1, u2, omega)
 
 
 class NavierStokesIntegrator:

@@ -106,18 +106,17 @@ def test_schedule_value_that_underflows_or_overflows_names_nu(a):
 def test_layer_height_worked_example():
     sched = MSchedule(form="constant", c=1e-2)
     h = layer_height(1e-3, 1.0, sched, 10.0)
-    assert h.value == pytest.approx(1e-4 * math.log(1000.0), rel=1e-14)
-    assert not h.clamped
+    assert h == pytest.approx(1e-4 * math.log(1000.0), rel=1e-14)
+    assert h > 0.0
 
 
 def test_layer_height_edges():
     sched = MSchedule(form="constant", c=1e-2)
     assert layer_height(1e-3, 0.0, sched, 10.0) == layer_height(1e-3, 0.0, sched, 10.0)
-    zero = layer_height(1e-3, 0.0, sched, 10.0)
-    assert zero.value == 0.0 and not zero.clamped
+    assert layer_height(1e-3, 0.0, sched, 10.0) == 0.0
+    # a clamped layer is the only 0 at t > 0
     big_m = MSchedule(form="constant", c=20.0)
-    clamped = layer_height(1e-3, 1.0, big_m, 10.0)
-    assert clamped.value == 0.0 and clamped.clamped
+    assert layer_height(1e-3, 1.0, big_m, 10.0) == 0.0
     with pytest.raises(ValueError):
         layer_height(0.0, 1.0, sched, 10.0)
     with pytest.raises(ValueError):
@@ -171,7 +170,7 @@ def test_layer_condition_constant_vorticity_oracle():
     sched = MSchedule(form="constant", c=m_val)
     state = _uniform_state(nu, 1.0, a)
     g = state.grid
-    h = layer_height(nu, 1.0, sched, 2.0).value
+    h = layer_height(nu, 1.0, sched, 2.0)
     mask = (g.y > 0.0) & (g.y <= h)
     dy = np.diff(g.y)
     wy = np.concatenate(([0.5 * dy[0]], 0.5 * (dy[:-1] + dy[1:]), [0.5 * dy[-1]]))
@@ -319,13 +318,12 @@ def test_evaluate_criteria_matches_per_state_functions(adverse_pair, r):
     report = evaluate_criteria(ns, euler, sched, spec)
     for i, (s_ns, s_e) in enumerate(zip(ns.states, euler.states)):
         h = layer_height(s_ns.nu, s_ns.t, sched, spec.C)
-        rows_inside = np.count_nonzero(layer_region(ns.grid, h.value).mask[0])
+        rows_inside = np.count_nonzero(layer_region(ns.grid, h).mask[0])
         assert report.times[i] == s_ns.t
-        assert report.layer_heights[i] == h.value
-        assert report.layer_clamped[i] == h.clamped
+        assert report.layer_heights[i] == h
         assert report.backflow_margin[i] == no_backflow_margin(s_e)
         assert report.cond_pass[i] == (report.cond_lhs[i] <= report.cond_rhs[i])
-        assert report.under_resolved[i] == (h.value > 0.0 and rows_inside < 2)
+        assert report.under_resolved[i] == (h > 0.0 and rows_inside < 2)
     assert report.layer_heights.dtype == np.float64
     assert report.cond_pass.dtype == bool and report.under_resolved.dtype == bool
     # the run has both resolved and under-resolved nonempty layers
@@ -341,7 +339,7 @@ def _full_field_reference(ns, sched, spec, omega_of):
         omega = omega_of(s)
         base = -y_derivative(g, s.velocity.comp1) if spec.use_du1dy else omega
         defect = ScalarField(g, np.abs(np.minimum(base + m / s.nu, 0.0)))
-        region = layer_region(g, layer_height(s.nu, s.t, sched, spec.C).value)
+        region = layer_region(g, layer_height(s.nu, s.t, sched, spec.C))
         r = spec.r
         scale = s.nu if np.isinf(r) else s.nu ** ((r - 1.0) / r)
         lhs.append(float(scale * lp_norm(defect, r, region)))

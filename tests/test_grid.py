@@ -128,6 +128,44 @@ def test_strength_for_min_spacing_meets_its_target(monkeypatch):
         assert abs(y1 - target) <= 32 * eps * height, (ny, height, target)
 
 
+def _full_grid_strength(ny, height, target):
+    """The bisection on y_1 taken from the whole tanh grid at each step."""
+    lo, hi = 1e-8, 60.0
+    while hi - lo > 1e-12 + 1e-14 * hi:
+        mid = 0.5 * (lo + hi)
+        gap = _tanh_points(ny, height, mid)[1] - target
+        lo, hi = (mid, hi) if gap > 0.0 else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def test_strength_for_min_spacing_maps_y1_alone_to_the_full_grid_bits(monkeypatch):
+    # the bisection maps only t_1, and builds whole grids for the row check
+    # and the study's grid: two per nu
+    from ilim import harness
+
+    cases, built = [], []
+    full_grid = grid_module._tanh_points
+
+    def counting(*args):
+        built.append(args)
+        return full_grid(*args)
+
+    def recording(ny, height, target):
+        cases.append((ny, height, target))
+        return strength_for_min_spacing(ny, height, target)
+
+    monkeypatch.setattr(grid_module, "_tanh_points", counting)
+    monkeypatch.setattr(harness, "strength_for_min_spacing", recording)
+    harness.shear_limit_study()
+    assert len(cases) == 4 and len(built) <= 8
+    monkeypatch.undo()
+    cases += [(ny, 6.0, f * 6.0 / (ny - 1)) for ny in (3, 33, 193, 1025)
+              for f in np.geomspace(1e-9, 0.9, 12)]
+    cases.append((1025, 1.0, 8.357835686588258e-05))
+    for case in cases:
+        assert strength_for_min_spacing(*case) == _full_grid_strength(*case), case
+
+
 @pytest.mark.parametrize("target", [6.447633535826951e-19, 5.488223080412765e-16, 3e-16])
 def test_strength_for_min_spacing_rejects_a_target_below_the_rounding_step(target):
     # the shear study's targets at --T 1e-12 and 1e-10: y_1 rounds to
@@ -140,8 +178,7 @@ def test_strength_for_min_spacing_rejects_a_target_below_the_rounding_step(targe
 def test_strength_for_min_spacing_needs_a_bracket(monkeypatch):
     # a finite height always brackets: y_1 is the uniform gap at s = 1e-8
     # and 0 at s = 60; a gap that never changes sign does not
-    monkeypatch.setattr(grid_module, "_tanh_points",
-                        lambda ny, height, s: np.array([0.0, 1.0, height]))
+    monkeypatch.setattr(grid_module, "_tanh_rows", lambda t, height, s: 1.0)
     with pytest.raises(ValueError, match="do not bracket the target spacing"):
         strength_for_min_spacing(65, 2.0, 1e-3)
 

@@ -3,6 +3,7 @@
 import csv
 import json
 import multiprocessing
+import os
 import re
 import shutil
 import struct
@@ -476,6 +477,23 @@ def test_sweep_steps_euler_once_per_worker(monkeypatch, jobs):
     assert all(r.ok for r in result.records)
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+def test_sweep_default_workers_are_the_cpus_it_may_run_on(run_python):
+    # os.cpu_count() counts every CPU of the host; held to one of them, the
+    # sweep runs its nu values in this process
+    code = (
+        "import multiprocessing, os\n"
+        "from ilim.harness import SweepConfig, run_sweep\n"
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "def no_pool(*args, **kwargs):\n"
+        "    raise AssertionError('a worker pool was started')\n"
+        "multiprocessing.get_context('fork').Pool = no_pool\n"
+        f"result = run_sweep(SweepConfig(**{SMALL!r}))\n"
+        "print([r.ok for r in result.records])\n"
+    )
+    assert run_python(code) == "[True, True, True]"
+
+
 def test_sweep_loads_lapack_before_the_pool_forks(run_python):
     # else every forked worker loads scipy's LAPACK extension for itself
     code = (
@@ -537,8 +555,8 @@ def test_sweep_records_equal_run_simulation_bitwise(jobs, nus):
         report = evaluate_criteria(pair.ns, pair.euler, cfg.schedule(),
                                    cfg.layer_spec())
         assert rec.ok
-        assert rec.times.tobytes() == series.times.tobytes()
-        assert rec.err_sq.tobytes() == series.values.tobytes()
+        assert rec.series.times.tobytes() == series.times.tobytes()
+        assert rec.series.values.tobytes() == series.values.tobytes()
         for f in fields(CriterionReport):
             got, want = getattr(rec.criteria, f.name), getattr(report, f.name)
             assert type(got) is type(want), f.name
@@ -624,8 +642,8 @@ def test_report_files_and_manifest(small_sweep_serial, tmp_path):
 
 def test_shear_study_light():
     study = shear_limit_study(nu_values=(1e-2, 1e-3), t_final=0.5, n_times=10, ny=97)
-    assert study.times.size == 11
-    assert study.err_sq.shape == (2, 11)
+    assert [s.nu for s in study.series] == [1e-2, 1e-3]
+    assert all(s.times.size == 11 and s.values.shape == (11,) for s in study.series)
     assert study.c_fit > 0.0
     assert study.calibration_nu == (1e-2, 1e-3)
     assert study.holdout_bound_ok == {}

@@ -36,6 +36,22 @@ TEST_ONLY = (
 # uses, as "Class.member", each with the reason it is kept
 TEST_ONLY_MEMBERS = ()
 
+# dataclass fields of the classes above that no module and no bench script
+# reads by name, as "Class.field", each with the reason it is kept
+_IDENTITY_TERM = "a term of the energy identity that the residual balances"
+TEST_ONLY_FIELDS = (
+    ("EnergyBudget.lhs_rate", _IDENTITY_TERM),
+    ("EnergyBudget.dissipation", _IDENTITY_TERM),
+    ("EnergyBudget.i1", _IDENTITY_TERM),
+    ("EnergyBudget.i2", _IDENTITY_TERM),
+    ("RateFit.prefactor", "written to rates.json by asdict"),
+    ("RateFit.n_samples", "written to rates.json by asdict"),
+    ("ScalingRow.quantity", "a column of the scaling CSV, written by astuple"),
+    ("CurvedChart.delta", "the strip height above which criterion 3 finds the corrector 0"),
+    ("Snapshot.u1", "the payload that read_snapshot, the format's reference, returns"),
+    ("Snapshot.u2", "the payload that read_snapshot, the format's reference, returns"),
+)
+
 
 def test_package_all_is_every_module_all_once():
     assert len(ilim.__all__) == len(set(ilim.__all__))
@@ -192,3 +208,32 @@ def test_every_public_member_is_used_or_a_listed_reference():
     unused = {m for m in members if m.split(".")[1] not in used}
     assert sorted(unused - set(test_only)) == []
     assert sorted(unused & set(test_only)) == sorted(test_only)
+
+
+def _read_names(paths):
+    """Every attribute name and string constant in the sources `paths`: a
+    field is read as `x.field`, or by its name (getattr, a column table).
+    A field's own declaration is neither."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+    return names
+
+
+def test_every_public_field_is_read_or_a_listed_reference():
+    # a result field nothing reads is a second copy of a result; delete it,
+    # or list it in TEST_ONLY_FIELDS with the reason it is kept
+    test_only = dict(TEST_ONLY_FIELDS)
+    classes = (getattr(ilim, n) for n in ilim.__all__)
+    fields = {f"{cls.__name__}.{f.name}" for cls in classes
+              if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+              for f in dataclasses.fields(cls)}
+    assert len(test_only) == len(TEST_ONLY_FIELDS) and set(test_only) <= fields
+    read = _read_names(_sources())
+    unread = {f for f in fields if f.split(".")[1] not in read}
+    assert sorted(unread - set(test_only)) == []
+    assert sorted(unread & set(test_only)) == sorted(test_only)

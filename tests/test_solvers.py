@@ -19,6 +19,7 @@ from ilim.solvers import (
     _ChannelOperators,
     _factor_band,
     _heat_flow,
+    _outputs,
     _sine_coefficients,
     EulerIntegrator,
     FlowState,
@@ -426,10 +427,27 @@ def test_inviscid_shear_is_a_steady_state(channel):
 def test_viscous_energy_decays_every_step():
     g = make_channel_grid(32, 49, 2.0 * np.pi, 6.0, clustering="tanh", strength=2.0)
     u0 = build_initial_data("perturbed-shear", g, amplitude=1.0, seed=3)
-    traj = NavierStokesIntegrator(g, 1e-3, 2e-3).run(u0, 0.1, 50)
-    energies = np.array([kinetic_energy(s.velocity) for s in traj.states])
+    states = _outputs(NavierStokesIntegrator(g, 1e-3, 2e-3), u0, 0.1, 50)
+    energies = np.array([kinetic_energy(s.velocity) for s in states])
     assert energies.size == 51
     assert np.all(np.diff(energies) <= 0.0)
+
+
+def test_run_holds_the_states_its_loop_yields():
+    # run is the states that _outputs streams, the same bits, for both schemes
+    g = make_channel_grid(16, 33, 2.0 * np.pi, 6.0, clustering="tanh", strength=2.0)
+    u0 = build_initial_data("perturbed-shear", g, amplitude=1.0, seed=3)
+    for make in (lambda: NavierStokesIntegrator(g, 1e-3, 5e-3),
+                 lambda: EulerIntegrator(g, 5e-3)):
+        traj = make().run(u0, 0.05, 5)
+        streamed = list(_outputs(make(), u0, 0.05, 5))
+        assert len(streamed) == len(traj.states) == 6
+        for a, b in zip(traj.states, streamed):
+            assert a.t == b.t and a.nu == b.nu and a.grid is b.grid
+            for x, y in ((a.velocity.comp1, b.velocity.comp1),
+                         (a.velocity.comp2, b.velocity.comp2),
+                         (a.vorticity.values, b.vorticity.values)):
+                assert x.tobytes() == y.tobytes()
 
 
 def test_inviscid_run_keeps_a_slipping_wall_mean():
