@@ -246,9 +246,13 @@ def gronwall_envelope(times, rate_c: float, forcing) -> np.ndarray:
     h = np.diff(times)
     if not np.all(h > 0.0):
         raise ValueError("times must increase strictly")
+    if not abs(rate_c) < np.inf:
+        raise ValueError(f"rate_c must be finite, got {rate_c!r}")
     f = np.asarray(forcing, dtype=float)
     if f.shape not in ((), times.shape):
         raise ValueError("forcing samples must align with times")
+    if not np.isfinite(f).all():
+        raise ValueError("forcing must be finite")
     f = np.broadcast_to(f, times.shape)
     x = 2.0 * rate_c * h
     em1 = np.expm1(x)

@@ -358,8 +358,8 @@ def verify_corrector_scalings(p, alpha_tau):
     at = np.sort(np.asarray(alpha_tau, dtype=float))
     if at.size < 3:
         raise ValueError("need at least 3 alpha*tau samples")
-    if not np.all(at > 0.0):
-        raise ValueError("alpha*tau samples must be positive")
+    if not np.all((0.0 < at) & (at < np.inf)):
+        raise ValueError("alpha*tau samples must be positive and finite")
     if at[-1] / at[0] < 100.0:
         raise ValueError("alpha*tau samples must span at least 2 decades")
     if not p >= 1.0:

@@ -72,21 +72,26 @@ class LayerSpec:
     use_du1dy: bool = False
 
     def __post_init__(self):
-        # an infinite C makes every layer height NaN: a vacuous pass
-        if not 1.0 < self.C < np.inf:
-            raise ValueError("layer constant C must exceed 1 and be finite")
+        _check_layer_c(self.C)
         if not self.r >= 1.0:
             raise ValueError("r must be >= 1 (inf allowed)")
+
+
+def _check_layer_c(C: float) -> None:
+    # an infinite C makes every layer height NaN: a vacuous pass
+    if not 1.0 < C < np.inf:
+        raise ValueError("layer constant C must exceed 1 and be finite")
 
 
 def layer_height(nu: float, t: float, schedule: MSchedule, C: float) -> float:
     """h = (nu tau / C) log(C / (M tau)), clamped at 0 when the log
     argument drops to 1 or below: at t > 0 that clamp is the only way h
-    is 0."""
+    is 0.  C obeys LayerSpec's rule."""
     if not nu > 0.0:
         raise ValueError("nu must be positive")
     if not t >= 0.0:
         raise ValueError("t must be >= 0")
+    _check_layer_c(C)
     tau = min(t, 1.0)
     if tau == 0.0:
         return 0.0

@@ -45,7 +45,7 @@ from .solvers import (
     _heat_flow,
     _initial_velocity,
     _lapack,
-    _paired_runs,
+    _pairer,
     _RunFields,
     _sine_coefficients,
     _state,
@@ -257,14 +257,13 @@ class SweepResult:
     fit: object
 
 
-def _record(cfg: SweepConfig, nu: float, outcome) -> NuRecord:
-    """`nu`'s record from its `_paired_runs` outcome; a failed run or
+def _record(cfg: SweepConfig, nu: float, pair) -> NuRecord:
+    """`nu`'s record from `pair(nu)` (`solvers._pairer`); a failed run or
     post-processing gives a failed record (per-nu isolation)."""
     try:
-        if isinstance(outcome, Exception):
-            raise outcome
-        series = error_series(outcome.ns, outcome.euler)
-        report = evaluate_criteria(outcome.ns, outcome.euler, cfg.schedule(), cfg.layer_spec())
+        run = pair(nu)
+        series = error_series(run.ns, run.euler)
+        report = evaluate_criteria(run.ns, run.euler, cfg.schedule(), cfg.layer_spec())
         return NuRecord(nu=nu, status="ok", series=series, criteria=report)
     except Exception as exc:  # noqa: BLE001 - isolate per-nu failures
         return NuRecord(nu=nu, status="failed", message=str(exc))
@@ -275,9 +274,9 @@ def _sweep_worker(task) -> list:
     once for all of them; never raises.  Each nu's failure message is the
     one its own `run_simulation` would raise."""
     cfg, nus = task
-    runs = _paired_runs(cfg, nus)
-    # each pair is a temporary, freed before the next nu's NS run
-    return [_record(cfg, nu, next(runs)) for nu in nus]
+    pair = _pairer(cfg)
+    # each pair is a local of its _record call, freed before the next NS run
+    return [_record(cfg, nu, pair) for nu in nus]
 
 
 def _check_schedule(config: SweepConfig) -> None:
@@ -535,6 +534,10 @@ def shear_limit_study(
     r_values = tuple(r_values)
     if not r_values:
         raise ValueError("r_values must name at least one r")
+    specs = [LayerSpec(C=layer_c, r=r) for r in r_values]
+    for i, r in enumerate(r_values):
+        if r in r_values[:i]:
+            raise ValueError(f"r_values repeats r = {float(r)!r}")
     if schedule is None:
         schedule = MSchedule(form="power", c=1.0, a=0.5)
     # one period of the channel; the pair is x1-independent, so 8 nodes carry it
@@ -546,7 +549,7 @@ def shear_limit_study(
     times = np.linspace(0.0, t_final, n_times + 1)
     series, reports_by_r = [], {r: [] for r in r_values}
     for nu in nu_values:
-        h1 = layer_height(nu, float(times[1]), schedule, layer_c)
+        h1 = layer_height(nu, float(times[1]), schedule, specs[0].C)
         uniform_gap = height / (ny - 1)
         target = min(h1 / 3.0, 0.5 * uniform_gap) if h1 > 0.0 else 0.5 * uniform_gap
         strength = strength_for_min_spacing(ny, height, target)
@@ -565,7 +568,6 @@ def shear_limit_study(
                                          times, w[0], om[0])
         series.append(ErrorSeries(nu=nu, times=times,
                                   values=period * flow.l2_error_sq(nu, times)))
-        specs = [LayerSpec(C=layer_c, r=r) for r in r_values]
         for r, report in zip(r_values, _criteria_reports(ns, euler, schedule, specs)):
             reports_by_r[r].append(report)
 

@@ -244,7 +244,7 @@ def _solve_band(lu, piv, rhs):
     call; `rhs` is (modes, ny) in the factorization's dtype."""
     lapack = _lapack()
     trs = lapack.zgbtrs if np.iscomplexobj(lu) else lapack.dgbtrs
-    x, info = trs(lu, 1, 2, _finite(rhs).reshape(-1, 1), piv)
+    x, info = trs(lu, 1, 2, rhs.reshape(-1, 1), piv)
     _check_info(info, trs.__name__)
     return x.reshape(rhs.shape)
 
@@ -296,7 +296,7 @@ class _ChannelOperators:
         """
         rhs[:, 0] = 0.0
         rhs[:, -1] = 0.0
-        x, info = _lapack().zgttrs(*self.poisson_lu, _finite(rhs).reshape(-1, 1))
+        x, info = _lapack().zgttrs(*self.poisson_lu, rhs.reshape(-1, 1))
         _check_info(info, "zgttrs")
         return x.reshape(rhs.shape)
 
@@ -306,10 +306,8 @@ class _ChannelOperators:
         psi[1:] = self.poisson_modes(-omega_hat[1:])
         return psi
 
-    def velocity_from_omega_hat(self, omega_hat, wall_mean, slip, psi_hat=None):
+    def velocity_from_omega_hat(self, omega_hat, psi_hat, wall_mean, slip):
         nx = self.grid.nx
-        if psi_hat is None:
-            psi_hat = self.solve_poisson(omega_hat)
         u1_hat = _apply_d1(self.d1, psi_hat)
         u2_hat = -self.ik[:, None] * psi_hat
         # mean tangential profile: wall_mean - trapezoidal x2-integral of mean omega
@@ -452,9 +450,9 @@ def _outputs(integ, u0: VectorField, t_final: float, n_outputs: int):
 
     `integ._advance(omega_hat, adv_hat, h)` steps omega_hat over h under the
     transport term `adv_hat` and returns (omega_hat_new, psi_hat), where
-    psi_hat is the streamfunction the step solved for, or None to have
-    `project` solve for it; `integ.slip` picks the wall condition of the
-    velocity.
+    psi_hat is its streamfunction; `integ.slip` picks the wall condition of
+    the velocity.  A NaN passes through the solves, and `_check_finite`, the
+    loop's only finiteness check, raises before anything is built from it.
     """
     grid, ops, dt, nu = integ.grid, integ.ops, integ.dt, integ.nu
     n_steps = _step_count(dt, t_final, n_outputs)
@@ -464,14 +462,14 @@ def _outputs(integ, u0: VectorField, t_final: float, n_outputs: int):
     wall_mean = float(np.mean(u0.comp1[:, 0])) if integ.slip else 0.0
 
     def project(omega_hat, psi_hat):
-        return ops.velocity_from_omega_hat(omega_hat, wall_mean, integ.slip, psi_hat)
+        return ops.velocity_from_omega_hat(omega_hat, psi_hat, wall_mean, integ.slip)
 
     # Project the initial data through the same omega -> psi -> velocity
     # reconstruction used for every later output, so all states live in one
     # discrete representation.
     omega = curl2d(u0).values
     omega_hat = np.fft.rfft(omega, axis=0)
-    u1, u2 = project(omega_hat, None)
+    u1, u2 = project(omega_hat, ops.solve_poisson(omega_hat))
     yield _state(grid, 0.0, nu, u1, u2, omega)
     n_prev = None
     for n in range(1, n_steps + 1):
@@ -481,6 +479,7 @@ def _outputs(integ, u0: VectorField, t_final: float, n_outputs: int):
             # bootstrap: midpoint rule (half step, re-evaluate, full step)
             oh_half, psi_half = integ._advance(omega_hat, n_cur, 0.5 * dt)
             adv = ops.advection(*project(oh_half, psi_half), oh_half)
+            del oh_half, psi_half  # held to the run's end, they raise its peak RSS
         else:
             adv = 1.5 * n_cur - 0.5 * n_prev
         n_prev = n_cur
@@ -537,7 +536,8 @@ class EulerIntegrator:
 
     def _advance(self, omega_hat, adv_hat, h):
         """Explicit transport over h."""
-        return omega_hat - h * adv_hat, None
+        omega_hat = omega_hat - h * adv_hat
+        return omega_hat, self.ops.solve_poisson(omega_hat)
 
 
 # ---------------------------------------------------------------------------
@@ -719,41 +719,36 @@ def _initial_velocity(config: _RunFields) -> VectorField:
     return u0
 
 
-def _paired_runs(config: _RunFields, nu_values):
-    """Yield, for each nu in turn, what `run_simulation` of `config` at that
-    nu gives: its PairedRun, or the exception it raises.
+def _pairer(config: _RunFields):
+    """`pair(nu)`: what `run_simulation` of `config` at nu returns or raises.
 
-    One `_initial_velocity` serves every nu; nu's own rule is
+    One `_initial_velocity` serves every call; nu's own rule is
     NavierStokesIntegrator's.  The Euler run has no nu in it, so it is
     stepped once, after the first Navier-Stokes run that succeeds, and
-    paired with every NS run; if it fails, each NS run that succeeds gets
-    its exception, as `run_simulation` would raise it.  Nothing the
-    generator holds outlives a yield, so the caller alone decides when a
-    pair is freed.
+    paired with every NS run; if it fails, each NS run that succeeds raises
+    its exception.  The closure keeps no NS run, so the caller alone decides
+    when a pair is freed.
     """
-    u0 = euler = None
-    for nu in nu_values:
-        try:
-            if u0 is None:
-                u0 = _initial_velocity(config)
-            ns = NavierStokesIntegrator(u0.grid, nu, config.dt).run(
-                u0, config.t_final, config.n_outputs
-            )
-            if euler is None:
-                try:
-                    euler = EulerIntegrator(u0.grid, config.dt).run(
-                        u0, config.t_final, config.n_outputs
-                    )
-                except Exception as exc:  # noqa: BLE001 - raised after each NS run
-                    euler = exc
-            if isinstance(euler, Exception):
-                raise euler
-            outcome = PairedRun(ns=ns, euler=euler)
-        except Exception as exc:  # noqa: BLE001 - handed to the caller, per nu
-            outcome = exc
-        ns = None
-        yield outcome
-        outcome = None
+    u0 = euler = failure = None
+
+    def pair(nu) -> PairedRun:
+        nonlocal u0, euler, failure
+        if u0 is None:
+            u0 = _initial_velocity(config)
+        ns = NavierStokesIntegrator(u0.grid, nu, config.dt).run(
+            u0, config.t_final, config.n_outputs)
+        if euler is None and failure is None:
+            try:
+                euler = EulerIntegrator(u0.grid, config.dt).run(
+                    u0, config.t_final, config.n_outputs)
+            except Exception as exc:  # noqa: BLE001 - raised after each NS run
+                failure = exc
+        if failure is not None:
+            del ns  # the kept exception's traceback holds this frame
+            raise failure
+        return PairedRun(ns=ns, euler=euler)
+
+    return pair
 
 
 def run_simulation(config: SimulationConfig) -> PairedRun:
@@ -762,7 +757,4 @@ def run_simulation(config: SimulationConfig) -> PairedRun:
     A config that breaks a grid, time or data rule raises the ValueError
     of `_initial_velocity`, which names the config section at fault.
     """
-    (outcome,) = _paired_runs(config, [config.nu])
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+    return _pairer(config)(config.nu)

@@ -547,6 +547,19 @@ def test_gronwall_envelope_validation():
     assert np.array_equal(gronwall_envelope(np.array([0.0]), 1.0, 1.0), np.zeros(1))
 
 
+@pytest.mark.parametrize("rate_c", [np.nan, np.inf, -np.inf])
+def test_gronwall_envelope_rejects_a_rate_that_is_not_finite(rate_c):
+    with pytest.raises(ValueError, match="^rate_c must be finite, got"):
+        gronwall_envelope(np.linspace(0.0, 1.0, 5), rate_c, 1.0)
+
+
+@pytest.mark.parametrize("forcing", [np.nan, np.inf, [0.0, 1.0, np.nan, 1.0, 0.0]],
+                         ids=["nan", "inf", "nan-sample"])
+def test_gronwall_envelope_rejects_forcing_that_is_not_finite(forcing):
+    with pytest.raises(ValueError, match="^forcing must be finite$"):
+        gronwall_envelope(np.linspace(0.0, 1.0, 5), 1.0, forcing)
+
+
 def test_fit_rate_recovers_exact_power():
     nus = np.geomspace(1e-4, 1e-1, 7)
     errors = 2.0 * nus**1.5

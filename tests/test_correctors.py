@@ -244,6 +244,9 @@ def test_scaling_report_validation():
         verify_corrector_scalings(np.nan, np.geomspace(1e-3, 1e-1, 5))
     with pytest.raises(ValueError):
         verify_corrector_scalings(2.0, [-1e-3, 1e-2, 1e-1])
+    # an infinite sample is refused before any fit (no overflow warning)
+    with pytest.raises(ValueError, match=r"^alpha\*tau samples must be positive and finite$"):
+        verify_corrector_scalings(2.0, [1e-4, 1e-2, np.inf])
 
 
 @pytest.mark.parametrize(

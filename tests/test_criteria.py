@@ -123,6 +123,17 @@ def test_layer_height_edges():
         layer_height(1e-3, -1.0, sched, 10.0)
 
 
+@pytest.mark.parametrize("C", [np.nan, 1.0, 0.5, np.inf])
+def test_layer_height_takes_layer_specs_rule_for_c(C):
+    # one rule and one message for both, at t = 0 too
+    sched = MSchedule(form="constant", c=1e-2)
+    for t in (0.0, 1.0):
+        with pytest.raises(ValueError, match="^layer constant C must exceed 1 and be finite$"):
+            layer_height(1e-3, t, sched, C)
+    with pytest.raises(ValueError, match="^layer constant C must exceed 1 and be finite$"):
+        LayerSpec(C=C)
+
+
 def test_layer_height_caps_tau_at_one():
     sched = MSchedule(form="constant", c=1e-2)
     assert layer_height(1e-3, 1.0, sched, 10.0) == layer_height(1e-3, 7.0, sched, 10.0)

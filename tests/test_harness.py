@@ -733,6 +733,25 @@ def test_shear_study_checks_its_counts_first(monkeypatch, kwargs, message):
         shear_limit_study(nu_values=(1e-2, 1e-3, 1e-4), ny=33, **kwargs)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"r_values": (2.0, 2)}, "r_values repeats r = 2.0"),
+    ({"r_values": (1.0, np.inf, 2.0, np.inf)}, "r_values repeats r = inf"),
+    ({"r_values": (0.5,)}, "r must be >= 1 (inf allowed)"),
+    ({"layer_c": np.nan}, "layer constant C must exceed 1 and be finite"),
+    ({"layer_c": 0.5}, "layer constant C must exceed 1 and be finite"),
+], ids=["r=2,2", "r=inf,inf", "r=0.5", "C=nan", "C=0.5"])
+def test_shear_study_checks_its_layers_before_sizing_a_grid(monkeypatch, kwargs, message):
+    # a repeated r would collapse two report lists into one; a bad C or r
+    # is refused before the first nu's grid is sized
+    def no_work(*args):
+        raise AssertionError("the study started before checking its layers")
+
+    monkeypatch.setattr(harness, "_sine_coefficients", no_work)
+    monkeypatch.setattr(harness, "strength_for_min_spacing", no_work)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        shear_limit_study(nu_values=(1e-2, 1e-3, 1e-4), ny=33, **kwargs)
+
+
 def test_shear_report_files(tmp_path):
     study = shear_limit_study(nu_values=(1e-2, 1e-3), t_final=0.5, n_times=10, ny=97)
     names = emit_shear_report(study, tmp_path)
@@ -932,6 +951,26 @@ def test_cli_simulate_runtime_failure_is_exit_2():
     # ten steps at a step size far beyond the advective limit
     assert cli_dispatch(["simulate", "--nx", "16", "--ny", "33",
                          "--T", "2.0", "--dt", "0.2"]) == 2
+
+
+@pytest.mark.parametrize("run", [0, 1])  # NS is stepped first, then Euler
+def test_cli_simulate_non_finite_step_is_exit_2(monkeypatch, capsys, run):
+    advection, calls = solvers._ChannelOperators.advection, {}
+
+    def poisoned(self, u1, u2, omega_hat):
+        # each run has its own operators; the fourth transport term of a
+        # run is step 3's (the bootstrap step evaluates two)
+        calls.setdefault(self, []).append(None)
+        n_hat = advection(self, u1, u2, omega_hat)
+        hit = list(calls).index(self) == run and len(calls[self]) == 4
+        return np.full_like(n_hat, np.nan) if hit else n_hat
+
+    monkeypatch.setattr(solvers._ChannelOperators, "advection", poisoned)
+    assert cli_dispatch(["simulate", "--nx", "16", "--ny", "33",
+                         "--T", "0.05", "--dt", "0.005"]) == 2
+    assert len(calls) == run + 1
+    err = capsys.readouterr().err
+    assert "runtime failure: solution lost finiteness near t = 0.015\n" in err
 
 
 def test_cli_sweep_requires_config(capsys):

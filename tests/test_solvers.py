@@ -288,16 +288,10 @@ def test_stacked_solves_match_per_mode_reference(nx, ny, nu, dt):
         assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
 
 
-def test_stacked_solves_keep_input_checks(channel):
-    integ = NavierStokesIntegrator(channel, 1e-3, 1e-2)
-    for mode in (0, 1):
-        omega_hat = np.zeros((integ.ops.nk, channel.ny), dtype=complex)
-        omega_hat[mode, 5] = np.nan
-        with pytest.raises(ValueError, match="infs or NaNs"):
-            integ.full.advance(omega_hat, np.zeros_like(omega_hat))
-    with pytest.raises(ValueError, match="infs or NaNs"):
-        integ.ops.solve_poisson(omega_hat)
-    # the constructor refuses a non-finite nu, so the band is checked directly
+def test_stacked_solves_keep_input_checks():
+    # a factorization checks its band; a right-hand side is the stepping
+    # loop's own array, which `_check_finite` checks after each step.  The
+    # constructor refuses a non-finite nu, so the band is checked directly
     with pytest.raises(ValueError, match="infs or NaNs"):
         _factor_band(np.full((4, 2, 3), np.inf))
     with pytest.raises(LinAlgError, match="singular"):
@@ -377,9 +371,10 @@ def test_fft_calls_per_step(monkeypatch):
                             ("euler", "irfft"): 1 + 2 + 8 + 4 * 4 + 1})
 
 
+# both schemes stop at the step that lost finiteness, with one error
 @pytest.mark.parametrize("scheme, error, match", [
     ("euler", RuntimeError, r"solution lost finiteness near t = 0\.03"),
-    ("ns", ValueError, "array must not contain infs or NaNs"),
+    ("ns", RuntimeError, r"solution lost finiteness near t = 0\.03"),
 ])
 def test_non_finite_transport_stops_the_run(monkeypatch, channel, scheme, error,
                                             match):
@@ -860,7 +855,6 @@ def test_paired_runs_step_euler_once_after_the_first_ns_success(monkeypatch):
     cfg = SimulationConfig(
         nx=16, ny=33, nu=1e-3, dt=5e-3, t_final=0.05, n_outputs=5, preset="shear"
     )
-    nus = (1e-2, -1.0, 1e-3, 1e-2)
     real_ns, real_euler, order = (NavierStokesIntegrator.run, EulerIntegrator.run, [])
 
     def ns_run(self, *args, **kwargs):
@@ -873,15 +867,17 @@ def test_paired_runs_step_euler_once_after_the_first_ns_success(monkeypatch):
 
     monkeypatch.setattr(NavierStokesIntegrator, "run", ns_run)
     monkeypatch.setattr(EulerIntegrator, "run", euler_run)
-    outcomes = list(solvers._paired_runs(cfg, nus))
+    pair = solvers._pairer(cfg)
+    first = pair(1e-2)
+    with pytest.raises(ValueError, match="nu must be positive"):
+        pair(-1.0)
+    pairs = [first, pair(1e-3), pair(1e-2)]
     assert order == [1e-2, "euler", 1e-3, 1e-2]
-    assert isinstance(outcomes[1], ValueError) and "nu must be positive" in str(outcomes[1])
-    pairs = [outcomes[i] for i in (0, 2, 3)]
     assert pairs[0].euler is pairs[1].euler is pairs[2].euler
     monkeypatch.undo()
-    for nu, pair in zip((1e-2, 1e-3, 1e-2), pairs):
+    for nu, paired in zip((1e-2, 1e-3, 1e-2), pairs):
         alone = run_simulation(replace(cfg, nu=nu))
-        for got, want in ((pair.ns, alone.ns), (pair.euler, alone.euler)):
+        for got, want in ((paired.ns, alone.ns), (paired.euler, alone.euler)):
             assert got.times.tobytes() == want.times.tobytes()
             for a, b in zip(got.states, want.states):
                 assert a.velocity.comp1.tobytes() == b.velocity.comp1.tobytes()
@@ -892,7 +888,7 @@ def test_paired_runs_raise_a_failed_euler_run_after_each_ns_run(monkeypatch):
     cfg = SimulationConfig(
         nx=16, ny=33, nu=1e-3, dt=5e-3, t_final=0.05, n_outputs=5, preset="shear"
     )
-    real_ns = NavierStokesIntegrator.run
+    real_ns, euler_calls = NavierStokesIntegrator.run, []
 
     def ns_run(self, *args, **kwargs):
         if self.nu == 1e-2:
@@ -900,30 +896,45 @@ def test_paired_runs_raise_a_failed_euler_run_after_each_ns_run(monkeypatch):
         return real_ns(self, *args, **kwargs)
 
     def euler_run(self, *args, **kwargs):
+        euler_calls.append(None)
         raise CFLError("Euler run failed")
 
     monkeypatch.setattr(NavierStokesIntegrator, "run", ns_run)
     monkeypatch.setattr(EulerIntegrator, "run", euler_run)
-    outcomes = list(solvers._paired_runs(cfg, (1e-2, 1e-3, 1e-4)))
-    assert [str(o) for o in outcomes] == ["NS run failed"] + ["Euler run failed"] * 2
+    pair = solvers._pairer(cfg)
+    with pytest.raises(RuntimeError, match="NS run failed"):
+        pair(1e-2)
+    for nu in (1e-3, 1e-4):
+        with pytest.raises(CFLError, match="Euler run failed"):
+            pair(nu)
+    assert len(euler_calls) == 1
     with pytest.raises(CFLError, match="Euler run failed"):
         run_simulation(cfg)
 
 
-def test_paired_runs_hold_no_pair_past_its_yield(monkeypatch):
-    cfg = SimulationConfig(
-        nx=16, ny=33, nu=1e-3, dt=5e-3, t_final=0.05, n_outputs=5, preset="shear"
+@pytest.mark.parametrize("euler_fails", [False, True])
+def test_sweep_worker_frees_each_ns_run_before_the_next(monkeypatch, euler_fails):
+    cfg = harness.SweepConfig(
+        nx=16, ny=33, dt=5e-3, t_final=0.05, n_outputs=5, preset="shear",
+        nu_values=(1e-2, 1e-3, 1e-4),
     )
     real_ns, earlier = NavierStokesIntegrator.run, []
 
     def ns_run(self, *args, **kwargs):
         assert all(ref() is None for ref in earlier)  # freed before this NS run
-        return real_ns(self, *args, **kwargs)
+        traj = real_ns(self, *args, **kwargs)
+        earlier.append(weakref.ref(traj))
+        return traj
+
+    def euler_run(self, *args, **kwargs):
+        raise CFLError("Euler run failed")
 
     monkeypatch.setattr(NavierStokesIntegrator, "run", ns_run)
-    runs = solvers._paired_runs(cfg, (1e-2, 1e-3, 1e-4))
-    for _ in range(3):
-        earlier.append(weakref.ref(next(runs).ns))
+    if euler_fails:
+        monkeypatch.setattr(EulerIntegrator, "run", euler_run)
+    records = harness._sweep_worker((cfg, cfg.nu_values))
+    assert len(earlier) == 3
+    assert [r.ok for r in records] == [not euler_fails] * 3
 
 
 def test_unknown_preset_rejected():
