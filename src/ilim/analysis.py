@@ -65,8 +65,8 @@ def _layered(nu, t, schedule):
 
 def theorem_bounds(series: ErrorSeries, schedule, c_fit: float) -> np.ndarray:
     """The layered bound C (nu t + int_0^t M) at the series times."""
-    if not c_fit > 0.0:
-        raise ValueError("fitted constant must be positive")
+    if not 0.0 < c_fit < np.inf:
+        raise ValueError("fitted constant must be positive and finite")
     return np.array([c_fit * _layered(series.nu, t, schedule) for t in series.times])
 
 
@@ -278,7 +278,7 @@ class RateFit:
 def fit_rate(nus, errors) -> RateFit:
     """Least-squares exponent of errors ~ prefactor * nu^exponent.
 
-    Requires at least 3 strictly positive (nu, error) pairs.
+    Requires at least 3 positive, finite (nu, error) pairs.
     """
     nus = np.asarray(nus, dtype=float)
     errors = np.asarray(errors, dtype=float)
@@ -286,8 +286,9 @@ def fit_rate(nus, errors) -> RateFit:
         raise ValueError("nus and errors must be matching 1-d arrays")
     if nus.size < 3:
         raise ValueError("rate fit needs at least 3 samples")
-    if not (np.all(nus > 0.0) and np.all(errors > 0.0)):
-        raise ValueError("rate fit needs positive nus and errors")
+    both = np.concatenate([nus, errors])
+    if not np.all((0.0 < both) & (both < np.inf)):
+        raise ValueError("rate fit needs positive, finite nus and errors")
     lx, ly = np.log(nus), np.log(errors)
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = np.sqrt(np.mean((ly - (slope * lx + intercept)) ** 2))

@@ -22,6 +22,7 @@ from .criteria import MSchedule, evaluate_criteria, write_criteria_csv
 from .harness import (
     _CONFIG_SCHEMA,
     SweepConfig,
+    _check_distinct,
     emit_report,
     emit_shear_report,
     parse_config,
@@ -213,6 +214,7 @@ def _cmd_corrector_check(args) -> int:
     p_values = [float(tok) for tok in args.p.replace(",", " ").split()]
     if not p_values:
         raise ValueError("empty p list")
+    _check_distinct(p_values, "--p repeats p")
     for flag, value in (("--min", args.at_min), ("--max", args.at_max)):
         if not 0.0 < value < np.inf:
             raise ValueError(f"{flag} must be positive and finite, got {value!r}")

@@ -118,7 +118,7 @@ def _json_value(value):
 
 def _parse_nu_list(value) -> tuple:
     """Viscosities separated by commas or spaces, or a sequence of them;
-    at least one, all positive and finite."""
+    at least one, all positive, finite and distinct."""
     if isinstance(value, str):
         value = value.replace(",", " ").split()
     nus = tuple(float(v) for v in value)
@@ -126,7 +126,16 @@ def _parse_nu_list(value) -> tuple:
         raise ValueError("at least one nu value is required")
     if not all(0.0 < nu < np.inf for nu in nus):
         raise ValueError("nu values must be positive and finite")
+    _check_distinct(nus, "nu values repeat nu")
     return nus
+
+
+def _check_distinct(values, what):
+    """Raise a ValueError naming the first of `values` equal to an earlier
+    one, as in `nu values repeat nu = 0.0001` (`what` is all but the value)."""
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise ValueError(f"{what} = {float(v)!r}")
 
 
 def _owned(owner, arg, parse=float):
@@ -303,10 +312,10 @@ def run_sweep(config: SweepConfig, jobs: int | None = None) -> SweepResult:
     flag), else the number of CPUs this process may run on (its affinity
     mask where the platform has one).  Results are ordered by the config's
     nu list regardless of worker scheduling, so output is identical for any
-    worker count.  A `jobs` that is not a positive integer, a grid, time
-    or data fault (`_initial_velocity`) or a schedule that fails at every
-    nu raises before any worker starts; a fault of one nu fails only its
-    record.
+    worker count.  A `jobs` that is not a positive integer, a repeated nu,
+    a grid, time or data fault (`_initial_velocity`) or a schedule that
+    fails at every nu raises before any worker starts; a fault of one nu
+    fails only its record.
     Raises RuntimeError if every nu failed.
     """
     if jobs is None:
@@ -315,6 +324,7 @@ def run_sweep(config: SweepConfig, jobs: int | None = None) -> SweepResult:
     jobs = _count("jobs", jobs)
     if not config.nu_values:
         raise ValueError("sweep needs at least one nu")
+    _check_distinct(config.nu_values, "nu values repeat nu")
     _initial_velocity(config)
     _check_schedule(config)
     jobs = min(jobs, len(config.nu_values))
@@ -535,9 +545,7 @@ def shear_limit_study(
     if not r_values:
         raise ValueError("r_values must name at least one r")
     specs = [LayerSpec(C=layer_c, r=r) for r in r_values]
-    for i, r in enumerate(r_values):
-        if r in r_values[:i]:
-            raise ValueError(f"r_values repeats r = {float(r)!r}")
+    _check_distinct(r_values, "r_values repeats r")
     if schedule is None:
         schedule = MSchedule(form="power", c=1.0, a=0.5)
     # one period of the channel; the pair is x1-independent, so 8 nodes carry it

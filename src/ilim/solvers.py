@@ -17,9 +17,11 @@ makes five FFTs.
 
 Velocity is reconstructed from vorticity through banded streamfunction
 solves, so the discrete divergence vanishes by construction.  Each banded
-operator (streamfunction, and Crank-Nicolson per (nu, dt)) is stacked over
-the Fourier modes as one block-diagonal band and LU-factored once; every
-mode is then solved in a single LAPACK call.  The first factorization loads
+operator (streamfunction, and Crank-Nicolson per (nu, dt)) is one Dirichlet
+tridiagonal stack over the Fourier modes, from one builder, LU-factored once
+by zgttrf; every mode is then solved in a single zgttrs call.  The mean
+mode's Neumann wall row is eliminated when its operator is built and its
+wall value recovered after each solve.  The first factorization loads
 scipy's f2py LAPACK extension (`_lapack`) and not the `scipy.linalg`
 package, so no command imports `scipy.linalg`, and one that steps no solver
 imports no scipy module at all.
@@ -226,26 +228,23 @@ def _check_info(info, routine):
         raise ValueError(f"illegal value in argument {-info} of {routine}")
 
 
-def _factor_band(band):
-    """LU-factor a (1, 2) band of shape (4, modes, ny) with ?gbtrf, as one
-    block-diagonal matrix; its dtype picks the routine family the
-    right-hand sides will be solved with."""
-    ab = np.zeros((5, band.shape[1] * band.shape[2]), dtype=band.dtype)
-    ab[1:] = _finite(band).reshape(4, -1)  # ?gbtrf needs kl fill-in rows on top
-    lapack = _lapack()
-    trf = lapack.zgbtrf if np.iscomplexobj(ab) else lapack.dgbtrf
-    lu, piv, info = trf(ab, 1, 2, overwrite_ab=1)
-    _check_info(info, trf.__name__)
-    return lu, piv
+def _factor_tridiagonal(ab):
+    """LU-factor a (3, modes, ny) tridiagonal stack with zgttrf, as one
+    block-diagonal matrix: rows super, diagonal and sub-diagonal, laid out
+    (row, mode, ny).  Flattened, the unused corners of each mode's band are
+    the couplings between blocks, which are zero, so partial pivoting never
+    crosses a block boundary."""
+    up, di, lo = _finite(ab).astype(complex).reshape(3, -1)
+    *lu, info = _lapack().zgttrf(lo[:-1], di, up[1:])
+    _check_info(info, "zgttrf")
+    return lu
 
 
-def _solve_band(lu, piv, rhs):
-    """Solve every block of a `_factor_band` factorization in one ?gbtrs
-    call; `rhs` is (modes, ny) in the factorization's dtype."""
-    lapack = _lapack()
-    trs = lapack.zgbtrs if np.iscomplexobj(lu) else lapack.dgbtrs
-    x, info = trs(lu, 1, 2, rhs.reshape(-1, 1), piv)
-    _check_info(info, trs.__name__)
+def _solve_tridiagonal(lu, rhs):
+    """Solve every block of a `_factor_tridiagonal` factorization in one
+    zgttrs call; `rhs` is a complex (modes, ny) array."""
+    x, info = _lapack().zgttrs(*lu, rhs.reshape(-1, 1))
+    _check_info(info, "zgttrs")
     return x.reshape(rhs.shape)
 
 
@@ -254,7 +253,7 @@ class _ChannelOperators:
 
     def __init__(self, grid: Grid):
         self.grid = grid
-        nx, ny = grid.nx, grid.ny
+        nx = grid.nx
         self.nk = nx // 2 + 1
         k = grid.wavenumbers()
         self.k = k
@@ -264,22 +263,19 @@ class _ChannelOperators:
         self.d1_bottom = self.d1[3]
         self.d2 = _d2_interior(grid.y)
         self.dy = np.diff(grid.y)
-        # Banded (1,1) streamfunction operators (d2/dy2 - k^2) with Dirichlet
-        # rows for the modes >= 1, factored once as one ?gttrf stack.  Bands
-        # are laid out (row, mode, ny): flattened, the unused corners of
-        # each mode's band are the couplings between blocks, which are zero,
-        # so partial pivoting never crosses a block boundary.
+        self.poisson_lu = _factor_tridiagonal(self.band(k[1:], 0.0, 1.0))
+
+    def band(self, k, shift, scale):
+        """The tridiagonal stack of shift + scale (d2/dy2 - k^2), one mode per
+        wavenumber of `k`, with Dirichlet rows 1.0 at the wall and the top."""
         d2lo, d2di, d2up = self.d2
-        ab = np.zeros((3, self.nk - 1, ny))
+        ab = np.zeros((3, k.size, self.grid.ny))
         ab[1, :, 0] = 1.0
         ab[1, :, -1] = 1.0
-        ab[2, :, 0:-2] = d2lo
-        ab[1, :, 1:-1] = d2di - k[1:, None] ** 2
-        ab[0, :, 2:] = d2up
-        up, di, lo = _finite(ab).reshape(3, -1)
-        *factors, ipiv, info = _lapack().dgttrf(lo[:-1], di, up[1:])
-        _check_info(info, "dgttrf")
-        self.poisson_lu = (*(f.astype(complex) for f in factors), ipiv)
+        ab[2, :, 0:-2] = scale * d2lo
+        ab[1, :, 1:-1] = shift + scale * (d2di - k[:, None] ** 2)
+        ab[0, :, 2:] = scale * d2up
+        return ab
 
     def apply_d2_interior(self, vals):
         lo, di, up = self.d2
@@ -291,14 +287,11 @@ class _ChannelOperators:
         """(d2/dy2 - k^2) x = rhs for the modes >= 1, x = 0 at wall and top.
 
         `rhs` is a complex (nk - 1, ny) array; its wall and top rows are
-        overwritten.  Every mode goes to one zgttrs call on the complex-cast
-        dgttrf factors, which rounds as the real solve of each part would.
+        overwritten.
         """
         rhs[:, 0] = 0.0
         rhs[:, -1] = 0.0
-        x, info = _lapack().zgttrs(*self.poisson_lu, rhs.reshape(-1, 1))
-        _check_info(info, "zgttrs")
-        return x.reshape(rhs.shape)
+        return _solve_tridiagonal(self.poisson_lu, rhs)
 
     def solve_poisson(self, omega_hat):
         """(d2/dy2 - k^2) psi_hat = -omega_hat, psi_hat = 0 at wall and top."""
@@ -358,28 +351,25 @@ class _ImplicitDiffusion:
         self.ops = ops
         self.nu = nu
         self.dt = dt
-        ny = ops.grid.ny
-        c = 0.5 * nu * dt
-        d2lo, d2di, d2up = ops.d2
-        ab = np.zeros((4, ops.nk, ny))  # (row, mode, ny), as the Poisson stack
-        # interior rows: I - c (d2/dy2 - k^2)
-        ab[3, :, 0:-2] = -c * d2lo
-        ab[2, :, 1:-1] = 1.0 - c * d2di + c * ops.k[:, None] ** 2
-        ab[1, :, 2:] = -c * d2up
-        ab[2, :, -1] = 1.0  # top: omega = 0
-        ab[2, 1:, 0] = 1.0  # wall: Dirichlet placeholder for the closure
-        # wall: d(omega)/dy = 0 for the mean mode
-        ab[2, 0, 0], ab[1, 0, 1], ab[0, 0, 2] = ops.d1_bottom
-        # Complex right-hand sides are solved with the complex routines on
-        # the complex-cast band (what ?gbsv did mode by mode): splitting
-        # them into real columns changes the rounding.
-        self.lu, self.piv = _factor_band(ab.astype(complex))
-        # Influence responses: wall-unit vorticity per mode >= 1 from real
-        # right-hand sides, and its streamfunction wall-flux (the zero
-        # imaginary column does not touch the real one).
-        e0 = np.zeros((ops.nk - 1, ny))
+        # I - c (d2/dy2 - k^2); top: omega = 0, wall: a Dirichlet placeholder
+        # for the closure of the modes >= 1
+        ab = ops.band(ops.k, 1.0, -0.5 * nu * dt)
+        # Mean-mode wall row: d(omega)/dy = 0, eliminated from the row below
+        # (pivot b0), so the stack stays tridiagonal; `advance` recovers the
+        # wall value.
+        b0, b1, b2 = ops.d1_bottom
+        lead = ab[2, 0, 0] / b0
+        ab[1, 0, 1] -= lead * b1
+        ab[0, 0, 2] -= lead * b2
+        ab[2, 0, 0] = 0.0
+        self.lu = _factor_tridiagonal(ab)
+        # Influence responses: wall-unit vorticity per mode >= 1 (the zero
+        # imaginary parts do not touch the real ones; copied out so that
+        # `advance`'s closure reads a contiguous array), and its
+        # streamfunction wall-flux
+        e0 = np.zeros((ops.nk, ops.grid.ny), dtype=complex)
         e0[:, 0] = 1.0
-        self.omega_h = _solve_band(*_factor_band(ab[:, 1:]), e0)
+        self.omega_h = _solve_tridiagonal(self.lu, e0)[1:].real.copy()
         self.psi_h = ops.poisson_modes(-self.omega_h.astype(complex)).real
         self.slope_h = _wall_d1(ops.d1, self.psi_h)
 
@@ -395,7 +385,8 @@ class _ImplicitDiffusion:
         )
         rhs[:, 0] = 0.0
         rhs[:, -1] = 0.0
-        out = _solve_band(self.lu, self.piv, rhs)
+        out = _solve_tridiagonal(self.lu, rhs)
+        out[0, 0] = -_wall_d1(ops.d1, out[0]) / ops.d1_bottom[0]
         psi = np.zeros_like(omega_hat)
         wp = out[1:]
         pp = ops.poisson_modes(-wp)

@@ -22,20 +22,9 @@ from ilim.cli import cli_dispatch
 
 HERE = Path(__file__).resolve().parent
 
-# the 16x33 perturbed-shear sweep config, three nu
-SWEEP_INI = """\
-[grid]
-nx = 16
-ny = 33
-[time]
-dt = 5e-3
-t_final = 0.05
-n_outputs = 5
-[data]
-preset = perturbed-shear
-[sweep]
-nu = 1e-2, 1e-3, 1e-4
-"""
+# the 16x33 perturbed-shear sweep config, three nu; CI's smoke sweep runs
+# it too
+SWEEP_INI = HERE / "sweep.ini"
 
 # snapshot payloads: binary, and read back by the criteria runs only
 SKIPPED_SUFFIX = ".bin"
@@ -44,7 +33,7 @@ SKIPPED_SUFFIX = ".bin"
 def _runs(out: Path):
     """The argument lists, in order, with their report paths under `out`."""
     return [
-        ["sweep", "--config", str(out / "sweep.ini"), "--jobs", "1",
+        ["sweep", "--config", str(SWEEP_INI), "--jobs", "1",
          "--out", str(out / "sweep")],
         ["simulate", "--nx", "16", "--ny", "33", "--T", "0.05", "--dt", "5e-3",
          "--out", str(out / "simulate")],
@@ -59,16 +48,14 @@ def _runs(out: Path):
 
 def produce(out) -> list:
     """Run every command into `out`; returns the report files' paths
-    relative to `out`, sorted, without the config and the payloads."""
+    relative to `out`, sorted, without the payloads."""
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "sweep.ini").write_text(SWEEP_INI)
     for argv in _runs(out):
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli_dispatch(argv)
         if code != 0:
             raise RuntimeError(f"ilim {' '.join(argv)} exited {code}")
-    (out / "sweep.ini").unlink()
     return sorted(p.relative_to(out).as_posix() for p in out.rglob("*")
                   if p.is_file() and p.suffix != SKIPPED_SUFFIX)
 

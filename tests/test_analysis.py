@@ -99,6 +99,12 @@ def test_theorem_bounds_closed_form():
         theorem_bounds(series, sched, c_fit=0.0)
 
 
+def test_theorem_bounds_rejects_an_infinite_constant():
+    series = ErrorSeries(nu=1e-3, times=np.array([0.0, 1.0]), values=np.array([0.0, 1.0]))
+    with pytest.raises(ValueError, match="^fitted constant must be positive and finite$"):
+        theorem_bounds(series, MSchedule(form="constant", c=0.2), np.inf)
+
+
 def test_theorem_bounds_with_vanishing_modulus():
     # an (effectively) zero modulus collapses the layered bound onto the
     # linear one, C nu t; the schedule amplitude must stay positive, so use
@@ -579,3 +585,13 @@ def test_fit_rate_validation():
         fit_rate(np.array([1e-3, -1e-2, 1e-1]), np.array([1.0, 2.0, 3.0]))
     with pytest.raises(ValueError):
         fit_rate(np.array([1e-3, 1e-2, 1e-1]), np.array([1.0, 0.0, 3.0]))
+
+
+@pytest.mark.parametrize("nus, errors", [
+    ([1e-3, 1e-2, 1e-1], [1.0, 2.0, np.inf]),
+    ([1e-3, 1e-2, np.inf], [1.0, 2.0, 3.0]),
+], ids=["error=inf", "nu=inf"])
+def test_fit_rate_rejects_an_infinite_sample(nus, errors):
+    # not a NaN exponent, and no numpy warning ahead of the error
+    with pytest.raises(ValueError, match="^rate fit needs positive, finite nus and errors$"):
+        fit_rate(nus, errors)

@@ -476,7 +476,7 @@ _SCHEDULE = MSchedule(form="constant", c=0.2)
     pytest.param(lambda g, tr: gronwall_envelope([0.0, _NAN, 1.0], 1.0, 0.0),
                  "times must increase strictly", id="gronwall-steps"),
     pytest.param(lambda g, tr: fit_rate([1e-2, 1e-3, 1e-4], [1e-3, _NAN, 1e-5]),
-                 "rate fit needs positive nus and errors", id="fit-rate-errors"),
+                 "rate fit needs positive, finite nus and errors", id="fit-rate-errors"),
 ])
 def test_guards_reject_nan(layer_grid, call, message):
     # each guard is written so that a NaN fails its comparison

@@ -129,6 +129,8 @@ def test_parse_config_free_form_preset_options(tmp_path):
         ("[layer]\nC = inf\n", r"^\[layer\] C = inf: layer constant C must exceed 1 and be finite"),
         ("[sweep]\nnu = 1e-2, inf\n",
          r"^\[sweep\] nu = 1e-2, inf: nu values must be positive and finite"),
+        ("[sweep]\nnu = 1e-2, 1e-2, 1e-3\n",
+         r"^\[sweep\] nu = 1e-2, 1e-2, 1e-3: nu values repeat nu = 0\.01$"),
         ("[layer]\nr = nan\n", r"^\[layer\] r = nan: r must be >= 1"),
         ("[schedule]\nc = nan\n", r"^\[schedule\] c = nan: schedule amplitude must be"),
         ("[schedule]\nc = inf\n", r"^\[schedule\] c = inf: .* must be positive and finite"),
@@ -204,6 +206,8 @@ def test_parse_config_rejects_bad_input(tmp_path, body, match):
     # an infinite C or nu is out of range
     (None, ["--C", "inf"], "--C inf: layer constant C must exceed 1 and be finite"),
     (None, ["--nu", "1e-2,inf"], "--nu 1e-2,inf: nu values must be positive and finite"),
+    # a repeated nu would be fitted as two samples
+    (None, ["--nu", "1e-2,1e-3,1e-2"], "--nu 1e-2,1e-3,1e-2: nu values repeat nu = 0.01"),
 ])
 def test_cli_rejects_bad_layer_value_before_running(tmp_path, capsys, edit,
                                                     flags, cause):
@@ -270,7 +274,7 @@ _sweep_configs = st.builds(
     preset_options=st.dictionaries(
         _word, st.one_of(st.integers(-10**6, 10**6), _positive, _word), max_size=3
     ),
-    nu_values=st.lists(_positive, min_size=1, max_size=4).map(tuple),
+    nu_values=st.lists(_positive, min_size=1, max_size=4, unique=True).map(tuple),
     m_form=st.sampled_from(("constant", "power")),
     m_c=_positive, m_a=st.floats(-4.0, 4.0),
     layer_c=st.floats(min_value=1.0, max_value=1e6, exclude_min=True),
@@ -366,6 +370,13 @@ def test_sweep_set_up_faults_raise_before_any_worker(monkeypatch, edit, message)
     with pytest.raises(ValueError) as info:
         run_sweep(SweepConfig(**{**SMALL, **edit}), jobs=2)
     assert str(info.value).startswith(message)
+
+
+def test_sweep_rejects_a_repeated_nu_before_any_worker(monkeypatch):
+    # two records of one nu would be fitted as two samples (residual 0)
+    monkeypatch.setattr(_FORK, "Pool", _NoPool)
+    with pytest.raises(ValueError, match=r"^nu values repeat nu = 0\.01$"):
+        run_sweep(SweepConfig(**{**SMALL, "nu_values": (1e-2, 1e-2, 1e-3)}), jobs=2)
 
 
 @pytest.mark.parametrize("jobs", [0, -3, 2.5, 1.0, True])
@@ -543,7 +554,8 @@ def test_sweep_forks_its_workers_under_any_default_start_method(run_python, tmp_
     assert run_python(code, method, tmp_path) == "[True, True, True]"
 
 
-@pytest.mark.parametrize("nus", [(1e-2, 1e-3, 1e-4), (1e-3, 1e-2, 1e-3)])
+# the second list is out of order (a repeated nu is refused before any run)
+@pytest.mark.parametrize("nus", [(1e-2, 1e-3, 1e-4), (1e-3, 1e-2, 1e-4)])
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_sweep_records_equal_run_simulation_bitwise(jobs, nus):
     cfg = SweepConfig(**{**SMALL, "preset": "perturbed-shear", "nu_values": nus})
@@ -750,6 +762,17 @@ def test_shear_study_checks_its_layers_before_sizing_a_grid(monkeypatch, kwargs,
     monkeypatch.setattr(harness, "strength_for_min_spacing", no_work)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         shear_limit_study(nu_values=(1e-2, 1e-3, 1e-4), ny=33, **kwargs)
+
+
+def test_shear_study_rejects_a_repeated_nu(monkeypatch):
+    # the held-out verdicts are keyed by nu, so a repeat would report one
+    # entry for two
+    def no_work(*args):
+        raise AssertionError("the study started before checking its nu values")
+
+    monkeypatch.setattr(harness, "_sine_coefficients", no_work)
+    with pytest.raises(ValueError, match=r"^nu values repeat nu = 0\.0001$"):
+        shear_limit_study(nu_values=(1e-2, 1e-3, 1e-4, 1e-4), ny=33)
 
 
 def test_shear_report_files(tmp_path):
@@ -1018,6 +1041,14 @@ def test_cli_corrector_check_validation(tmp_path, capsys):
     # a NaN p is rejected, not written as an all-NaN report that passes
     out = tmp_path / "corr"
     assert cli_dispatch(["corrector-check", "--p", "2,nan", "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_cli_corrector_check_rejects_a_repeated_p(tmp_path, capsys):
+    # one scaling_p2.csv cannot hold two reports
+    out = tmp_path / "corr"
+    assert cli_dispatch(["corrector-check", "--p", "2,2.0", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: --p repeats p = 2.0\n"
     assert not out.exists()
 
 

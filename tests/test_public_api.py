@@ -113,7 +113,7 @@ def test_stepped_run_loads_lapack_without_the_linalg_package(run_python, tmp_pat
             "print(sorted(m for m in ('scipy.linalg', 'scipy.linalg._flapack') "
             "if m in sys.modules), end=' '); "
             "from ilim import solvers; from scipy.linalg import lapack; "
-            "print(lapack.zgbtrs is solvers._lapack().zgbtrs)")
+            "print(lapack.zgttrs is solvers._lapack().zgttrs)")
     out = tmp_path / "run"
     assert run_python(code, "simulate", "--nx", "16", "--ny", "33", "--T", "0.05",
                       "--dt", "5e-3", "--out", out) == "['scipy.linalg._flapack'] True"
